@@ -36,7 +36,7 @@ from .evaluation import (
     write_report,
 )
 from .geom import transform_to_dict
-from .registration import CpdConfig, IcpConfig
+from .registration import CpdConfig
 from .shapemodel import CanonicalPartModel, InferenceConfig, load_model, save_model
 from .synth import default_spec, generate, generate_demo_scene, spec_to_dict, task_categories
 from .transfer import (
@@ -75,7 +75,6 @@ class RunConfig:
     train_width: float = 0.10
     latent_dim: int | None = None
     cpd: CpdConfig = field(default_factory=CpdConfig)
-    icp: IcpConfig = field(default_factory=IcpConfig)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
 
     def __post_init__(self):
@@ -115,7 +114,6 @@ def config_from_dict(payload: Mapping) -> RunConfig:
     """Strict inverse of config_to_dict: unknown keys are errors."""
     data = dict(payload)
     cpd = _build(CpdConfig, data.pop("cpd", {}), "cpd")
-    icp = _build(IcpConfig, data.pop("icp", {}), "icp")
     pipe = dict(data.pop("pipeline", {}))
     inference = _build(InferenceConfig, pipe.pop("inference", {}), "pipeline.inference")
     pipeline = _build(PipelineConfig, {**pipe, "inference": inference}, "pipeline")
@@ -125,7 +123,7 @@ def config_from_dict(payload: Mapping) -> RunConfig:
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]}")
-    return RunConfig(**data, cpd=cpd, icp=icp, pipeline=pipeline)
+    return RunConfig(**data, cpd=cpd, pipeline=pipeline)
 
 
 def _apply_override(payload: dict, assignment: str) -> None:
@@ -325,6 +323,8 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
             train_points_per_part=cfg.train_points_per_part,
             train_instances=cfg.train_instances,
             train_width=cfg.train_width,
+            latent_dim=cfg.latent_dim,
+            cpd=cfg.cpd,
             penetration_tolerance=cfg.penetration_tolerance,
             pipeline=cfg.pipeline,
             jobs=args.jobs,

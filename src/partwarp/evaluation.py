@@ -98,7 +98,6 @@ class TrialRecord:
     success: bool
     penetration_depth: float | None
     task_predicate: bool
-    keypoint_error: float | None
     wall_time: float
     seed: int
     note: str = ""
@@ -115,6 +114,8 @@ class ExperimentConfig:
     train_points_per_part: int = 220
     train_instances: int = 5
     train_width: float = 0.10
+    latent_dim: int | None = None
+    cpd: CpdConfig = field(default_factory=CpdConfig)
     penetration_tolerance: float = 1e-3
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     jobs: int = 1
@@ -215,6 +216,7 @@ def train_category_models(
     width: float = 0.10,
     points_per_part: int = 220,
     cpd: CpdConfig = CpdConfig(),
+    d: int | None = None,
 ) -> dict[str, CanonicalPartModel]:
     """Per-part canonical models from a family of generated objects.
 
@@ -223,7 +225,7 @@ def train_category_models(
     """
     objects = [label_parts(generate(s)[0]) for s in
                _training_specs(category, seed, count, width, points_per_part)]
-    return train_models_from_objects(category, objects, cpd=cpd)
+    return train_models_from_objects(category, objects, cpd=cpd, d=d)
 
 
 def train_whole_models(
@@ -233,6 +235,7 @@ def train_whole_models(
     width: float = 0.10,
     points_per_part: int = 220,
     cpd: CpdConfig = CpdConfig(),
+    d: int | None = None,
 ) -> dict[str, CanonicalPartModel]:
     """Single-part models over merged objects for the baseline method."""
     instances = []
@@ -240,7 +243,7 @@ def train_whole_models(
         merged = label_parts(merge_object(generate(spec)[0]))
         instances.append(_centered(merged.parts["whole"]))
     return {
-        "whole": train_part_model(instances, cpd=cpd, part_category=f"{category}/whole")
+        "whole": train_part_model(instances, d=d, cpd=cpd, part_category=f"{category}/whole")
     }
 
 
@@ -328,7 +331,7 @@ def _run_trial(
         if result is None:
             records.append(TrialRecord(
                 cfg.task, trial, method, spec_a, spec_b, None,
-                False, None, False, None, elapsed, seed, note,
+                False, None, False, elapsed, seed, note,
             ))
             continue
         placed = novel_a.transformed(result.t_final)
@@ -339,7 +342,7 @@ def _run_trial(
         )
         records.append(TrialRecord(
             cfg.task, trial, method, spec_a, spec_b, result.t_final,
-            ok, pen, pred, None, elapsed, seed, note,
+            ok, pen, pred, elapsed, seed, note,
         ))
     return records
 
@@ -377,6 +380,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         count=cfg.train_instances,
         width=cfg.train_width,
         points_per_part=cfg.train_points_per_part,
+        cpd=cfg.cpd,
+        d=cfg.latent_dim,
     )
     for method in cfg.methods:
         if method == METHOD_PARTS:
@@ -440,7 +445,6 @@ def _trial_payload(t: TrialRecord) -> dict:
         "success": t.success,
         "penetration_depth": t.penetration_depth,
         "task_predicate": t.task_predicate,
-        "keypoint_error": t.keypoint_error,
         "seed": t.seed,
         "note": t.note,
     }
@@ -461,15 +465,13 @@ def report_to_csv(report: ExperimentReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([
         "task", "trial", "method", "success", "penetration_depth",
-        "task_predicate", "keypoint_error", "seed", "note",
+        "task_predicate", "seed", "note",
     ])
     for t in report.trials:
         writer.writerow([
             t.task, t.trial, t.method, int(t.success),
             "" if t.penetration_depth is None else f"{t.penetration_depth:.9g}",
-            int(t.task_predicate),
-            "" if t.keypoint_error is None else f"{t.keypoint_error:.9g}",
-            t.seed, t.note,
+            int(t.task_predicate), t.seed, t.note,
         ])
     return buf.getvalue()
 

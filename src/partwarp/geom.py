@@ -1,4 +1,4 @@
-"""Point clouds, rigid transforms, nearest neighbors, and Chamfer distances.
+"""Point clouds, rigid transforms, squared distances, and Chamfer distances.
 
 Everything here is immutable after construction and safe to share between
 threads. Coordinates are float64 world units (meters in the synthetic
@@ -19,12 +19,9 @@ from scipy.spatial import cKDTree
 __all__ = [
     "PointCloud",
     "RigidTransform",
-    "NeighborIndex",
-    "apply_transform",
-    "compose",
     "rotation_about_axis",
     "rotation_geodesic",
-    "knn",
+    "sqdist",
     "chamfer",
     "symmetric_chamfer",
     "labeled_chamfer",
@@ -172,16 +169,6 @@ class RigidTransform:
         return RigidTransform(rot, -rot @ self.translation)
 
 
-def apply_transform(t: RigidTransform, cloud: PointCloud) -> PointCloud:
-    """Transform the cloud, carrying labels along untouched."""
-    return cloud.transformed(t)
-
-
-def compose(t1: RigidTransform, t2: RigidTransform) -> RigidTransform:
-    """Composition t1 after t2."""
-    return t1.compose(t2)
-
-
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rotation matrix for a right-handed rotation of `angle` about `axis`."""
     ax = np.asarray(axis, dtype=np.float64)
@@ -214,55 +201,24 @@ def rotation_geodesic(a: RigidTransform | np.ndarray, b: RigidTransform | np.nda
     return float(2.0 * np.arcsin(np.clip(chord, 0.0, 1.0)))
 
 
-class NeighborIndex:
-    """KD-tree over a cloud with deterministic tie-breaking on queries."""
+def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) block of squared distances between the rows of a and of b.
 
-    def __init__(self, cloud: PointCloud):
-        if len(cloud) == 0:
-            raise ValueError("empty cloud")
-        self.cloud = cloud
-        self._tree = cKDTree(cloud.points)
-
-    def __len__(self) -> int:
-        return len(self.cloud)
-
-    def query(self, p, k: int = 1) -> list[tuple[int, float]]:
-        """k nearest neighbors of p as (index, distance), ties by lowest index."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        pt = np.asarray(p, dtype=np.float64).reshape(3)
-        n = len(self)
-        k_eff = min(k, n)
-        fetch = min(k_eff + 4, n)
-        while True:
-            dist, idx = self._tree.query(pt, k=fetch)
-            dist = np.atleast_1d(dist)
-            idx = np.atleast_1d(idx)
-            # Expand until the cutoff distance is strictly inside the fetched
-            # set, so equidistant candidates beyond position k are visible.
-            if fetch == n or dist[k_eff - 1] < dist[-1]:
-                break
-            fetch = min(fetch * 2, n)
-        # Distances straight from the tree are exact; re-sort by (d, index).
-        order = np.lexsort((idx, dist))
-        return [(int(idx[i]), float(dist[i])) for i in order[:k_eff]]
-
-
-def knn(index: NeighborIndex, p, k: int) -> list[tuple[int, float]]:
-    return index.query(p, k)
+    Expands |a_i - b_j|^2 = |a_i|^2 + |b_j|^2 - 2 a_i.b_j into one GEMM, so
+    no (n, m, 3) difference array is formed. The expansion cancels, so a
+    coincident pair leaves a rounding residue of a few ulps of |a_i|^2;
+    residues below zero are clamped to 0.
+    """
+    d2 = np.add.outer(np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b))
+    d2 -= (2.0 * a) @ b.T
+    np.maximum(d2, 0.0, out=d2)
+    return d2
 
 
 def _min_sqdist(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Min squared distance from each query point into ref."""
-    nq, nr = query.shape[0], ref.shape[0]
-    if nq * nr <= _DENSE_PAIR_LIMIT:
-        d2 = (
-            np.einsum("ij,ij->i", query, query)[:, None]
-            + np.einsum("ij,ij->i", ref, ref)[None, :]
-            - 2.0 * (query @ ref.T)
-        )
-        np.maximum(d2, 0.0, out=d2)
-        return d2.min(axis=1)
+    if query.shape[0] * ref.shape[0] <= _DENSE_PAIR_LIMIT:
+        return sqdist(query, ref).min(axis=1)
     dist, _ = cKDTree(ref).query(query)
     return np.square(dist)
 

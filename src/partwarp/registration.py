@@ -3,27 +3,21 @@
 The non-rigid path is an EM fit of a Gaussian mixture whose centroids are
 the source points, regularized by a motion-coherence kernel so nearby
 source points move together. The rigid path is the usual weighted SVD
-orthogonal-Procrustes solve, plus an ICP loop on top of it.
+orthogonal-Procrustes solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geom import PointCloud, RigidTransform
+from .geom import PointCloud, RigidTransform, sqdist
 
 __all__ = [
     "CpdConfig",
-    "IcpConfig",
     "DisplacementField",
-    "IcpResult",
     "cpd_nonrigid",
     "kabsch",
-    "icp",
     "RankDeficientError",
 ]
 
@@ -56,21 +50,6 @@ class CpdConfig:
 
 
 @dataclass(frozen=True)
-class IcpConfig:
-    max_iterations: int = 50
-    convergence_tolerance: float = 1e-8
-    max_correspondence_distance: float | None = None
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tolerance <= 0:
-            raise ValueError("convergence_tolerance must be positive")
-        if self.max_correspondence_distance is not None and self.max_correspondence_distance <= 0:
-            raise ValueError("max_correspondence_distance must be positive")
-
-
-@dataclass(frozen=True)
 class DisplacementField:
     """Per-point displacement vectors for a source cloud."""
 
@@ -92,15 +71,6 @@ class DisplacementField:
         if len(cloud) != self.displacements.shape[0]:
             raise ValueError("field size does not match cloud size")
         return PointCloud(cloud.points + self.displacements, cloud.labels)
-
-
-@dataclass(frozen=True)
-class IcpResult:
-    transform: RigidTransform
-    residual: float
-    residual_history: tuple[float, ...]
-    converged: bool
-    correspondence_count: int
 
 
 def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdConfig()) -> DisplacementField:
@@ -126,12 +96,14 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
     x = (target.points - center) / scale
 
     m, n = s.shape[0], x.shape[0]
+    # The coherence Gram keeps the exact-difference form: the GEMM form of
+    # sqdist rounds differently, and the trained models would change.
     diff = s[:, None, :] - s[None, :, :]
     g = np.exp(-np.einsum("ijk,ijk->ij", diff, diff) / (2.0 * cfg.beta**2))
 
     w = np.zeros((m, 3))
     warped = s.copy()
-    d2 = _pairwise_sq(x, warped)
+    d2 = sqdist(x, warped)
     sigma2 = d2.sum() / (3.0 * m * n)
     sigma2 = max(sigma2, 1e-12)
 
@@ -142,7 +114,7 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
     outlier = cfg.outlier_weight
 
     for _ in range(cfg.max_iterations):
-        d2 = _pairwise_sq(x, warped)
+        d2 = sqdist(x, warped)
         gauss = np.exp(-d2 / (2.0 * sigma2))
 
         # Negative log-likelihood of the mixture plus the coherence penalty,
@@ -182,7 +154,7 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
         sigma2 = max(float(sigma2), 1e-12)
     else:
         # Budget exhausted: score the final M-step so best-so-far sees it.
-        d2 = _pairwise_sq(x, warped)
+        d2 = sqdist(x, warped)
         density = (1.0 - outlier) * (2.0 * np.pi * sigma2) ** (-1.5) / m * np.exp(
             -d2 / (2.0 * sigma2)
         ).sum(axis=1)
@@ -195,16 +167,6 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
 
     displacement = (g @ best_w) * scale
     return DisplacementField(displacement, converged, tuple(history))
-
-
-def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.einsum("ij,ij->i", a, a)[:, None]
-        + np.einsum("ij,ij->i", b, b)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
 
 
 class RankDeficientError(ValueError):
@@ -271,49 +233,3 @@ def kabsch(source: np.ndarray, target: np.ndarray, weights: np.ndarray | None = 
         sign = 1.0
     rot = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
     return RigidTransform(rot, cb - rot @ ca)
-
-
-def icp(
-    source: PointCloud,
-    target: PointCloud,
-    init: RigidTransform | None = None,
-    cfg: IcpConfig = IcpConfig(),
-) -> IcpResult:
-    """Iterative closest point with an SVD solve per iteration.
-
-    The returned transform includes the initialization. The residual is
-    the RMS correspondence distance after the final solve. If a maximum
-    correspondence distance is set and no pairs survive it, the unchanged
-    init is returned flagged with an empty correspondence set.
-    """
-    if len(source) == 0 or len(target) == 0:
-        raise ValueError("empty cloud")
-    t = init if init is not None else RigidTransform.identity()
-    tree = cKDTree(target.points)
-    history: list[float] = []
-    residual = np.inf
-    converged = False
-    used = 0
-
-    for _ in range(cfg.max_iterations):
-        moved = t.apply(source.points)
-        dist, idx = tree.query(moved)
-        if cfg.max_correspondence_distance is not None:
-            mask = dist <= cfg.max_correspondence_distance
-            if not mask.any():
-                return IcpResult(t, np.inf, tuple(history), False, 0)
-        else:
-            mask = np.ones(len(source), dtype=bool)
-        src = source.points[mask]
-        dst = target.points[idx[mask]]
-        used = int(mask.sum())
-        t = kabsch(src, dst)
-        res = float(np.sqrt(np.mean(np.sum((t.apply(src) - dst) ** 2, axis=1))))
-        history.append(res)
-        if len(history) > 1 and abs(history[-2] - res) <= cfg.convergence_tolerance:
-            converged = True
-            residual = res
-            break
-        residual = res
-
-    return IcpResult(t, residual, tuple(history), converged, used)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -25,7 +25,10 @@ import numpy as np
 from .geom import (
     PointCloud,
     RigidTransform,
+    cloud_from_dict,
+    cloud_to_dict,
     rotation_about_axis,
+    sqdist,
     symmetric_chamfer,
     z_label_values,
 )
@@ -380,13 +383,7 @@ def infer(
         total = reg * float(np.sum(((v - mean) / scales) ** 2))
         for key in keys:
             for x_sub, my in x_subs[key]:
-                y_sub = y[my]
-                d2 = (
-                    np.einsum("ij,ij->i", x_sub, x_sub)[:, None]
-                    + np.einsum("ij,ij->i", y_sub, y_sub)[None, :]
-                    - 2.0 * (x_sub @ y_sub.T)
-                )
-                total += float(max(d2.min(axis=1).mean(), 0.0))
+                total += float(sqdist(x_sub, y[my]).min(axis=1).mean())
         return total
 
     rng = np.random.default_rng(seed)
@@ -432,58 +429,34 @@ def warp_point_indices(
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     recon = reconstruct(model, fit.latent)
-    posed = fit.pose.apply(recon.points)
-    diff = pts[:, None, :] - posed[None, :, :]
-    d2 = np.einsum("qnk,qnk->qn", diff, diff)
-    return d2.argmin(axis=1)
+    return sqdist(pts, fit.pose.apply(recon.points)).argmin(axis=1)
 
 
 def model_to_dict(model: CanonicalPartModel) -> dict:
-    cloud_payload: dict = {"points": model.canonical.points.tolist()}
-    if model.canonical.labels:
-        cloud_payload["labels"] = {
-            k: model.canonical.labels[k].tolist() for k in sorted(model.canonical.labels)
-        }
-    cfg = model.cpd_config
     return {
         "part_category": model.part_category,
-        "canonical": cloud_payload,
+        "canonical": cloud_to_dict(model.canonical),
         "basis": model.basis.tolist(),
         "latent_mean": model.latent_mean.tolist(),
         "latent_scales": model.latent_scales.tolist(),
         "training_latents": model.training_latents.tolist(),
         "training_residuals": model.training_residuals.tolist(),
         "explained_variance": model.explained_variance.tolist(),
-        "cpd_config": {
-            "beta": cfg.beta,
-            "lam": cfg.lam,
-            "max_iterations": cfg.max_iterations,
-            "tolerance": cfg.tolerance,
-            "outlier_weight": cfg.outlier_weight,
-        },
+        "cpd_config": asdict(model.cpd_config),
     }
 
 
 def model_from_dict(payload: Mapping) -> CanonicalPartModel:
-    cloud = payload["canonical"]
-    canonical = PointCloud(np.asarray(cloud["points"]), cloud.get("labels"))
-    cfg = payload["cpd_config"]
     return CanonicalPartModel(
         part_category=payload["part_category"],
-        canonical=canonical,
+        canonical=cloud_from_dict(payload["canonical"]),
         basis=np.asarray(payload["basis"], dtype=np.float64),
         latent_mean=np.asarray(payload["latent_mean"], dtype=np.float64),
         latent_scales=np.asarray(payload["latent_scales"], dtype=np.float64),
         training_latents=np.asarray(payload["training_latents"], dtype=np.float64),
         training_residuals=np.asarray(payload["training_residuals"], dtype=np.float64),
         explained_variance=np.asarray(payload["explained_variance"], dtype=np.float64),
-        cpd_config=CpdConfig(
-            beta=cfg["beta"],
-            lam=cfg["lam"],
-            max_iterations=cfg["max_iterations"],
-            tolerance=cfg["tolerance"],
-            outlier_weight=cfg["outlier_weight"],
-        ),
+        cpd_config=CpdConfig(**payload["cpd_config"]),
     )
 
 

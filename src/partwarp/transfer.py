@@ -26,12 +26,14 @@ from .geom import (
     cloud_to_dict,
     rotation_about_axis,
     rotation_geodesic,
+    sqdist,
     transform_from_dict,
     transform_to_dict,
     z_label_values,
 )
 from .registration import RankDeficientError, kabsch
 from .shapemodel import (
+    Z_KEY,
     CanonicalPartModel,
     InferenceConfig,
     InferenceResult,
@@ -68,8 +70,6 @@ __all__ = [
     "load_demo",
     "result_to_dict",
 ]
-
-Z_KEY = "z"
 
 
 @dataclass(frozen=True)
@@ -231,8 +231,7 @@ def label_parts(
         labeled[name][Z_KEY] = z_label_values(obj.parts[name])
     for a, b in itertools.combinations(names, 2):
         ca, cb = obj.parts[a], obj.parts[b]
-        diff = ca.points[:, None, :] - cb.points[None, :, :]
-        gap = float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).min()))
+        gap = float(np.sqrt(sqdist(ca.points, cb.points).min()))
         if gap < threshold:
             labeled[a][f"adj:{b}"] = adjacency_label_values(ca, cb, ratio)
             labeled[b][f"adj:{a}"] = adjacency_label_values(cb, ca, ratio)
@@ -300,8 +299,7 @@ def extract_interaction_points(
         goal_m = demo.t_ab.apply(cloud_m.points)
         for n in demo.object_b.part_names():
             cloud_n = demo.object_b.parts[n]
-            diff = goal_m[:, None, :] - cloud_n.points[None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
+            d2 = sqdist(goal_m, cloud_n.points)
             ii, jj = np.nonzero(d2 <= delta * delta)
             if ii.size < 3:
                 continue
@@ -441,16 +439,6 @@ def _alignment_groups(
     return groups
 
 
-def _group_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.einsum("ij,ij->i", a, a)[:, None]
-        + np.einsum("ij,ij->i", b, b)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def _matched_objective(groups, t: RigidTransform):
     """Placement objective at t, its per-part terms, and each group's nearest neighbours."""
     total = 0.0
@@ -458,7 +446,7 @@ def _matched_objective(groups, t: RigidTransform):
     nearest = []
     for x, y, weight, part, reverse in groups:
         tx = t.apply(x)
-        d2 = _group_sqdist(y, tx) if reverse else _group_sqdist(tx, y)
+        d2 = sqdist(y, tx) if reverse else sqdist(tx, y)
         idx = d2.argmin(axis=1)
         term = weight * float(d2[np.arange(len(idx)), idx].sum())
         total += term
@@ -467,16 +455,14 @@ def _matched_objective(groups, t: RigidTransform):
     return total, per_part, nearest
 
 
-def _placement_objective(groups, t: RigidTransform) -> tuple[float, dict[str, float]]:
-    total, per_part, _ = _matched_objective(groups, t)
-    return total, per_part
-
-
-def _refine_placement(groups, init: RigidTransform, iterations: int) -> tuple[RigidTransform, float]:
+def _refine_placement(
+    groups, init: RigidTransform, iterations: int
+) -> tuple[RigidTransform, float, dict[str, float]]:
+    """Refined transform, its objective, and the objective's per-part terms."""
     # The matches that score a transform are the ones its next step solves
     # against, so each iteration computes one distance block per group.
     t = init
-    best, _, nearest = _matched_objective(groups, t)
+    best, per_part, nearest = _matched_objective(groups, t)
     weights = np.concatenate([
         np.full(len(y) if reverse else len(x), weight) for x, y, weight, _part, reverse in groups
     ])
@@ -489,12 +475,12 @@ def _refine_placement(groups, init: RigidTransform, iterations: int) -> tuple[Ri
             candidate = kabsch(np.concatenate(sources), np.concatenate(matched), weights)
         except ValueError:
             break
-        value, _, candidate_nearest = _matched_objective(groups, candidate)
+        value, candidate_per_part, candidate_nearest = _matched_objective(groups, candidate)
         if value < best - 1e-15:
-            t, best, nearest = candidate, value, candidate_nearest
+            t, best, per_part, nearest = candidate, value, candidate_per_part, candidate_nearest
         else:
             break
-    return t, best
+    return t, best, per_part
 
 
 def optimize_placement(
@@ -536,14 +522,13 @@ def optimize_placement(
     if len(inits) > 1:
         inits.append(_chordal_mean(inits))
 
-    best: tuple[float, int, RigidTransform] | None = None
-    for ordinal, init in enumerate(inits):
-        t, value = _refine_placement(groups, init, cfg.refine_iterations)
-        if best is None or value < best[0]:
-            best = (value, ordinal, t)
+    best: tuple[RigidTransform, float, dict[str, float]] | None = None
+    for init in inits:
+        refined = _refine_placement(groups, init, cfg.refine_iterations)
+        if best is None or refined[1] < best[1]:
+            best = refined
     assert best is not None
-    objective, _, t_final = best
-    _, per_part = _placement_objective(groups, t_final)
+    t_final, objective, per_part = best
 
     return TransferResult(
         t_final=t_final,

@@ -1,0 +1,98 @@
+"""The command-line front end: a tiny gen/train/transfer/eval round trip,
+config validation, and the settings `eval` passes on to training."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import warnings
+
+import pytest
+
+from partwarp import cli, evaluation
+from partwarp.evaluation import METHOD_PARTS, METHOD_WHOLE
+from partwarp.registration import CpdConfig
+
+TINY = {
+    "seed": 0,
+    "task": "mug_on_rack",
+    "count": 1,
+    "n_trials": 1,
+    "points_per_part": 80,
+    "train_points_per_part": 80,
+    "train_instances": 3,
+    "pipeline": {"inference": {"restarts": 1, "yaw_init_count": 4, "max_evals": 60}},
+}
+
+
+def run(*argv: str) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        # Three training instances trip the "outside 5..10" advisory.
+        warnings.simplefilter("ignore", UserWarning)
+        return cli.main(list(argv))
+
+
+def write_config(tmp_path, **extra) -> str:
+    config = {
+        **TINY,
+        "dataset_dir": str(tmp_path / "dataset"),
+        "model_dir": str(tmp_path / "models"),
+        "output_dir": str(tmp_path / "out"),
+        **extra,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_round_trip_exits_zero_and_transfer_is_reproducible(tmp_path):
+    common = ["--config", write_config(tmp_path)]
+    assert run("gen", *common) == 0
+    assert run("train", *common) == 0
+
+    dataset = tmp_path / "dataset"
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    name_a, name_b = manifest["heldout"][0]
+    transfer = [
+        "transfer", *common,
+        "--demo", str(dataset / manifest["demo"]),
+        "--scene-a", str(dataset / name_a),
+        "--scene-b", str(dataset / name_b),
+    ]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run(*transfer, "--out", str(first)) == 0
+    assert run(*transfer, "--out", str(second)) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+    assert run("eval", *common) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert {t["method"] for t in report["trials"]} == {METHOD_PARTS, METHOD_WHOLE}
+
+
+def test_icp_section_is_an_unknown_key(tmp_path):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run("gen", "--config", write_config(tmp_path, icp={})) == 2
+    assert "unknown config key icp" in err.getvalue()
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("method", [METHOD_PARTS, METHOD_WHOLE])
+def test_eval_trains_with_the_configured_cpd_and_latent_dim(tmp_path, monkeypatch, method):
+    seen = []
+
+    def record(instances, labels=None, d=None, cpd=CpdConfig(), part_category="part"):
+        seen.append((d, cpd, part_category))
+        raise _Stop
+
+    monkeypatch.setattr(evaluation, "train_part_model", record)
+    config = write_config(tmp_path, methods=[method], latent_dim=1, cpd={"beta": 0.7, "lam": 3.0})
+    with pytest.raises(_Stop):
+        run("eval", "--config", config)
+    d, cpd, part_category = seen[0]
+    assert d == 1
+    assert cpd == CpdConfig(beta=0.7, lam=3.0)
+    assert part_category.endswith("/whole") == (method == METHOD_WHOLE)

@@ -1,25 +1,22 @@
-"""Point-cloud primitives: transforms, Chamfer distances, neighbor queries."""
+"""Point-cloud primitives: transforms, squared distances, Chamfer distances."""
 
 import numpy as np
 import pytest
 
 import propsuites as ps
 from partwarp.geom import (
-    NeighborIndex,
     PointCloud,
     RigidTransform,
     adjacency_label_values,
-    apply_transform,
     chamfer,
     cloud_from_dict,
     cloud_to_dict,
-    compose,
-    knn,
     labeled_chamfer,
     load_cloud,
     rotation_about_axis,
     rotation_geodesic,
     save_cloud,
+    sqdist,
     symmetric_chamfer,
     transform_from_dict,
     transform_to_dict,
@@ -86,29 +83,29 @@ class TestRigidTransform:
 
     def test_apply_identity_returns_same_points(self, rng):
         cloud = random_labeled_cloud(rng, 20)
-        out = apply_transform(RigidTransform.identity(), cloud)
+        out = cloud.transformed(RigidTransform.identity())
         np.testing.assert_allclose(out.points, cloud.points, atol=1e-15)
         np.testing.assert_array_equal(out.label("z"), cloud.label("z"))
 
     def test_apply_translation(self):
         t = RigidTransform(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        out = apply_transform(t, PointCloud(np.zeros((1, 3))))
+        out = PointCloud(np.zeros((1, 3))).transformed(t)
         np.testing.assert_allclose(out.points, [[1.0, 0.0, 0.0]])
 
     def test_apply_quarter_turn(self):
         t = RigidTransform(rotation_about_axis(np.array([0, 0, 1.0]), np.pi / 2), np.zeros(3))
-        out = apply_transform(t, PointCloud(np.array([[1.0, 0.0, 0.0]])))
+        out = PointCloud(np.array([[1.0, 0.0, 0.0]])).transformed(t)
         np.testing.assert_allclose(out.points, [[0.0, 1.0, 0.0]], atol=1e-12)
 
     def test_compose_with_inverse_is_identity(self, rng):
         t = ps.random_transform(rng)
-        ident = compose(t, t.inverse())
+        ident = t.compose(t.inverse())
         assert rotation_geodesic(ident, RigidTransform.identity()) < 1e-12
         assert np.linalg.norm(ident.translation) < 1e-12
 
     def test_compose_identity_is_noop(self, rng):
         t = ps.random_transform(rng)
-        out = compose(RigidTransform.identity(), t)
+        out = RigidTransform.identity().compose(t)
         np.testing.assert_allclose(out.rotation, t.rotation, atol=1e-15)
         np.testing.assert_allclose(out.translation, t.translation, atol=1e-15)
 
@@ -116,7 +113,7 @@ class TestRigidTransform:
         t1, t2 = ps.random_transform(rng), ps.random_transform(rng)
         pts = rng.normal(size=(100, 3))
         np.testing.assert_allclose(
-            compose(t1, t2).apply(pts), t1.apply(t2.apply(pts)), atol=1e-12
+            t1.compose(t2).apply(pts), t1.apply(t2.apply(pts)), atol=1e-12
         )
 
     def test_rotation_geodesic_recovers_angle(self, rng):
@@ -207,43 +204,42 @@ class TestLabeledChamfer:
         base = labeled_chamfer(x, y, "z")
         for _ in range(10):
             t = ps.random_transform(rng)
-            moved = labeled_chamfer(apply_transform(t, x), apply_transform(t, y), "z")
+            moved = labeled_chamfer(x.transformed(t), y.transformed(t), "z")
             assert abs(moved - base) < 1e-9
 
 
-class TestKnn:
-    def test_two_point_example(self):
-        index = NeighborIndex(PointCloud(np.array([[0.0, 0, 0], [2.0, 0, 0]])))
-        assert knn(index, np.array([0.5, 0, 0]), 1) == [(0, pytest.approx(0.5))]
+class TestSqdist:
+    def test_matches_brute_force(self, rng):
+        for scale in (1e-3, 1.0, 1e3):
+            for n, m in ((1, 1), (7, 1), (1, 9), (40, 25)):
+                a = rng.normal(size=(n, 3)) * scale + scale
+                b = rng.normal(size=(m, 3)) * scale
+                brute = ((a[:, None] - b[None]) ** 2).sum(-1)
+                got = sqdist(a, b)
+                assert got.shape == (n, m)
+                np.testing.assert_allclose(got, brute, rtol=1e-9, atol=1e-12 * scale**2)
 
-    def test_query_on_cloud_point(self, rng):
-        pts = rng.normal(size=(20, 3))
-        index = NeighborIndex(PointCloud(pts))
-        hit = knn(index, pts[7], 1)
-        assert hit[0][0] == 7
-        assert hit[0][1] == pytest.approx(0.0, abs=1e-12)
+    def test_coincident_points_never_go_negative(self, rng):
+        # The GEMM form cancels |a|^2 + |a|^2 - 2 a.a, so a coincident pair
+        # leaves a rounding residue of either sign; the negative ones must
+        # come back as exactly 0.0 and the rest stay within rounding.
+        clamped = 0
+        for scale in (1e-3, 1.0, 1e3):
+            pts = rng.normal(size=(60, 3)) * scale + 10.0 * scale
+            sq = np.einsum("ij,ij->i", pts, pts)
+            raw = np.add.outer(sq, sq) - (2.0 * pts) @ pts.T
+            d2 = sqdist(pts, pts)
+            assert d2.min() >= 0.0
+            np.testing.assert_array_equal(d2[raw < 0.0], 0.0)
+            assert np.all(np.diag(d2) <= 8.0 * np.finfo(float).eps * sq)
+            clamped += int((np.diag(raw) < 0.0).sum())
+        assert clamped > 0
 
-    def test_tie_breaks_by_lowest_index(self):
-        index = NeighborIndex(PointCloud(np.array([[1.0, 0, 0], [-1.0, 0, 0]])))
-        out = knn(index, np.zeros(3), 2)
-        assert [i for i, _ in out] == [0, 1]
-
-    def test_k_clamped_to_cloud_size(self, rng):
-        index = NeighborIndex(PointCloud(rng.normal(size=(5, 3))))
-        assert len(knn(index, np.zeros(3), 12)) == 5
-        with pytest.raises(ValueError, match="k must be"):
-            knn(index, np.zeros(3), 0)
-
-    def test_matches_exhaustive_search(self, rng):
-        pts = rng.normal(size=(500, 3))
-        index = NeighborIndex(PointCloud(pts))
-        for _ in range(25):
-            q = rng.normal(size=3)
-            got = knn(index, q, 5)
-            dists = np.linalg.norm(pts - q, axis=1)
-            order = np.lexsort((np.arange(len(pts)), dists))[:5]
-            assert [i for i, _ in got] == list(order)
-            np.testing.assert_allclose([d for _, d in got], dists[order], rtol=1e-12)
+    def test_exact_grid_points_give_exact_zero(self):
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [3.0, 0.25, -4.0]])
+        d2 = sqdist(pts, pts)
+        np.testing.assert_array_equal(np.diag(d2), 0.0)
+        assert d2[0, 1] == 5.25
 
 
 class TestLabelGenerators:

@@ -1,17 +1,11 @@
-"""Rigid and non-rigid registration: kabsch, ICP, and CPD."""
+"""Rigid and non-rigid registration: kabsch and CPD."""
 
 import numpy as np
 import pytest
 
 import propsuites as ps
 from partwarp.geom import PointCloud, RigidTransform, chamfer, rotation_geodesic
-from partwarp.registration import (
-    CpdConfig,
-    IcpConfig,
-    cpd_nonrigid,
-    icp,
-    kabsch,
-)
+from partwarp.registration import CpdConfig, cpd_nonrigid, kabsch
 from partwarp.synth import generate, sample_spec
 
 
@@ -69,44 +63,6 @@ class TestKabsch:
         t2 = kabsch(pts[perm], target[perm])
         assert rotation_geodesic(t1, t2) < 1e-9
         np.testing.assert_allclose(t1.translation, t2.translation, atol=1e-9)
-
-
-class TestIcp:
-    def test_self_registration_is_identity(self, rng):
-        cloud = PointCloud(rng.normal(size=(40, 3)))
-        res = icp(cloud, cloud)
-        assert rotation_geodesic(res.transform, RigidTransform.identity()) < 1e-9
-        assert res.residual < 1e-9
-        assert res.converged
-
-    def test_recovers_transform_from_nearby_init(self, rng):
-        for _ in range(15):
-            pts = rng.normal(size=(80, 3)) * 0.5
-            axis = rng.normal(size=3)
-            angle = rng.uniform(-np.pi / 6, np.pi / 6)
-            t_true = RigidTransform(
-                ps.rotation_about_axis(axis, angle), rng.normal(size=3) * 0.05
-            )
-            res = icp(PointCloud(pts), PointCloud(t_true.apply(pts)))
-            assert rotation_geodesic(res.transform, t_true) < 1e-3
-            assert np.linalg.norm(res.transform.translation - t_true.translation) < 1e-4
-
-    def test_distant_clouds_with_cutoff_flagged(self, rng):
-        src = PointCloud(rng.normal(size=(10, 3)) * 0.1)
-        dst = PointCloud(rng.normal(size=(10, 3)) * 0.1 + 10.0)
-        res = icp(src, dst, None, IcpConfig(max_correspondence_distance=0.5))
-        assert not res.converged
-        assert res.correspondence_count == 0
-        assert res.residual == np.inf
-        assert rotation_geodesic(res.transform, RigidTransform.identity()) == 0.0
-
-    def test_empty_cloud_rejected(self, rng):
-        cloud = PointCloud(rng.normal(size=(5, 3)))
-        with pytest.raises(ValueError, match="empty cloud"):
-            icp(cloud.subset([]), cloud)
-
-    def test_residual_monotonicity_suite(self):
-        assert ps.icp_monotonicity_suite(n_cases=100) == []
 
 
 class TestCpd:
@@ -177,9 +133,3 @@ class TestConfigValidation:
             CpdConfig(outlier_weight=1.0)
         with pytest.raises(ValueError):
             CpdConfig(max_iterations=0)
-
-    def test_icp_config_bounds(self):
-        with pytest.raises(ValueError):
-            IcpConfig(convergence_tolerance=0.0)
-        with pytest.raises(ValueError):
-            IcpConfig(max_correspondence_distance=-1.0)
