@@ -6,6 +6,12 @@ overrides (``--set pipeline.inference.max_evals=1600``), so a full
 experiment is reproducible from its config and seed alone: rerunning any
 command with the same inputs rewrites byte-identical outputs.
 
+The file is flat. ``dataset_dir``, ``model_dir``, ``output_dir`` and
+``count`` belong to the CLI alone; ``seed`` is the experiment's
+``master_seed``; every other key, the ``cpd`` and ``pipeline`` sections
+included, is the ``evaluation.ExperimentConfig`` field of the same name,
+which validates the whole experiment once, when the file is loaded.
+
 Exit codes: 0 on success, 1 on a runtime failure, 2 on a usage or config
 error.
 """
@@ -20,17 +26,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .evaluation import (
-    DEMO_POINTS_PER_PART,
-    METHOD_PARTS,
-    METHOD_WHOLE,
-    TEST_FAMILIES,
     ExperimentConfig,
+    _task_demo,
     _training_specs,
-    _yaw_box_pose,
-    draw_test_pair,
+    _trial_scene,
     run_experiment,
     train_models_from_objects,
     write_report,
@@ -38,7 +38,7 @@ from .evaluation import (
 from .geom import transform_to_dict
 from .registration import CpdConfig
 from .shapemodel import CanonicalPartModel, InferenceConfig, load_model, save_model
-from .synth import default_spec, generate, generate_demo_scene, spec_to_dict, task_categories
+from .synth import generate, spec_to_dict, task_categories
 from .transfer import (
     PartDecomposedObject,
     PipelineConfig,
@@ -52,48 +52,31 @@ from .transfer import (
     transfer_skill,
 )
 
-__all__ = ["RunConfig", "config_to_dict", "config_from_dict", "load_run_config", "main"]
+__all__ = ["RunConfig", "config_from_dict", "load_run_config", "main"]
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a command run depends on besides the dataset bytes."""
+    """Where a command reads and writes, and the experiment it runs."""
 
     dataset_dir: str = "dataset"
     model_dir: str = "models"
     output_dir: str = "out"
-    seed: int = 0
-    task: str = "mug_on_rack"
     count: int = 12
-    test_family: str = "control"
-    n_trials: int = 50
-    methods: tuple[str, ...] = (METHOD_PARTS, METHOD_WHOLE)
-    penetration_tolerance: float = 1e-3
-    points_per_part: int = 400
-    train_points_per_part: int = 220
-    train_instances: int = 5
-    train_width: float = 0.10
-    latent_dim: int | None = None
-    cpd: CpdConfig = field(default_factory=CpdConfig)
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
+    experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
 
     def __post_init__(self):
-        task_categories(self.task)
-        if self.count < 0 or self.n_trials < 0:
-            raise ValueError("count and n_trials must be >= 0")
-        if self.test_family not in TEST_FAMILIES:
-            raise ValueError(f"unknown test family {self.test_family!r}")
-        bad = sorted(set(self.methods) - {METHOD_PARTS, METHOD_WHOLE})
-        if bad:
-            raise ValueError(f"unknown method {bad[0]!r}")
-        if self.train_instances < 2:
-            raise ValueError("train_instances must be >= 2")
-        if min(self.points_per_part, self.train_points_per_part) < 1:
-            raise ValueError("points per part must be >= 1")
-        if self.penetration_tolerance < 0:
-            raise ValueError("penetration_tolerance must be >= 0")
-        if self.latent_dim is not None and self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1 when given")
+        if self.count < 0:
+            raise ValueError("count must be >= 0")
+
+
+_RUN_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "experiment")
+# The file spells master_seed as `seed`, and only --jobs sets jobs: the worker
+# count changes how trials are scheduled, never what they compute.
+_FILE_KEYS = (
+    {*_RUN_KEYS, "seed"}
+    | {f.name for f in dataclasses.fields(ExperimentConfig)}
+) - {"master_seed", "jobs"}
 
 
 def _build(cls, payload: Mapping, section: str):
@@ -104,26 +87,23 @@ def _build(cls, payload: Mapping, section: str):
     return cls(**payload)
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    payload = dataclasses.asdict(cfg)
-    payload["methods"] = list(cfg.methods)
-    return payload
-
-
 def config_from_dict(payload: Mapping) -> RunConfig:
-    """Strict inverse of config_to_dict: unknown keys are errors."""
+    """Map the flat config file onto RunConfig: unknown keys are errors."""
     data = dict(payload)
+    unknown = sorted(set(data) - _FILE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]}")
+    run = {name: data.pop(name) for name in _RUN_KEYS if name in data}
+    if "seed" in data:
+        data["master_seed"] = data.pop("seed")
+    if "methods" in data:
+        data["methods"] = tuple(data["methods"])
     cpd = _build(CpdConfig, data.pop("cpd", {}), "cpd")
     pipe = dict(data.pop("pipeline", {}))
     inference = _build(InferenceConfig, pipe.pop("inference", {}), "pipeline.inference")
     pipeline = _build(PipelineConfig, {**pipe, "inference": inference}, "pipeline")
-    if "methods" in data:
-        data["methods"] = tuple(data["methods"])
-    allowed = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ValueError(f"unknown config key {unknown[0]}")
-    return RunConfig(**data, cpd=cpd, pipeline=pipeline)
+    experiment = ExperimentConfig(**data, cpd=cpd, pipeline=pipeline)
+    return RunConfig(**run, experiment=experiment)
 
 
 def _apply_override(payload: dict, assignment: str) -> None:
@@ -165,22 +145,23 @@ def _dump(path: Path, payload: dict, indent: int | None = None) -> None:
 
 def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Write training instances, held-out pairs, one demo, and a manifest."""
+    exp = cfg.experiment
     dataset = Path(cfg.dataset_dir)
     dataset.mkdir(parents=True, exist_ok=True)
-    cat_a, cat_b = task_categories(cfg.task)
+    cat_a, cat_b = task_categories(exp.task)
 
     manifest: dict = {
-        "task": cfg.task,
-        "seed": cfg.seed,
-        "test_family": cfg.test_family,
+        "task": exp.task,
+        "seed": exp.master_seed,
+        "test_family": exp.test_family,
         "train": {},
         "heldout": [],
         "demo": "demo.json",
     }
     for offset, cat in ((11, cat_a), (12, cat_b)):
         specs = _training_specs(
-            cat, cfg.seed + offset, cfg.train_instances,
-            cfg.train_width, cfg.train_points_per_part,
+            cat, exp.master_seed + offset, exp.train_instances,
+            exp.train_width, exp.train_points_per_part,
         )
         names = []
         for i, spec in enumerate(specs):
@@ -191,12 +172,8 @@ def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
         manifest["train"][cat] = names
 
     for i in range(cfg.count):
-        # Same derivation the evaluation harness uses for trial i, so the
-        # written pairs are the scenes an experiment with this seed sees.
-        rng = np.random.default_rng([cfg.seed, 1, i])
-        spec_a, spec_b = draw_test_pair(cfg.task, cfg.test_family, rng, cfg.points_per_part)
-        pose_a = _yaw_box_pose(rng)
-        pose_b = _yaw_box_pose(rng)
+        # The written pairs are the scenes trial i of this experiment sees.
+        spec_a, spec_b, pose_a, pose_b = _trial_scene(exp, i)
         pair = []
         for side, spec, pose in (("a", spec_a, pose_a), ("b", spec_b, pose_b)):
             obj, _, _ = generate(spec)
@@ -209,21 +186,16 @@ def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
             pair.append(name)
         manifest["heldout"].append(pair)
 
-    pp = DEMO_POINTS_PER_PART.get(cfg.task, 400)
-    scene = generate_demo_scene(
-        cfg.task,
-        spec_a=default_spec(cat_a, seed=11, points_per_part=pp),
-        spec_b=default_spec(cat_b, seed=12, points_per_part=pp),
-    )
-    _dump(dataset / "demo.json", demo_to_dict(scene.demo))
+    _dump(dataset / "demo.json", demo_to_dict(_task_demo(exp.task)))
     _dump(dataset / "manifest.json", manifest, indent=2)
-    print(f"wrote {cfg.train_instances * 2} training instances, "
+    print(f"wrote {exp.train_instances * 2} training instances, "
           f"{cfg.count} held-out pairs, 1 demo to {dataset}")
     return 0
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Train one model file per part category from the generated dataset."""
+    exp = cfg.experiment
     dataset = Path(cfg.dataset_dir)
     manifest_path = dataset / "manifest.json"
     if not manifest_path.exists():
@@ -240,10 +212,10 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
             payload = json.loads((dataset / name).read_text())
             objects.append(label_parts(
                 object_from_dict(payload["object"]),
-                cfg.pipeline.label_ratio, cfg.pipeline.adjacency_scale,
+                exp.pipeline.label_ratio, exp.pipeline.adjacency_scale,
             ))
         try:
-            models = train_models_from_objects(cat, objects, cpd=cfg.cpd, d=cfg.latent_dim)
+            models = train_models_from_objects(cat, objects, cpd=exp.cpd, d=exp.latent_dim)
         except (RuntimeError, ValueError) as exc:
             print(f"error: training {cat!r} failed: {exc}", file=sys.stderr)
             return 1
@@ -279,6 +251,7 @@ def _load_models(model_dir: Path, obj: PartDecomposedObject) -> dict[str, Canoni
 
 def cmd_transfer(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Apply a demonstration to one novel scene and write the result."""
+    exp = cfg.experiment
     stage = "loading inputs"
     try:
         demo = load_demo(args.demo)
@@ -289,10 +262,10 @@ def cmd_transfer(cfg: RunConfig, args: argparse.Namespace) -> int:
         models_a = _load_models(model_dir, demo.object_a)
         models_b = _load_models(model_dir, demo.object_b)
         stage = "processing demonstration"
-        ctx = process_demonstration(demo, models_a, models_b, cfg.pipeline, seed=cfg.seed)
+        ctx = process_demonstration(demo, models_a, models_b, exp.pipeline, seed=exp.master_seed)
         stage = "optimizing placement"
         result = transfer_skill(
-            ctx, models_a, models_b, novel_a, novel_b, cfg.pipeline, seed=cfg.seed
+            ctx, models_a, models_b, novel_a, novel_b, exp.pipeline, seed=exp.master_seed
         )
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {stage}: {exc}", file=sys.stderr)
@@ -312,27 +285,7 @@ def cmd_transfer(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Run the paired experiment and write report, CSV, and timings."""
-    try:
-        ecfg = ExperimentConfig(
-            task=cfg.task,
-            n_trials=cfg.n_trials,
-            master_seed=cfg.seed,
-            test_family=cfg.test_family,
-            methods=cfg.methods,
-            points_per_part=cfg.points_per_part,
-            train_points_per_part=cfg.train_points_per_part,
-            train_instances=cfg.train_instances,
-            train_width=cfg.train_width,
-            latent_dim=cfg.latent_dim,
-            cpd=cfg.cpd,
-            penetration_tolerance=cfg.penetration_tolerance,
-            pipeline=cfg.pipeline,
-            jobs=args.jobs,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = run_experiment(ecfg)
+    report = run_experiment(dataclasses.replace(cfg.experiment, jobs=args.jobs))
     write_report(report, cfg.output_dir)
     rates = ", ".join(
         f"{m}={'n/a' if r is None else f'{r:.3f}'}"

@@ -44,14 +44,12 @@ from .transfer import (
     PartDecomposedObject,
     PipelineConfig,
     TransferResult,
-    fit_parts,
     label_parts,
     merge_object,
     process_demonstration,
     transfer_skill,
     whole_object_baseline,
 )
-from .shapemodel import reconstruct, warp_point_indices
 
 __all__ = [
     "METHOD_PARTS",
@@ -69,8 +67,6 @@ __all__ = [
     "report_to_csv",
     "report_timings",
     "write_report",
-    "keypoint_transfer_error",
-    "keypoint_transfer_study",
 ]
 
 # Method identifiers used throughout reports: the parts-based shape-warping
@@ -133,6 +129,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {bad[0]!r}")
         if not self.methods:
             raise ValueError("methods must be non-empty")
+        if self.train_instances < 2:
+            raise ValueError("train_instances must be >= 2")
+        if min(self.points_per_part, self.train_points_per_part) < 1:
+            raise ValueError("points per part must be >= 1")
+        if self.penetration_tolerance < 0:
+            raise ValueError("penetration_tolerance must be >= 0")
+        if self.latent_dim is not None and self.latent_dim < 1:
+            raise ValueError("latent_dim must be >= 1 when given")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -288,6 +292,27 @@ def _yaw_box_pose(rng: np.random.Generator) -> RigidTransform:
     )
 
 
+def _trial_scene(
+    cfg: ExperimentConfig, trial: int
+) -> tuple[ParametricObjectSpec, ParametricObjectSpec, RigidTransform, RigidTransform]:
+    """Trial i's two specs and world poses, keyed to (master_seed, i) alone."""
+    rng = np.random.default_rng([cfg.master_seed, 1, trial])
+    spec_a, spec_b = draw_test_pair(cfg.task, cfg.test_family, rng, cfg.points_per_part)
+    return spec_a, spec_b, _yaw_box_pose(rng), _yaw_box_pose(rng)
+
+
+def _task_demo(task: str) -> Demonstration:
+    """The task's one demonstration, shared by every experiment seed."""
+    pp = DEMO_POINTS_PER_PART.get(task, 400)
+    cat_a, cat_b = task_categories(task)
+    scene = generate_demo_scene(
+        task,
+        spec_a=default_spec(cat_a, seed=11, points_per_part=pp),
+        spec_b=default_spec(cat_b, seed=12, points_per_part=pp),
+    )
+    return scene.demo
+
+
 def _run_trial(
     cfg: ExperimentConfig,
     trial: int,
@@ -295,12 +320,9 @@ def _run_trial(
     models_a: Mapping[str, Mapping[str, CanonicalPartModel]],
     models_b: Mapping[str, Mapping[str, CanonicalPartModel]],
 ) -> list[TrialRecord]:
-    rng = np.random.default_rng([cfg.master_seed, 1, trial])
-    spec_a, spec_b = draw_test_pair(cfg.task, cfg.test_family, rng, cfg.points_per_part)
+    spec_a, spec_b, init_a, pose_b = _trial_scene(cfg, trial)
     obj_a, _, _ = generate(spec_a)
     obj_b, sdf_b, _ = generate(spec_b)
-    init_a = _yaw_box_pose(rng)
-    pose_b = _yaw_box_pose(rng)
     novel_a = obj_a.transformed(init_a)
     novel_b = obj_b.transformed(pose_b)
     sdf_b_world = sdf_b.transformed(pose_b)
@@ -348,14 +370,7 @@ def _run_trial(
 
 
 def _demo_context(cfg: ExperimentConfig, method: str, models_a, models_b) -> DemoContext:
-    pp = DEMO_POINTS_PER_PART.get(cfg.task, 400)
-    cat_a, cat_b = task_categories(cfg.task)
-    scene = generate_demo_scene(
-        cfg.task,
-        spec_a=default_spec(cat_a, seed=11, points_per_part=pp),
-        spec_b=default_spec(cat_b, seed=12, points_per_part=pp),
-    )
-    demo = scene.demo
+    demo = _task_demo(cfg.task)
     if method == METHOD_WHOLE:
         demo = Demonstration(
             merge_object(demo.object_a), merge_object(demo.object_b), demo.t_ab
@@ -495,86 +510,3 @@ def write_report(report: ExperimentReport, out_dir) -> None:
     (out / "trials.csv").write_text(report_to_csv(report))
     timing = json.dumps(report_timings(report), indent=2)
     (out / "timings.json").write_text(timing + "\n")
-
-
-# ---------------------------------------------------------------------------
-# keypoint transfer against the exact correspondence oracle
-# ---------------------------------------------------------------------------
-
-
-def keypoint_transfer_error(
-    transferred: np.ndarray, truth: np.ndarray, extent: float
-) -> float:
-    """Median distance between predicted and true positions, over extent."""
-    transferred = np.asarray(transferred, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if transferred.shape != truth.shape or transferred.ndim != 2:
-        raise ValueError("keypoint arrays must share one (k, 3) shape")
-    if extent <= 0:
-        raise ValueError("extent must be positive")
-    return float(np.median(np.linalg.norm(transferred - truth, axis=1))) / extent
-
-
-def keypoint_transfer_study(
-    category: str = "mug",
-    n_heldout: int = 20,
-    keypoints_per_part: int = 25,
-    seed: int = 0,
-    points_per_part: int = 400,
-    train_points_per_part: int = 220,
-    pipeline: PipelineConfig = PipelineConfig(),
-) -> dict:
-    """Transfer marked surface points across held-out family members.
-
-    Keypoints are drawn on a source object, grounded in each part model
-    through a fit of the source, re-localized on every held-out member
-    through that member's fit, and compared with the exact same-surface
-    coordinates evaluated on the held-out geometry. Returns the pooled
-    median normalized error plus per-member values.
-    """
-    models = train_category_models(
-        category, seed + 11, points_per_part=train_points_per_part
-    )
-    src_spec = default_spec(category, seed=11, points_per_part=points_per_part)
-    src_obj, _, src_corr = generate(src_spec)
-    src_labeled = label_parts(src_obj)
-    src_fits = fit_parts(src_labeled, models, pipeline.inference, seed=seed)
-
-    rng = np.random.default_rng([seed, 3])
-    grounded = {}
-    for part in src_labeled.part_names():
-        cloud = src_labeled.parts[part]
-        count = min(keypoints_per_part, len(cloud))
-        picks = np.sort(rng.choice(len(cloud), size=count, replace=False))
-        fit = src_fits[part]
-        idx = warp_point_indices(models[part], fit, cloud.points[picks])
-        canon = reconstruct(models[part], fit.latent).points
-        offsets = fit.pose.inverse().apply(cloud.points[picks]) - canon[idx]
-        grounded[part] = (picks, idx, offsets)
-
-    per_member = []
-    pooled = []
-    for j in range(n_heldout):
-        spec_h = sample_spec(
-            category, rng, widths=0.10, seed=int(rng.integers(2**31)),
-            points_per_part=points_per_part,
-        )
-        obj_h, _, _ = generate(spec_h)
-        labeled_h = label_parts(obj_h)
-        fits_h = fit_parts(labeled_h, models, pipeline.inference, seed=seed + 100 + j)
-        extent = labeled_h.extent()
-        distances = []
-        for part, (picks, idx, offsets) in grounded.items():
-            fit = fits_h[part]
-            recon = reconstruct(models[part], fit.latent).points
-            predicted = fit.pose.apply(recon[idx] + offsets)
-            truth = src_corr.evaluate(spec_h, part, indices=picks)
-            distances.append(np.linalg.norm(predicted - truth, axis=1))
-        all_d = np.concatenate(distances)
-        per_member.append(float(np.median(all_d)) / extent)
-        pooled.extend(all_d / extent)
-    return {
-        "median": float(np.median(pooled)),
-        "per_member": per_member,
-        "n_heldout": n_heldout,
-    }

@@ -1115,7 +1115,7 @@ def task_predicate(task: str, feat_a: ObjectFeatures, feat_b: ObjectFeatures) ->
         inner = feat_b.scalars["rim_radius_inner"]
         if rho_o <= inner + 0.002:
             return False
-        rest_z = rim[2] + math.sqrt(rho_o * rho_o - inner * inner)
+        rest_z = float(rim[2]) + math.sqrt(rho_o * rho_o - inner * inner)
         lateral = float(np.linalg.norm(center[:2] - rim[:2]))
         return lateral <= 0.4 * inner and abs(float(center[2]) - rest_z) <= 0.008
     if task == "teapot_pour_align":

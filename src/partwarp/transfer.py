@@ -181,7 +181,6 @@ class PipelineConfig:
     adjacency_scale: float = 0.02
     refine_iterations: int = 40
     max_relation_pairs: int = 12
-    symmetric_objective: bool = False
     inference: InferenceConfig = field(default_factory=InferenceConfig)
 
     def __post_init__(self):
@@ -405,7 +404,6 @@ def _alignment_groups(
     novel_a: PartDecomposedObject,
     relations: Sequence[tuple[str, str]],
     targets: Mapping[tuple[str, str], PointCloud],
-    symmetric: bool,
 ):
     """Expand relations into (x_subset, y_subset, weight, part) match groups.
 
@@ -431,11 +429,7 @@ def _alignment_groups(
                 my = ly == value
                 if not my.any():
                     raise ValueError("unmatched label class")
-                groups.append((x_cloud.points[mx], y_cloud.points[my], 1.0 / mx.sum(), m, False))
-                if symmetric:
-                    groups.append(
-                        (x_cloud.points[mx], y_cloud.points[my], 1.0 / my.sum(), m, True)
-                    )
+                groups.append((x_cloud.points[mx], y_cloud.points[my], 1.0 / mx.sum(), m))
     return groups
 
 
@@ -444,9 +438,8 @@ def _matched_objective(groups, t: RigidTransform):
     total = 0.0
     per_part: dict[str, float] = {}
     nearest = []
-    for x, y, weight, part, reverse in groups:
-        tx = t.apply(x)
-        d2 = sqdist(y, tx) if reverse else sqdist(tx, y)
+    for x, y, weight, part in groups:
+        d2 = sqdist(t.apply(x), y)
         idx = d2.argmin(axis=1)
         term = weight * float(d2[np.arange(len(idx)), idx].sum())
         total += term
@@ -463,16 +456,14 @@ def _refine_placement(
     # against, so each iteration computes one distance block per group.
     t = init
     best, per_part, nearest = _matched_objective(groups, t)
-    weights = np.concatenate([
-        np.full(len(y) if reverse else len(x), weight) for x, y, weight, _part, reverse in groups
-    ])
+    sources = np.concatenate([x for x, _y, _weight, _part in groups])
+    weights = np.concatenate([np.full(len(x), weight) for x, _y, weight, _part in groups])
     for _ in range(iterations):
-        sources, matched = [], []
-        for (x, y, _weight, _part, reverse), idx in zip(groups, nearest):
-            sources.append(x[idx] if reverse else x)
-            matched.append(y if reverse else y[idx])
+        matched = np.concatenate([
+            y[idx] for (_x, y, _weight, _part), idx in zip(groups, nearest)
+        ])
         try:
-            candidate = kabsch(np.concatenate(sources), np.concatenate(matched), weights)
+            candidate = kabsch(sources, matched, weights)
         except ValueError:
             break
         value, candidate_per_part, candidate_nearest = _matched_objective(groups, candidate)
@@ -517,7 +508,7 @@ def optimize_placement(
         posed = recon.transformed(fits_a[m].pose)
         targets[rel] = posed.transformed(t_rel)
 
-    groups = _alignment_groups(novel_a, relations, targets, cfg.symmetric_objective)
+    groups = _alignment_groups(novel_a, relations, targets)
     inits = [per_relation[rel] for rel in relations]
     if len(inits) > 1:
         inits.append(_chordal_mean(inits))

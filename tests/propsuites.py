@@ -239,7 +239,7 @@ def placement_optimality_suite(n_cases: int = 100, seed: int = 4) -> list[str]:
             m = rel[0]
             posed = reconstruct(models_a[m], fits_a[m].latent).transformed(fits_a[m].pose)
             targets[rel] = posed.transformed(result.per_relation_transforms[rel])
-        groups = tr._alignment_groups(novel_a, sorted(relations), targets, False)
+        groups = tr._alignment_groups(novel_a, sorted(relations), targets)
         inits = [result.per_relation_transforms[rel] for rel in sorted(relations)]
         if len(inits) > 1:
             inits.append(tr._chordal_mean(inits))

@@ -1,5 +1,6 @@
-"""The command-line front end: a tiny gen/train/transfer/eval round trip,
-config validation, and the settings `eval` passes on to training."""
+"""The command-line front end: a tiny gen/train/transfer/eval round trip on
+every task, config validation, and the settings `eval` passes on to
+training."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import warnings
 import pytest
 
 from partwarp import cli, evaluation
-from partwarp.evaluation import METHOD_PARTS, METHOD_WHOLE
+from partwarp.evaluation import METHOD_PARTS, METHOD_WHOLE, ExperimentConfig
 from partwarp.registration import CpdConfig
 
 TINY = {
@@ -46,8 +47,9 @@ def write_config(tmp_path, **extra) -> str:
     return str(path)
 
 
-def test_round_trip_exits_zero_and_transfer_is_reproducible(tmp_path):
-    common = ["--config", write_config(tmp_path)]
+@pytest.mark.parametrize("task", ["mug_on_rack", "bowl_on_mug", "teapot_pour_align"])
+def test_round_trip_exits_zero_and_transfer_is_reproducible(tmp_path, task):
+    common = ["--config", write_config(tmp_path, task=task)]
     assert run("gen", *common) == 0
     assert run("train", *common) == 0
 
@@ -70,10 +72,44 @@ def test_round_trip_exits_zero_and_transfer_is_reproducible(tmp_path):
     assert {t["method"] for t in report["trials"]} == {METHOD_PARTS, METHOD_WHOLE}
 
 
-def test_icp_section_is_an_unknown_key(tmp_path):
+UNKNOWN_KEYS = {
+    "icp": {"icp": {}},
+    # jobs comes from --jobs alone, and the file spells master_seed `seed`.
+    "jobs": {"jobs": 2},
+    "master_seed": {"master_seed": 1},
+    "pipeline.symmetric_objective": {"pipeline": {"symmetric_objective": True}},
+}
+
+
+@pytest.mark.parametrize("key", list(UNKNOWN_KEYS))
+def test_unknown_config_key_exits_2(tmp_path, key):
     with contextlib.redirect_stderr(io.StringIO()) as err:
-        assert run("gen", "--config", write_config(tmp_path, icp={})) == 2
-    assert "unknown config key icp" in err.getvalue()
+        assert run("gen", "--config", write_config(tmp_path, **UNKNOWN_KEYS[key])) == 2
+    assert f"unknown config key {key}" in err.getvalue()
+
+
+def test_gen_rejects_raised_peg_off_the_rack_task(tmp_path):
+    config = write_config(tmp_path, task="bowl_on_mug", test_family="raised_peg")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run("gen", "--config", config) == 2
+    assert "raised_peg" in err.getvalue()
+    assert not (tmp_path / "dataset").exists()
+
+
+OUT_OF_RANGE = {
+    "train_instances": (1, "train_instances"),
+    "points_per_part": (0, "points per part"),
+    "train_points_per_part": (0, "points per part"),
+    "penetration_tolerance": (-1e-3, "penetration_tolerance"),
+    "latent_dim": (0, "latent_dim"),
+}
+
+
+@pytest.mark.parametrize("field", list(OUT_OF_RANGE))
+def test_experiment_config_rejects_out_of_range_values(field):
+    value, message = OUT_OF_RANGE[field]
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{field: value})
 
 
 class _Stop(Exception):
