@@ -1,6 +1,7 @@
 """Point clouds, rigid transforms, squared distances, and Chamfer distances.
 
-Everything here is immutable after construction and safe to share between
+Everything here except a ChamferQuery, which reuses scratch buffers across
+calls, is immutable after construction and safe to share between
 threads. Coordinates are float64 world units (meters in the synthetic
 scenes). The labeled Chamfer distance is one-sided: it measures how well
 the second cloud explains the first, summed per binary label class.
@@ -22,6 +23,7 @@ __all__ = [
     "rotation_about_axis",
     "rotation_geodesic",
     "sqdist",
+    "ChamferQuery",
     "chamfer",
     "symmetric_chamfer",
     "labeled_chamfer",
@@ -213,6 +215,54 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d2 -= (2.0 * a) @ b.T
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+class ChamferQuery:
+    """One-sided Chamfer from a fixed query set into reference sets that change.
+
+    The prepared mode of sqdist for a loop that scores one query set against
+    many reference sets of one size, such as a fit's objective. The query
+    side is folded once into the (5, n) matrix [-2 q; 1; |q|^2], so a call
+    is one GEMM [r, |r|^2, 1] @ Q into an (m, n) block, a min down its
+    rows, a clamp of the mins at 0, and their mean. The (m, 5) and (m, n)
+    buffers are kept for the next call with the same reference size.
+
+    The result is the mean over queries of the min squared distance into
+    the reference, as sqdist(q, r).min(axis=1).mean(), but it is summed in
+    a different order, so the two differ by a few ulps of |q_i|^2 + |r_j|^2.
+    A call writes the buffers, so an instance must not be shared between
+    threads.
+    """
+
+    def __init__(self, query):
+        q = np.asarray(query, dtype=np.float64)
+        if q.ndim != 2 or q.shape[1] != 3:
+            raise ValueError("points must have shape (n, 3)")
+        if q.shape[0] == 0:
+            raise ValueError("empty cloud")
+        self._n = q.shape[0]
+        self._folded = np.empty((5, self._n))
+        self._folded[:3] = -2.0 * q.T
+        self._folded[3] = 1.0
+        self._folded[4] = np.einsum("ij,ij->i", q, q)
+        self._mins = np.empty(self._n)
+        self._ref = np.empty((0, 5))
+        self._block = np.empty((0, self._n))
+
+    def __call__(self, ref: np.ndarray) -> float:
+        m = ref.shape[0]
+        if m == 0:
+            raise ValueError("empty cloud")
+        if m != self._ref.shape[0]:
+            self._ref = np.empty((m, 5))
+            self._ref[:, 4] = 1.0
+            self._block = np.empty((m, self._n))
+        self._ref[:, :3] = ref
+        np.einsum("ij,ij->i", ref, ref, out=self._ref[:, 3])
+        np.matmul(self._ref, self._folded, out=self._block)
+        np.minimum.reduce(self._block, axis=0, out=self._mins)
+        np.maximum(self._mins, 0.0, out=self._mins)
+        return float(self._mins.sum()) / self._n
 
 
 def _min_sqdist(query: np.ndarray, ref: np.ndarray) -> np.ndarray:

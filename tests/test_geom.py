@@ -5,6 +5,7 @@ import pytest
 
 import propsuites as ps
 from partwarp.geom import (
+    ChamferQuery,
     PointCloud,
     RigidTransform,
     adjacency_label_values,
@@ -240,6 +241,51 @@ class TestSqdist:
         d2 = sqdist(pts, pts)
         np.testing.assert_array_equal(np.diag(d2), 0.0)
         assert d2[0, 1] == 5.25
+
+
+class TestChamferQuery:
+    @staticmethod
+    def tolerance(q, r):
+        # The prepared GEMM sums |q|^2 + |r|^2 - 2 q.r in another order than
+        # sqdist, so the two agree to a few ulps of the larger norms.
+        norms = np.einsum("ij,ij->i", q, q).max() + np.einsum("ij,ij->i", r, r).max()
+        return 8.0 * np.finfo(float).eps * norms
+
+    def test_matches_brute_force(self, rng):
+        for scale in (1e-3, 1.0, 30.0):
+            for n, m in ((1, 1), (1, 9), (7, 1), (37, 221), (221, 37)):
+                q = rng.normal(size=(n, 3)) * scale + scale
+                r = rng.normal(size=(m, 3)) * scale
+                want = float(sqdist(q, r).min(axis=1).mean())
+                got = ChamferQuery(q)(r)
+                assert isinstance(got, float)
+                assert got >= 0.0
+                assert abs(got - want) <= self.tolerance(q, r)
+
+    def test_coincident_sets_never_go_negative(self, rng):
+        for scale in (1e-3, 1.0, 30.0):
+            pts = rng.normal(size=(37, 3)) * scale + 10.0 * scale
+            got = ChamferQuery(pts)(pts)
+            assert 0.0 <= got <= self.tolerance(pts, pts)
+
+    def test_reused_buffers_leak_no_state(self, rng):
+        q = rng.normal(size=(37, 3))
+        a = rng.normal(size=(221, 3))
+        b = rng.normal(size=(221, 3)) + 0.5
+        small = rng.normal(size=(1, 3))
+        prepared = ChamferQuery(q)
+        first = prepared(a)
+        assert prepared(b) != first
+        assert prepared(a) == first
+        prepared(small)
+        assert prepared(a) == first
+        assert first == ChamferQuery(q)(a)
+
+    def test_empty_sets_rejected(self, rng):
+        with pytest.raises(ValueError, match="empty cloud"):
+            ChamferQuery(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="empty cloud"):
+            ChamferQuery(rng.normal(size=(4, 3)))(np.zeros((0, 3)))
 
 
 class TestLabelGenerators:

@@ -306,6 +306,35 @@ class TestInfer:
         np.testing.assert_array_equal(a.pose.rotation, b.pose.rotation)
         np.testing.assert_array_equal(a.pose.translation, b.pose.translation)
 
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("adjacency", [(), ("adj:cup",)])
+    def test_tiny_observation_gives_finite_fit(self, mug_models, size, adjacency):
+        model = mug_models["handle"]
+        observed = observed_handle(seed=951)
+        contact = observed.label("adj:cup")
+        idx = [np.flatnonzero(contact == 1)[0], *np.flatnonzero(contact == 0)[:size - 1]]
+        tiny = observed.subset(idx)
+        cfg = InferenceConfig(restarts=1, yaw_init_count=2, max_evals=40)
+        fit = infer(model, tiny, adjacency_keys=adjacency, cfg=cfg, seed=0)
+        assert np.isfinite(fit.objective)
+        assert np.all(np.isfinite(fit.latent))
+        value = world_objective(model, tiny, (*adjacency, "z"), fit.latent, fit.pose,
+                                cfg.latent_reg_weight)
+        assert fit.objective == pytest.approx(value, rel=1e-6)
+
+    def test_reports_evaluations_and_winning_start(self, mug_models):
+        model = mug_models["handle"]
+        observed = observed_handle(seed=960)
+        cfg = InferenceConfig(restarts=1, yaw_init_count=4, max_evals=60)
+        a = infer(model, observed, adjacency_keys=("adj:cup",), cfg=cfg, seed=0)
+        b = infer(model, observed, adjacency_keys=("adj:cup",), cfg=cfg, seed=0)
+        # Halving every step to the tolerance takes far more than 60
+        # evaluations, so no start converges and each spends its budget.
+        assert not a.converged
+        assert a.evaluations == 240
+        assert 0 <= a.start < 4
+        assert (a.evaluations, a.start) == (b.evaluations, b.start)
+
     def test_unmatched_label_class_rejected(self, mug_models):
         model = mug_models["handle"]
         observed = observed_handle(seed=970)
