@@ -6,10 +6,8 @@ from .geom import (
     adjacency_label_values,
     chamfer,
     labeled_chamfer,
-    load_cloud,
     rotation_about_axis,
     rotation_geodesic,
-    save_cloud,
     symmetric_chamfer,
     z_label_values,
 )
@@ -63,7 +61,6 @@ from .synth import (
     default_spec,
     features,
     generate,
-    generate_demo,
     generate_demo_scene,
     goal_transform,
     partial_view,

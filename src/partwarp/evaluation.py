@@ -221,13 +221,16 @@ def train_category_models(
     points_per_part: int = 220,
     cpd: CpdConfig = CpdConfig(),
     d: int | None = None,
+    label_ratio: float = 0.4,
+    adjacency_scale: float = 0.02,
 ) -> dict[str, CanonicalPartModel]:
     """Per-part canonical models from a family of generated objects.
 
     Each instance is labeled as a whole object first, so relational labels
     exist on every part before the parts are split apart for training.
+    label_ratio and adjacency_scale are PipelineConfig's labeling settings.
     """
-    objects = [label_parts(generate(s)[0]) for s in
+    objects = [label_parts(generate(s)[0], label_ratio, adjacency_scale) for s in
                _training_specs(category, seed, count, width, points_per_part)]
     return train_models_from_objects(category, objects, cpd=cpd, d=d)
 
@@ -240,15 +243,15 @@ def train_whole_models(
     points_per_part: int = 220,
     cpd: CpdConfig = CpdConfig(),
     d: int | None = None,
+    label_ratio: float = 0.4,
+    adjacency_scale: float = 0.02,
 ) -> dict[str, CanonicalPartModel]:
-    """Single-part models over merged objects for the baseline method."""
-    instances = []
-    for spec in _training_specs(category, seed, count, width, points_per_part):
-        merged = label_parts(merge_object(generate(spec)[0]))
-        instances.append(_centered(merged.parts["whole"]))
-    return {
-        "whole": train_part_model(instances, d=d, cpd=cpd, part_category=f"{category}/whole")
-    }
+    """train_category_models on each instance merged to one part, 'whole'."""
+    objects = [
+        label_parts(merge_object(generate(s)[0]), label_ratio, adjacency_scale)
+        for s in _training_specs(category, seed, count, width, points_per_part)
+    ]
+    return train_models_from_objects(category, objects, cpd=cpd, d=d)
 
 
 def draw_test_pair(
@@ -335,17 +338,11 @@ def _run_trial(
         note = ""
         result: TransferResult | None = None
         try:
-            if method == METHOD_PARTS:
-                result = transfer_skill(
-                    contexts[method], models_a[method], models_b[method],
-                    novel_a, novel_b, cfg.pipeline, seed=seed,
-                )
-            else:
-                result = whole_object_baseline(
-                    contexts[method].demo, models_a[method], models_b[method],
-                    novel_a, novel_b, cfg.pipeline, seed=seed,
-                    ctx=contexts[method],
-                )
+            transfer = transfer_skill if method == METHOD_PARTS else whole_object_baseline
+            result = transfer(
+                contexts[method], models_a[method], models_b[method],
+                novel_a, novel_b, cfg.pipeline, seed=seed,
+            )
         except Exception as exc:  # noqa: BLE001 - trial failures must not abort the batch
             note = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
@@ -391,20 +388,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     models_a: dict[str, dict[str, CanonicalPartModel]] = {}
     models_b: dict[str, dict[str, CanonicalPartModel]] = {}
     contexts: dict[str, DemoContext] = {}
-    train = dict(
+    settings = dict(
         count=cfg.train_instances,
         width=cfg.train_width,
         points_per_part=cfg.train_points_per_part,
         cpd=cfg.cpd,
         d=cfg.latent_dim,
+        label_ratio=cfg.pipeline.label_ratio,
+        adjacency_scale=cfg.pipeline.adjacency_scale,
     )
     for method in cfg.methods:
-        if method == METHOD_PARTS:
-            models_a[method] = train_category_models(cat_a, cfg.master_seed + 11, **train)
-            models_b[method] = train_category_models(cat_b, cfg.master_seed + 12, **train)
-        else:
-            models_a[method] = train_whole_models(cat_a, cfg.master_seed + 11, **train)
-            models_b[method] = train_whole_models(cat_b, cfg.master_seed + 12, **train)
+        # Both here and in _run_trial the function is picked by name at call
+        # time, not from a module-level {method: fn} table: a table would keep
+        # the functions it was built with and hide the calls from tracing
+        # that patches these module attributes.
+        train = train_category_models if method == METHOD_PARTS else train_whole_models
+        models_a[method] = train(cat_a, cfg.master_seed + 11, **settings)
+        models_b[method] = train(cat_b, cfg.master_seed + 12, **settings)
         contexts[method] = _demo_context(cfg, method, models_a[method], models_b[method])
 
     trials: list[TrialRecord] = []

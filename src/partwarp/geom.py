@@ -9,10 +9,8 @@ the second cloud explains the first, summed per binary label class.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -31,8 +29,6 @@ __all__ = [
     "z_label_values",
     "cloud_to_dict",
     "cloud_from_dict",
-    "save_cloud",
-    "load_cloud",
     "transform_to_dict",
     "transform_from_dict",
 ]
@@ -94,11 +90,6 @@ class PointCloud:
         if not self.labels or key not in self.labels:
             raise KeyError(f"cloud has no label key {key!r}")
         return self.labels[key]
-
-    def centroid(self) -> np.ndarray:
-        if len(self) == 0:
-            raise ValueError("empty cloud")
-        return self.points.mean(axis=0)
 
     def extent(self) -> float:
         """Bounding-box diagonal length."""
@@ -339,14 +330,6 @@ def cloud_to_dict(cloud: PointCloud) -> dict:
 def cloud_from_dict(payload: Mapping) -> PointCloud:
     labels = payload.get("labels")
     return PointCloud(np.asarray(payload["points"], dtype=np.float64), labels)
-
-
-def save_cloud(path, cloud: PointCloud) -> None:
-    Path(path).write_text(json.dumps(cloud_to_dict(cloud)))
-
-
-def load_cloud(path) -> PointCloud:
-    return cloud_from_dict(json.loads(Path(path).read_text()))
 
 
 def transform_to_dict(t: RigidTransform) -> dict:

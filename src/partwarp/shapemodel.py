@@ -59,10 +59,6 @@ Z_KEY = "z"
 class InferenceError(RuntimeError):
     """Raised when no fit attempt produced a finite objective."""
 
-    def __init__(self, message: str, best: "InferenceResult | None" = None):
-        super().__init__(message)
-        self.best = best
-
 
 @dataclass(frozen=True)
 class CanonicalPartModel:
@@ -192,16 +188,15 @@ def train_part_model(
         labels = [inst.labels or {} for inst in instances]
 
     canon_labels: dict[str, np.ndarray] = {}
-    if labels is not None:
-        raw = labels[canon_idx]
-        for key in sorted(raw):
-            arr = np.asarray(raw[key], dtype=np.int64)
-            # Keys whose class split collapses on the canonical instance
-            # cannot anchor a label-aware distance; drop them up front.
-            if 0 < arr.sum() < arr.size:
-                canon_labels[key] = arr
-            else:
-                warnings.warn(f"dropping degenerate label key {key!r}")
+    raw = labels[canon_idx]
+    for key in sorted(raw):
+        arr = np.asarray(raw[key], dtype=np.int64)
+        # Keys whose class split collapses on the canonical instance
+        # cannot anchor a label-aware distance; drop them up front.
+        if 0 < arr.sum() < arr.size:
+            canon_labels[key] = arr
+        else:
+            warnings.warn(f"dropping degenerate label key {key!r}")
     canonical = PointCloud(canon_points, canon_labels or None)
 
     fields = np.empty((k, 3 * n))

@@ -41,7 +41,6 @@ __all__ = [
     "partial_view",
     "goal_transform",
     "task_predicate",
-    "generate_demo",
     "generate_demo_scene",
     "penetration_depth",
     "task_categories",
@@ -1170,12 +1169,3 @@ def generate_demo_scene(
     t_ab = t_goal.compose(init_a.inverse())
     demo = Demonstration(obj_a.transformed(init_a), obj_b, t_ab)
     return DemoScene(demo, spec_a, spec_b, init_a, sdf_a, sdf_b, corr_a, corr_b)
-
-
-def generate_demo(
-    task: str,
-    spec_a: ParametricObjectSpec | None = None,
-    spec_b: ParametricObjectSpec | None = None,
-) -> Demonstration:
-    """Build a feasible demonstration of the task with objects in general pose."""
-    return generate_demo_scene(task, spec_a, spec_b).demo

@@ -169,8 +169,6 @@ class TransferResult:
     relations: tuple[tuple[str, str], ...]
     diagnostics: Mapping[str, float]
     transferred: Mapping[tuple[str, str], tuple[np.ndarray, np.ndarray]] | None = None
-    fits_a: Mapping[str, InferenceResult] | None = None
-    fits_b: Mapping[str, InferenceResult] | None = None
 
 
 @dataclass(frozen=True)
@@ -203,15 +201,11 @@ class DemoContext:
     relations: RelationSet
 
 
-def _object_extent(*objects: PartDecomposedObject) -> float:
-    pts = np.concatenate([o.all_points() for o in objects])
-    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-
-
 def scene_extent(demo: Demonstration) -> float:
     """Bounding-box diagonal of the demo scene in its goal configuration."""
     goal_a = demo.object_a.transformed(demo.t_ab)
-    return _object_extent(goal_a, demo.object_b)
+    pts = np.concatenate([goal_a.all_points(), demo.object_b.all_points()])
+    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
 
 def label_parts(
@@ -528,8 +522,6 @@ def optimize_placement(
         relations=tuple(relations),
         diagnostics=per_part,
         transferred=transferred,
-        fits_a=dict(fits_a),
-        fits_b=dict(fits_b),
     )
 
 
@@ -538,41 +530,24 @@ def select_relevant_relations(
     models_a: Mapping[str, CanonicalPartModel],
     models_b: Mapping[str, CanonicalPartModel],
     cfg: PipelineConfig = PipelineConfig(),
-    seed: int = 0,
-    labeled: tuple[PartDecomposedObject, PartDecomposedObject] | None = None,
-    fits: tuple[Mapping[str, InferenceResult], Mapping[str, InferenceResult]] | None = None,
-    interactions: Mapping[tuple[str, str], InteractionPointSet] | None = None,
+    *,
+    labeled: tuple[PartDecomposedObject, PartDecomposedObject],
+    fits: tuple[Mapping[str, InferenceResult], Mapping[str, InferenceResult]],
+    interactions: Mapping[tuple[str, str], InteractionPointSet],
 ) -> RelationSet:
     """Pick the interaction-bearing relation subset that best replays the demo.
 
-    Every non-empty subset of the interaction-bearing part pairs is scored
-    by re-running the placement optimization against the demonstration
-    itself and measuring how closely the demonstrated goal transform is
-    recreated (translation error over scene extent plus rotation geodesic
-    over pi). Ties prefer smaller, then lexicographically earlier subsets.
+    labeled, fits and interactions are the demo's labeled objects, part fits
+    and contact sets as process_demonstration derives them; selection only
+    scores. Every non-empty subset of the interaction-bearing part pairs is
+    scored by re-running the placement optimization against the
+    demonstration itself and measuring how closely the demonstrated goal
+    transform is recreated (translation error over scene extent plus
+    rotation geodesic over pi). Ties prefer smaller, then lexicographically
+    earlier subsets.
     """
-    if labeled is None:
-        labeled = (
-            label_parts(demo.object_a, cfg.label_ratio, cfg.adjacency_scale),
-            label_parts(demo.object_b, cfg.label_ratio, cfg.adjacency_scale),
-        )
     labeled_a, labeled_b = labeled
-    if fits is None:
-        fits = (
-            fit_parts(labeled_a, models_a, cfg.inference, seed),
-            fit_parts(labeled_b, models_b, cfg.inference, seed),
-        )
     fits_a, fits_b = fits
-    if interactions is None:
-        interactions = extract_interaction_points(
-            Demonstration(labeled_a, labeled_b, demo.t_ab),
-            models_a,
-            models_b,
-            fits_a,
-            fits_b,
-            k_max=cfg.k_max,
-            delta_scale=cfg.delta_scale,
-        )
     bearing = sorted(interactions)
     if len(bearing) > cfg.max_relation_pairs:
         raise ValueError(
@@ -641,7 +616,6 @@ def process_demonstration(
         models_a,
         models_b,
         cfg,
-        seed,
         labeled=(labeled_a, labeled_b),
         fits=(fits_a, fits_b),
         interactions=interactions,
@@ -680,25 +654,20 @@ def transfer_skill(
 
 
 def whole_object_baseline(
-    demo: Demonstration,
+    ctx: DemoContext,
     models_a: Mapping[str, CanonicalPartModel],
     models_b: Mapping[str, CanonicalPartModel],
     novel_a: PartDecomposedObject,
     novel_b: PartDecomposedObject,
     cfg: PipelineConfig = PipelineConfig(),
     seed: int = 0,
-    ctx: DemoContext | None = None,
 ) -> TransferResult:
-    """Run the identical pipeline on single-part objects with height labels only.
+    """Run transfer_skill on the novel objects merged to one part each.
 
-    models_a/models_b must map the part name 'whole' to models trained on
-    merged clouds. The demonstration and novel objects are merged here.
+    ctx must come from process_demonstration on a demonstration whose two
+    objects were merged with merge_object, and models_a/models_b must map
+    the part name 'whole' to models trained on merged clouds.
     """
-    if ctx is None:
-        merged_demo = Demonstration(
-            merge_object(demo.object_a), merge_object(demo.object_b), demo.t_ab
-        )
-        ctx = process_demonstration(merged_demo, models_a, models_b, cfg, seed)
     return transfer_skill(
         ctx, models_a, models_b, merge_object(novel_a), merge_object(novel_b), cfg, seed
     )

@@ -1,10 +1,11 @@
 """The command-line front end: a tiny gen/train/transfer/eval round trip on
-every task, config validation, and the settings `eval` passes on to
-training."""
+every task, config validation, the settings `eval` passes on to training,
+and `eval`'s worker pool reproducing the one-process report."""
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import warnings
@@ -12,8 +13,10 @@ import warnings
 import pytest
 
 from partwarp import cli, evaluation
-from partwarp.evaluation import METHOD_PARTS, METHOD_WHOLE, ExperimentConfig
+from partwarp.evaluation import METHOD_PARTS, METHOD_WHOLE, ExperimentConfig, report_to_dict
 from partwarp.registration import CpdConfig
+from partwarp.shapemodel import InferenceConfig
+from partwarp.transfer import PipelineConfig
 
 TINY = {
     "seed": 0,
@@ -132,3 +135,38 @@ def test_eval_trains_with_the_configured_cpd_and_latent_dim(tmp_path, monkeypatc
     assert d == 1
     assert cpd == CpdConfig(beta=0.7, lam=3.0)
     assert part_category.endswith("/whole") == (method == METHOD_WHOLE)
+
+
+@pytest.mark.parametrize("method", [METHOD_PARTS, METHOD_WHOLE])
+def test_eval_labels_training_objects_with_the_configured_settings(
+        tmp_path, monkeypatch, method):
+    seen = []
+
+    def record(obj, ratio=0.4, adjacency_scale=0.02):
+        seen.append((ratio, adjacency_scale))
+        raise _Stop
+
+    monkeypatch.setattr(evaluation, "label_parts", record)
+    pipeline = {**TINY["pipeline"], "label_ratio": 0.3, "adjacency_scale": 0.05}
+    config = write_config(tmp_path, methods=[method], pipeline=pipeline)
+    with pytest.raises(_Stop):
+        run("eval", "--config", config)
+    assert seen == [(0.3, 0.05)]
+
+
+def test_worker_pool_gives_the_one_process_report():
+    cfg = ExperimentConfig(
+        n_trials=3,
+        points_per_part=80,
+        train_points_per_part=80,
+        train_instances=3,
+        pipeline=PipelineConfig(
+            inference=InferenceConfig(restarts=1, yaw_init_count=4, max_evals=60)),
+    )
+    reports = []
+    for jobs in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            report = evaluation.run_experiment(dataclasses.replace(cfg, jobs=jobs))
+        reports.append(json.dumps(report_to_dict(report), sort_keys=True))
+    assert reports[0] == reports[1]

@@ -13,10 +13,8 @@ from partwarp.geom import (
     cloud_from_dict,
     cloud_to_dict,
     labeled_chamfer,
-    load_cloud,
     rotation_about_axis,
     rotation_geodesic,
-    save_cloud,
     sqdist,
     symmetric_chamfer,
     transform_from_dict,
@@ -312,12 +310,6 @@ class TestSerialization:
         assert back.label_keys() == cloud.label_keys()
         for key in cloud.label_keys():
             np.testing.assert_array_equal(back.label(key), cloud.label(key))
-
-    def test_cloud_file_round_trip(self, rng, tmp_path):
-        cloud = random_labeled_cloud(rng, 9)
-        save_cloud(tmp_path / "c.json", cloud)
-        back = load_cloud(tmp_path / "c.json")
-        np.testing.assert_array_equal(back.points, cloud.points)
 
     def test_transform_round_trip_is_exact(self, rng):
         t = ps.random_transform(rng)

@@ -34,6 +34,7 @@ from partwarp.transfer import (
     object_from_dict,
     object_to_dict,
     optimize_placement,
+    process_demonstration,
     result_to_dict,
     save_demo,
     scene_extent,
@@ -353,11 +354,14 @@ class TestPlacement:
 class TestWholeObjectBaseline:
     def test_recovers_demo_on_identical_objects(self, mug_ctx, mug_whole_models,
                                                 rack_whole_models):
+        demo = mug_ctx.demo
+        merged = Demonstration(merge_object(demo.object_a), merge_object(demo.object_b), demo.t_ab)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            ctx = process_demonstration(merged, mug_whole_models, rack_whole_models, seed=0)
             result = whole_object_baseline(
-                mug_ctx.demo, mug_whole_models, rack_whole_models,
-                mug_ctx.demo.object_a, mug_ctx.demo.object_b, seed=0)
+                ctx, mug_whole_models, rack_whole_models,
+                demo.object_a, demo.object_b, seed=0)
         assert result.relations == (("whole", "whole"),)
         assert rotation_geodesic(result.t_final, mug_ctx.demo.t_ab) < np.radians(1.0)
         err = np.linalg.norm(result.t_final.translation - mug_ctx.demo.t_ab.translation)
