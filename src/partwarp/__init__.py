@@ -46,7 +46,6 @@ from .transfer import (
     merge_object,
     optimize_placement,
     process_demonstration,
-    save_demo,
     select_relevant_relations,
     transfer_points,
     transfer_skill,

@@ -6,6 +6,16 @@ overrides (``--set pipeline.inference.max_evals=1600``), so a full
 experiment is reproducible from its config and seed alone: rerunning any
 command with the same inputs rewrites byte-identical outputs.
 
+``transfer`` keeps what it derives from the demonstration (labeled demo
+objects, part fits, contact sets and the chosen relations) in
+``<demo stem>.context.json`` beside the demo file, and later transfers
+with the same demo reuse it instead of processing the demo again. The
+file is stored under a sha256 key over the demo file's bytes, the bytes
+and names of the model files it reads, the ``pipeline`` section, the seed
+and the partwarp source; when the key differs, or the file is missing or
+unreadable, the demo is processed again and the file replaced. Its bytes
+are a function of those inputs, so the rule above holds for it too.
+
 The file is flat. ``dataset_dir``, ``model_dir``, ``output_dir`` and
 ``count`` belong to the CLI alone; ``seed`` is the experiment's
 ``master_seed``; every other key, the ``cpd`` and ``pipeline`` sections
@@ -19,8 +29,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,8 +53,12 @@ from .registration import CpdConfig
 from .shapemodel import CanonicalPartModel, InferenceConfig, load_model, save_model
 from .synth import generate, spec_to_dict, task_categories
 from .transfer import (
+    DemoContext,
+    Demonstration,
     PartDecomposedObject,
     PipelineConfig,
+    context_from_dict,
+    context_to_dict,
     demo_to_dict,
     label_parts,
     load_demo,
@@ -239,14 +256,66 @@ def _load_scene_object(path: Path) -> PartDecomposedObject:
     return object_from_dict(payload.get("object", payload))
 
 
-def _load_models(model_dir: Path, obj: PartDecomposedObject) -> dict[str, CanonicalPartModel]:
+def _load_models(
+    model_dir: Path, obj: PartDecomposedObject, files: dict[str, bytes]
+) -> dict[str, CanonicalPartModel]:
+    """Load obj's part models, adding each file's bytes to files under its name in model_dir."""
     models = {}
     for part in obj.part_names():
-        path = model_dir / obj.category / f"{part}.json"
+        name = f"{obj.category}/{part}.json"
+        path = model_dir / name
         if not path.exists():
             raise FileNotFoundError(f"missing model file {path}")
-        models[part] = load_model(path)
+        files[name] = path.read_bytes()
+        models[part] = load_model(files[name])
     return models
+
+
+# Part of every context key; bump it when context_to_dict's layout changes.
+_CONTEXT_FORMAT = 1
+
+
+def _context_key(demo_bytes: bytes, model_files: Mapping[str, bytes], exp: ExperimentConfig) -> str:
+    """sha256 over everything process_demonstration's result depends on."""
+    h = hashlib.sha256()
+
+    def add(label: str, data: bytes) -> None:
+        h.update(f"{label}\0{len(data)}\0".encode())
+        h.update(data)
+
+    add("format", str(_CONTEXT_FORMAT).encode())
+    # The code is an input too: a context from an older partwarp must miss.
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        add(f"source {path.name}", path.read_bytes())
+    add("demo", demo_bytes)
+    for name in sorted(model_files):
+        add(f"model {name}", model_files[name])
+    add("pipeline", json.dumps(dataclasses.asdict(exp.pipeline), sort_keys=True).encode())
+    add("seed", str(exp.master_seed).encode())
+    return h.hexdigest()
+
+
+def _load_context(path: Path, key: str, demo: Demonstration) -> DemoContext | None:
+    """The context cached at path, or None if it is absent, unreadable or under another key."""
+    try:
+        payload = json.loads(path.read_bytes())
+        if payload["key"] != key:
+            return None
+        return context_from_dict(demo, payload["context"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, IndexError):
+        return None
+
+
+def _store_context(path: Path, key: str, ctx: DemoContext) -> None:
+    """Replace path atomically; a failure only costs the next transfer a recomputation."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        _dump(tmp, {"key": key, "context": context_to_dict(ctx)})
+        os.replace(tmp, path)
+    except (OSError, ValueError) as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        print(f"note: demo context not cached: {exc}", file=sys.stderr)
 
 
 def cmd_transfer(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -254,15 +323,25 @@ def cmd_transfer(cfg: RunConfig, args: argparse.Namespace) -> int:
     exp = cfg.experiment
     stage = "loading inputs"
     try:
-        demo = load_demo(args.demo)
+        demo_path = Path(args.demo)
+        demo_bytes = demo_path.read_bytes()
+        demo = load_demo(demo_bytes)
         novel_a = _load_scene_object(Path(args.scene_a))
         novel_b = _load_scene_object(Path(args.scene_b))
         stage = "loading models"
         model_dir = Path(cfg.model_dir)
-        models_a = _load_models(model_dir, demo.object_a)
-        models_b = _load_models(model_dir, demo.object_b)
+        model_files: dict[str, bytes] = {}
+        models_a = _load_models(model_dir, demo.object_a, model_files)
+        models_b = _load_models(model_dir, demo.object_b, model_files)
         stage = "processing demonstration"
-        ctx = process_demonstration(demo, models_a, models_b, exp.pipeline, seed=exp.master_seed)
+        cache = demo_path.with_name(f"{demo_path.stem}.context.json")
+        key = _context_key(demo_bytes, model_files, exp)
+        ctx = _load_context(cache, key, demo)
+        if ctx is None:
+            ctx = process_demonstration(
+                demo, models_a, models_b, exp.pipeline, seed=exp.master_seed
+            )
+            _store_context(cache, key, ctx)
         stage = "optimizing placement"
         result = transfer_skill(
             ctx, models_a, models_b, novel_a, novel_b, exp.pipeline, seed=exp.master_seed
@@ -328,7 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_train)
     p_train.set_defaults(func=cmd_train)
 
-    p_transfer = sub.add_parser("transfer", help="replay a demonstration on a novel scene")
+    p_transfer = sub.add_parser(
+        "transfer",
+        help="replay a demonstration on a novel scene",
+        description="Replay a demonstration on a novel scene. The processed demo is kept "
+                    "in <demo stem>.context.json beside the demo file and reused while the "
+                    "demo, its model files, the pipeline section, the seed and the partwarp "
+                    "source are unchanged.",
+    )
     _add_common(p_transfer)
     p_transfer.add_argument("--demo", required=True, help="demonstration JSON file")
     p_transfer.add_argument("--scene-a", required=True, help="novel placed-object JSON file")

@@ -33,6 +33,8 @@ from .geom import (
     rotation_about_axis,
     sqdist,
     symmetric_chamfer,
+    transform_from_dict,
+    transform_to_dict,
     z_label_values,
 )
 from .registration import CpdConfig, cpd_nonrigid
@@ -47,6 +49,8 @@ __all__ = [
     "reconstruct",
     "infer",
     "warp_point_indices",
+    "inference_to_dict",
+    "inference_from_dict",
     "model_to_dict",
     "model_from_dict",
     "save_model",
@@ -444,6 +448,28 @@ def warp_point_indices(
     return sqdist(pts, fit.pose.apply(recon.points)).argmin(axis=1)
 
 
+def inference_to_dict(fit: InferenceResult) -> dict:
+    return {
+        "latent": fit.latent.tolist(),
+        "pose": transform_to_dict(fit.pose),
+        "objective": fit.objective,
+        "converged": fit.converged,
+        "evaluations": fit.evaluations,
+        "start": fit.start,
+    }
+
+
+def inference_from_dict(payload: Mapping) -> InferenceResult:
+    return InferenceResult(
+        latent=np.asarray(payload["latent"], dtype=np.float64),
+        pose=transform_from_dict(payload["pose"]),
+        objective=float(payload["objective"]),
+        converged=bool(payload["converged"]),
+        evaluations=int(payload["evaluations"]),
+        start=int(payload["start"]),
+    )
+
+
 def model_to_dict(model: CanonicalPartModel) -> dict:
     return {
         "part_category": model.part_category,
@@ -476,5 +502,7 @@ def save_model(path, model: CanonicalPartModel) -> None:
     Path(path).write_text(json.dumps(model_to_dict(model)))
 
 
-def load_model(path) -> CanonicalPartModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+def load_model(source) -> CanonicalPartModel:
+    """Model from a file path, or from the bytes of a model file already read."""
+    raw = source if isinstance(source, bytes) else Path(source).read_bytes()
+    return model_from_dict(json.loads(raw))

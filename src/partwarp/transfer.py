@@ -38,6 +38,8 @@ from .shapemodel import (
     InferenceConfig,
     InferenceResult,
     infer,
+    inference_from_dict,
+    inference_to_dict,
     reconstruct,
     warp_point_indices,
 )
@@ -66,8 +68,9 @@ __all__ = [
     "object_from_dict",
     "demo_to_dict",
     "demo_from_dict",
-    "save_demo",
     "load_demo",
+    "context_to_dict",
+    "context_from_dict",
     "result_to_dict",
 ]
 
@@ -257,6 +260,10 @@ def fit_parts(
     """Fit each requested part of a labeled object with its model."""
     out: dict[str, InferenceResult] = {}
     for name in sorted(parts) if parts is not None else obj.part_names():
+        if name not in obj.parts:
+            raise ValueError(f"{obj.category!r} object has no part {name!r}")
+        if name not in models:
+            raise ValueError(f"no model for part {name!r} of category {obj.category!r}")
         model = models[name]
         cloud = obj.parts[name]
         keys = sorted(
@@ -703,12 +710,75 @@ def demo_from_dict(payload: Mapping) -> Demonstration:
     )
 
 
-def save_demo(path, demo: Demonstration) -> None:
-    Path(path).write_text(json.dumps(demo_to_dict(demo)))
+def load_demo(source) -> Demonstration:
+    """Demonstration from a file path, or from the bytes of a demo file already read."""
+    raw = source if isinstance(source, bytes) else Path(source).read_bytes()
+    return demo_from_dict(json.loads(raw))
 
 
-def load_demo(path) -> Demonstration:
-    return demo_from_dict(json.loads(Path(path).read_text()))
+_INTERACTION_ARRAYS = (
+    "pairs", "demo_displacements", "displacements_n", "offsets_m", "offsets_n", "source_indices",
+)
+
+
+def context_to_dict(ctx: DemoContext) -> dict:
+    """Everything process_demonstration derived, without the demo itself.
+
+    A labeled demo object is stored as its label arrays alone, since its
+    points are the demo's. Arrays go through tolist, so every float
+    survives a JSON round trip exactly and context_from_dict rebuilds an
+    equal context.
+    """
+
+    def labels(obj: PartDecomposedObject) -> dict:
+        return {
+            name: {key: cloud.label(key).tolist() for key in cloud.label_keys()}
+            for name, cloud in sorted(obj.parts.items())
+        }
+
+    return {
+        "labels_a": labels(ctx.labeled_a),
+        "labels_b": labels(ctx.labeled_b),
+        "fits_a": {name: inference_to_dict(ctx.fits_a[name]) for name in sorted(ctx.fits_a)},
+        "fits_b": {name: inference_to_dict(ctx.fits_b[name]) for name in sorted(ctx.fits_b)},
+        "interactions": [
+            {
+                "part_m": ips.part_m,
+                "part_n": ips.part_n,
+                **{name: getattr(ips, name).tolist() for name in _INTERACTION_ARRAYS},
+            }
+            for _rel, ips in sorted(ctx.interactions.items())
+        ],
+        "relations": {
+            "relations": [list(rel) for rel in ctx.relations.relations],
+            "score": ctx.relations.score,
+        },
+    }
+
+
+def context_from_dict(demo: Demonstration, payload: Mapping) -> DemoContext:
+    """Inverse of context_to_dict for the demonstration it was derived from."""
+
+    def labeled(obj: PartDecomposedObject, labels: Mapping) -> PartDecomposedObject:
+        return PartDecomposedObject(
+            obj.category,
+            {name: cloud.with_labels(labels[name]) for name, cloud in obj.parts.items()},
+            obj.dropped_parts,
+        )
+
+    interactions = [InteractionPointSet(**entry) for entry in payload["interactions"]]
+    relations = payload["relations"]
+    return DemoContext(
+        demo=demo,
+        labeled_a=labeled(demo.object_a, payload["labels_a"]),
+        labeled_b=labeled(demo.object_b, payload["labels_b"]),
+        fits_a={name: inference_from_dict(fit) for name, fit in payload["fits_a"].items()},
+        fits_b={name: inference_from_dict(fit) for name, fit in payload["fits_b"].items()},
+        interactions={(ips.part_m, ips.part_n): ips for ips in interactions},
+        relations=RelationSet(
+            tuple(tuple(rel) for rel in relations["relations"]), float(relations["score"])
+        ),
+    )
 
 
 def result_to_dict(result: TransferResult) -> dict:

@@ -1,6 +1,7 @@
 """The command-line front end: a tiny gen/train/transfer/eval round trip on
-every task, config validation, the settings `eval` passes on to training,
-and `eval`'s worker pool reproducing the one-process report."""
+every task, the demo context `transfer` caches and when it is recomputed,
+config validation, the settings `eval` passes on to training, and `eval`'s
+worker pool reproducing the one-process report."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import shutil
 import warnings
 
 import pytest
@@ -73,6 +76,111 @@ def test_round_trip_exits_zero_and_transfer_is_reproducible(tmp_path, task):
     assert run("eval", *common) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert {t["method"] for t in report["trials"]} == {METHOD_PARTS, METHOD_WHOLE}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A generated mug_on_rack dataset and its trained models."""
+    root = tmp_path_factory.mktemp("trained")
+    common = ["--config", write_config(root)]
+    assert run("gen", *common) == 0
+    assert run("train", *common) == 0
+    return root
+
+
+@pytest.fixture()
+def workspace(tmp_path, trained):
+    for name in ("dataset", "models"):
+        shutil.copytree(trained / name, tmp_path / name)
+    return tmp_path
+
+
+@pytest.fixture()
+def processed(monkeypatch):
+    """Counts the transfer command's calls of process_demonstration."""
+    calls = []
+    original = cli.process_demonstration
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "process_demonstration", counting)
+    return calls
+
+
+def transfer(workspace, out: str, *overrides: str) -> bytes:
+    """Run `transfer` on the first held-out pair; returns the result's bytes."""
+    dataset = workspace / "dataset"
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    name_a, name_b = manifest["heldout"][0]
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    assert run(
+        "transfer", "--config", write_config(workspace), *sets,
+        "--demo", str(dataset / manifest["demo"]),
+        "--scene-a", str(dataset / name_a),
+        "--scene-b", str(dataset / name_b),
+        "--out", str(workspace / out),
+    ) == 0
+    return (workspace / out).read_bytes()
+
+
+def test_second_transfer_reuses_the_processed_demo(workspace, processed):
+    first = transfer(workspace, "first.json")
+    assert len(processed) == 1
+    assert (workspace / "dataset" / "demo.context.json").exists()
+    assert transfer(workspace, "second.json") == first
+    assert len(processed) == 1
+
+
+def _edit_model_file(workspace) -> tuple[str, ...]:
+    # Trailing whitespace changes the file's bytes, not the model.
+    path = sorted((workspace / "models" / "mug").glob("*.json"))[0]
+    path.write_bytes(path.read_bytes() + b" ")
+    return ()
+
+
+CHANGED_INPUTS = {
+    "model file": _edit_model_file,
+    "pipeline": lambda workspace: ("pipeline.k_max=16",),
+    "seed": lambda workspace: ("seed=1",),
+}
+
+
+@pytest.mark.parametrize("change", list(CHANGED_INPUTS))
+def test_changed_input_reprocesses_the_demo(workspace, processed, change):
+    first = transfer(workspace, "first.json")
+    overrides = CHANGED_INPUTS[change](workspace)
+    second = transfer(workspace, "second.json", *overrides)
+    assert len(processed) == 2
+    if not overrides:
+        assert second == first
+    assert transfer(workspace, "third.json", *overrides) == second
+    assert len(processed) == 2
+
+
+def test_truncated_context_file_is_recomputed(workspace, processed):
+    first = transfer(workspace, "first.json")
+    cache = workspace / "dataset" / "demo.context.json"
+    stored = cache.read_bytes()
+    cache.write_bytes(stored[: len(stored) // 2])
+    assert transfer(workspace, "second.json") == first
+    assert len(processed) == 2
+    assert cache.read_bytes() == stored
+
+
+def test_failed_context_write_still_transfers(workspace, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("no space left on device")
+
+    dataset = workspace / "dataset"
+    before = sorted(p.name for p in dataset.iterdir())
+    with monkeypatch.context() as patch, contextlib.redirect_stderr(io.StringIO()) as err:
+        patch.setattr(os, "replace", refuse)
+        first = transfer(workspace, "first.json")
+    assert "not cached: no space left on device" in err.getvalue()
+    assert sorted(p.name for p in dataset.iterdir()) == before
+    assert transfer(workspace, "second.json") == first
 
 
 UNKNOWN_KEYS = {

@@ -6,12 +6,14 @@ import dataclasses
 import itertools
 import json
 import warnings
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
 import propsuites as ps
 from partwarp.geom import PointCloud, RigidTransform, rotation_about_axis, rotation_geodesic
+from partwarp.shapemodel import InferenceConfig
 from partwarp.synth import (
     default_spec,
     features,
@@ -26,6 +28,9 @@ from partwarp.transfer import (
     PipelineConfig,
     extract_interaction_points,
     align_pair,
+    context_from_dict,
+    context_to_dict,
+    fit_parts,
     label_parts,
     merge_object,
     demo_from_dict,
@@ -36,7 +41,6 @@ from partwarp.transfer import (
     optimize_placement,
     process_demonstration,
     result_to_dict,
-    save_demo,
     scene_extent,
     select_relevant_relations,
     transfer_points,
@@ -350,6 +354,16 @@ class TestPlacement:
             runs.append(json.dumps(result_to_dict(result), sort_keys=True))
         assert runs[0] == runs[1]
 
+    def test_missing_part_is_named(self, mug_ctx, mug_models, rack_models):
+        demo = mug_ctx.demo
+        ((m, _n),) = mug_ctx.relations.relations
+        partial = PartDecomposedObject(
+            "mug", {p: c for p, c in demo.object_a.parts.items() if p != m}, (m,))
+        with pytest.raises(ValueError, match=f"'mug' object has no part '{m}'"):
+            transfer_skill(mug_ctx, mug_models, rack_models, partial, demo.object_b)
+        with pytest.raises(ValueError, match=f"no model for part '{m}' of category 'mug'"):
+            fit_parts(mug_ctx.labeled_a, {}, parts=[m])
+
 
 class TestWholeObjectBaseline:
     def test_recovers_demo_on_identical_objects(self, mug_ctx, mug_whole_models,
@@ -366,6 +380,27 @@ class TestWholeObjectBaseline:
         assert rotation_geodesic(result.t_final, mug_ctx.demo.t_ab) < np.radians(1.0)
         err = np.linalg.norm(result.t_final.translation - mug_ctx.demo.t_ab.translation)
         assert err < 0.005
+
+
+def assert_same_fields(a, b):
+    """Equality through dataclasses and containers, arrays compared exactly."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            assert_same_fields(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, Mapping):
+        assert sorted(a) == sorted(b)
+        for key in a:
+            assert_same_fields(a[key], b[key])
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_fields(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    else:
+        assert a == b
 
 
 class TestSerialization:
@@ -389,11 +424,24 @@ class TestSerialization:
         np.testing.assert_array_equal(
             again.object_a.parts["p"].points, obj_a.parts["p"].points)
         path = tmp_path / "demo.json"
-        save_demo(path, demo)
+        path.write_text(json.dumps(demo_to_dict(demo)))
         loaded = load_demo(path)
         np.testing.assert_array_equal(loaded.t_ab.translation, demo.t_ab.translation)
         np.testing.assert_array_equal(
             loaded.object_b.parts["q"].points, obj_b.parts["q"].points)
+
+    def test_context_round_trip(self, mug_ctx, mug_models, rack_models):
+        payload = json.loads(json.dumps(context_to_dict(mug_ctx), allow_nan=False))
+        again = context_from_dict(mug_ctx.demo, payload)
+        assert_same_fields(again, mug_ctx)
+        cfg = PipelineConfig(inference=InferenceConfig(restarts=1, yaw_init_count=2, max_evals=40))
+        demo = mug_ctx.demo
+        results = [
+            result_to_dict(transfer_skill(
+                ctx, mug_models, rack_models, demo.object_a, demo.object_b, cfg))
+            for ctx in (mug_ctx, again)
+        ]
+        assert results[0] == results[1]
 
     def test_result_payload_shape(self, mug_ctx, mug_models, rack_models):
         result = optimize_placement(
@@ -416,8 +464,6 @@ class TestProperties:
         assert violations == []
 
     def test_decision_equivariance_spot_check(self, mug_ctx, mug_models, rack_models):
-        from partwarp.shapemodel import InferenceConfig
-
         cfg = PipelineConfig(inference=InferenceConfig(
             restarts=2, yaw_init_count=4, max_evals=100))
 
