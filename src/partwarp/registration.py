@@ -113,7 +113,9 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
     converged = False
     outlier = cfg.outlier_weight
 
-    for _ in range(cfg.max_iterations):
+    # One extra scoring pass past the budget scores the final M-step, so that
+    # best-so-far sees it; that pass stops before the convergence test.
+    for iteration in range(cfg.max_iterations + 1):
         d2 = sqdist(x, warped)
         gauss = np.exp(-d2 / (2.0 * sigma2))
 
@@ -126,6 +128,8 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
         if objective < best_obj:
             best_obj = objective
             best_w = w.copy()
+        if iteration == cfg.max_iterations:
+            break
         if len(history) > 1 and abs(history[-2] - objective) <= cfg.tolerance * (abs(history[-2]) + 1.0):
             converged = True
             break
@@ -152,18 +156,6 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
             + np.einsum("i,ij,ij->", p1, warped, warped)
         ) / (3.0 * np_total)
         sigma2 = max(float(sigma2), 1e-12)
-    else:
-        # Budget exhausted: score the final M-step so best-so-far sees it.
-        d2 = sqdist(x, warped)
-        density = (1.0 - outlier) * (2.0 * np.pi * sigma2) ** (-1.5) / m * np.exp(
-            -d2 / (2.0 * sigma2)
-        ).sum(axis=1)
-        density += outlier / n + 1e-300
-        objective = float(-np.log(density).sum() + 0.5 * cfg.lam * np.trace(w.T @ g @ w))
-        history.append(objective)
-        if objective < best_obj:
-            best_obj = objective
-            best_w = w.copy()
 
     displacement = (g @ best_w) * scale
     return DisplacementField(displacement, converged, tuple(history))

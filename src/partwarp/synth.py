@@ -1,11 +1,13 @@
 """Analytic benchmark world: parametric object families with exact geometry.
 
 Four categories of tabletop objects (mugs, peg racks, bowls, teapots) are
-built from closed-form primitives. Each part exposes three consistent views
-of the same geometry: a boundary sampler with a stored surface
-parameterization (so corresponding points can be re-evaluated on any other
-member of the family), an exact or conservative signed distance function,
-and a small set of named feature points used by task success checks.
+built from closed-form primitives. One builder, _geometry, defines each
+object once. It returns every part as the boundary surfaces and the signed
+distance of one primitive, and the object's named feature points, computed
+from the same frames and lengths. generate samples the surfaces and keeps
+each point's surface parameterization, so corresponding points can be
+re-evaluated on any other member of the family. features returns the
+landmarks that task success checks use.
 
 Signed distances are exact on every sampled boundary point and never
 overestimate the true distance anywhere, so penetration measured through
@@ -328,7 +330,7 @@ def spec_from_dict(payload: Mapping) -> ParametricObjectSpec:
 
 
 # ---------------------------------------------------------------------------
-# surfaces and samplers
+# surfaces and signed distances
 # ---------------------------------------------------------------------------
 
 
@@ -337,6 +339,14 @@ class _Surface:
     name: str
     area: float
     embed: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class _Part:
+    """One part's boundary surfaces, in sampling order, and its signed distance."""
+
+    surfaces: list[_Surface]
+    sdf: Callable[[np.ndarray], np.ndarray]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -374,22 +384,63 @@ def _disk(name, center, e1, e2, radius, inner=0.0) -> _Surface:
     return _Surface(name, np.pi * (radius * radius - inner * inner), embed)
 
 
-def _vessel_surfaces(radius: float, height: float, wall: float) -> list[_Surface]:
+def _capped(dr: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Signed distance of a capped cylinder from the radial and axial excess."""
+    outside = np.hypot(np.maximum(dr, 0.0), np.maximum(dz, 0.0))
+    inside = np.minimum(np.maximum(dr, dz), 0.0)
+    return outside + inside
+
+
+def _axial(pts: np.ndarray, origin: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from the axis through origin along d, and height along it."""
+    q = pts - origin
+    z = q @ d
+    return np.sqrt(np.maximum(np.einsum("ij,ij->i", q, q) - z * z, 0.0)), z
+
+
+def _cyl_sdf_z(radius: float, z0: float, z1: float) -> Callable[[np.ndarray], np.ndarray]:
+    def sdf(pts):
+        rho = np.hypot(pts[:, 0], pts[:, 1])
+        return _capped(rho - radius, np.maximum(z0 - pts[:, 2], pts[:, 2] - z1))
+
+    return sdf
+
+
+def _z_cylinder(radius: float, z0: float, length: float) -> _Part:
+    """Solid cylinder standing on the z axis at height z0."""
+    bottom = np.array([0.0, 0.0, z0])
+    return _Part(
+        [
+            _cyl_lateral("lateral", bottom, _Z, _X, _Y, radius, length),
+            _disk("bottom", bottom, _X, _Y, radius),
+            _disk("top", np.array([0.0, 0.0, z0 + length]), _X, _Y, radius),
+        ],
+        _cyl_sdf_z(radius, z0, z0 + length),
+    )
+
+
+def _vessel(radius: float, height: float, wall: float) -> _Part:
+    """Open cylindrical vessel standing on the origin, walls and floor wall thick."""
     inner = radius - wall
-    return [
-        _cyl_lateral("lateral_outer", np.zeros(3), _Z, _X, _Y, radius, height),
-        _cyl_lateral("lateral_inner", np.array([0, 0, wall]), _Z, _X, _Y, inner, height - wall),
-        _disk("bottom", np.zeros(3), _X, _Y, radius),
-        _disk("floor", np.array([0, 0, wall]), _X, _Y, inner),
-        _disk("rim", np.array([0, 0, height]), _X, _Y, radius, inner=inner),
-    ]
+    outer = _cyl_sdf_z(radius, 0.0, height)
+    cavity = _cyl_sdf_z(inner, wall, height + 0.05)
+    return _Part(
+        [
+            _cyl_lateral("lateral_outer", np.zeros(3), _Z, _X, _Y, radius, height),
+            _cyl_lateral("lateral_inner", np.array([0, 0, wall]), _Z, _X, _Y, inner, height - wall),
+            _disk("bottom", np.zeros(3), _X, _Y, radius),
+            _disk("floor", np.array([0, 0, wall]), _X, _Y, inner),
+            _disk("rim", np.array([0, 0, height]), _X, _Y, radius, inner=inner),
+        ],
+        lambda pts: np.maximum(outer(pts), -cavity(pts)),
+    )
 
 
-def _arc_surfaces(center, e1, e2, normal, ring, tube, half_angle) -> list[_Surface]:
+def _arc(center, e1, e2, normal, ring, tube, half_angle) -> _Part:
+    """Torus arc of the given ring and tube radii, capped by half-spheres."""
     center = np.asarray(center, dtype=float)
-    surfaces = []
 
-    def tube_embed(u, v, center=center, e1=e1, e2=e2, normal=normal, ring=ring, tube=tube):
+    def tube_embed(u, v):
         theta = half_angle * (2.0 * u - 1.0)
         phi = 2.0 * np.pi * v
         radial = np.outer(np.cos(theta), e1) + np.outer(np.sin(theta), e2)
@@ -399,33 +450,35 @@ def _arc_surfaces(center, e1, e2, normal, ring, tube, half_angle) -> list[_Surfa
             + np.outer(tube * np.sin(phi), normal)
         )
 
-    surfaces.append(
-        _Surface("tube", (2.0 * half_angle * ring) * (2.0 * np.pi * tube), tube_embed)
-    )
+    surfaces = [_Surface("tube", (2.0 * half_angle * ring) * (2.0 * np.pi * tube), tube_embed)]
     for label, sgn in (("cap_pos", 1.0), ("cap_neg", -1.0)):
         theta_end = sgn * half_angle
         end = center + ring * (math.cos(theta_end) * e1 + math.sin(theta_end) * e2)
         tangent = sgn * (-math.sin(theta_end) * e1 + math.cos(theta_end) * e2)
         b2 = np.cross(tangent, normal)
 
-        def cap_embed(u, v, end=end, tangent=tangent, normal=normal, b2=b2, tube=tube):
-            w = u
-            rad = np.sqrt(np.clip(1.0 - w * w, 0.0, 1.0))
+        def cap_embed(u, v, end=end, tangent=tangent, b2=b2):
+            rad = np.sqrt(np.clip(1.0 - u * u, 0.0, 1.0))
             phi = 2.0 * np.pi * v
             return end + tube * (
-                np.outer(w, tangent)
+                np.outer(u, tangent)
                 + np.outer(rad * np.cos(phi), normal)
                 + np.outer(rad * np.sin(phi), b2)
             )
 
         surfaces.append(_Surface(label, 2.0 * np.pi * tube * tube, cap_embed))
-    return surfaces
+
+    def sdf(pts):
+        q = pts - center
+        lam = np.clip(np.arctan2(q @ e2, q @ e1), -half_angle, half_angle)
+        nearest = center + ring * (np.outer(np.cos(lam), e1) + np.outer(np.sin(lam), e2))
+        return np.linalg.norm(pts - nearest, axis=1) - tube
+
+    return _Part(surfaces, sdf)
 
 
-def _bowl_surfaces(p: Mapping[str, float]) -> list[_Surface]:
-    rho_o = p["bowl_radius"] + BOWL_WALL / 2.0
-    rho_i = p["bowl_radius"] - BOWL_WALL / 2.0
-    alpha = p["bowl_angle"]
+def _bowl(rho_o: float, rho_i: float, alpha: float) -> _Part:
+    """Spherical shell between rho_i and rho_o, cut at polar angle alpha from the bottom."""
     center = np.array([0.0, 0.0, rho_o])
     cos_a = math.cos(alpha)
 
@@ -445,29 +498,39 @@ def _bowl_surfaces(p: Mapping[str, float]) -> list[_Surface]:
         )
         return center + r[:, None] * direction
 
-    return [
-        _Surface(
-            "outer",
-            2.0 * np.pi * rho_o * rho_o * (1.0 - cos_a),
-            lambda u, v: shell_embed(u, v, rho_o),
-        ),
-        _Surface(
-            "inner",
-            2.0 * np.pi * rho_i * rho_i * (1.0 - cos_a),
-            lambda u, v: shell_embed(u, v, rho_i),
-        ),
-        _Surface(
-            "rim", np.pi * math.sin(alpha) * (rho_o * rho_o - rho_i * rho_i), rim_embed
-        ),
-    ]
+    def sdf(pts):
+        q = pts - center
+        r = np.linalg.norm(q, axis=1)
+        cos_t = np.clip(-q[:, 2] / np.maximum(r, 1e-15), -1.0, 1.0)
+        band = np.maximum(r - rho_o, rho_i - r)
+        return np.maximum(band, r * np.sin(np.arccos(cos_t) - alpha))
+
+    return _Part(
+        [
+            _Surface(
+                "outer",
+                2.0 * np.pi * rho_o * rho_o * (1.0 - cos_a),
+                lambda u, v: shell_embed(u, v, rho_o),
+            ),
+            _Surface(
+                "inner",
+                2.0 * np.pi * rho_i * rho_i * (1.0 - cos_a),
+                lambda u, v: shell_embed(u, v, rho_i),
+            ),
+            _Surface("rim", np.pi * math.sin(alpha) * (rho_o * rho_o - rho_i * rho_i), rim_embed),
+        ],
+        sdf,
+    )
 
 
-def _frustum_surfaces(origin, d, length, r0, r1) -> list[_Surface]:
+def _frustum(origin, d, length, r0, r1) -> _Part:
+    """Solid truncated cone from radius r0 at origin to r1 at length along d."""
     origin = np.asarray(origin, dtype=float)
+    d = np.asarray(d, dtype=float)
     e1, e2 = _frame(d)
     slant = math.hypot(length, r1 - r0)
 
-    def lateral_embed(u, v, origin=origin, d=d, e1=e1, e2=e2):
+    def lateral_embed(u, v):
         # Invert the cdf of the radius-weighted axial density so points are
         # uniform by area on the cone.
         total = r0 * length + 0.5 * (r1 - r0) * length
@@ -486,192 +549,6 @@ def _frustum_surfaces(origin, d, length, r0, r1) -> list[_Surface]:
             + radius[:, None] * (np.outer(np.cos(phi), e1) + np.outer(np.sin(phi), e2))
         )
 
-    return [
-        _Surface("lateral", np.pi * (r0 + r1) * slant, lateral_embed),
-        _disk("root", origin, e1, e2, r0),
-        _disk("tip", origin + length * np.asarray(d, dtype=float), e1, e2, r1),
-    ]
-
-
-def _rack_peg_frame(p: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray, float]:
-    psi = p["peg_angle"]
-    d = np.array(
-        [
-            math.cos(psi) * math.cos(PEG_TILT),
-            math.sin(psi) * math.cos(PEG_TILT),
-            math.sin(PEG_TILT),
-        ]
-    )
-    p0 = np.array([0.0, 0.0, p["peg_height"]])
-    total = p["trunk_radius"] + p["peg_length"]
-    return p0, d, total
-
-
-def _teapot_spout_frame(p: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
-    d = np.array([math.cos(p["spout_angle"]), 0.0, math.sin(p["spout_angle"])])
-    origin = np.array([p["body_radius"] - 0.002, 0.0, 0.45 * p["body_height"]])
-    return origin, d
-
-
-def _teapot_handle_frame(p: Mapping[str, float]) -> np.ndarray:
-    return np.array([-(p["body_radius"] + RING_STANDOFF), 0.0, 0.55 * p["body_height"]])
-
-
-def _surfaces(spec: ParametricObjectSpec) -> dict[str, list[_Surface]]:
-    p = spec.params
-    if spec.category == "mug":
-        center = np.array([p["cup_radius"] + RING_STANDOFF, 0.0, p["handle_height"]])
-        return {
-            "cup": _vessel_surfaces(p["cup_radius"], p["cup_height"], WALL),
-            "handle": _arc_surfaces(
-                center, _X, _Z, _Y, p["handle_radius"], p["handle_thickness"], HANDLE_ARC
-            ),
-        }
-    if spec.category == "rack":
-        p0, d, total = _rack_peg_frame(p)
-        e1, e2 = _frame(d)
-        return {
-            "base": [
-                _cyl_lateral("lateral", np.zeros(3), _Z, _X, _Y, p["base_radius"], BASE_HEIGHT),
-                _disk("bottom", np.zeros(3), _X, _Y, p["base_radius"]),
-                _disk("top", np.array([0, 0, BASE_HEIGHT]), _X, _Y, p["base_radius"]),
-            ],
-            "trunk": [
-                _cyl_lateral(
-                    "lateral",
-                    np.array([0, 0, BASE_HEIGHT]),
-                    _Z,
-                    _X,
-                    _Y,
-                    p["trunk_radius"],
-                    p["trunk_height"],
-                ),
-                _disk("bottom", np.array([0, 0, BASE_HEIGHT]), _X, _Y, p["trunk_radius"]),
-                _disk(
-                    "top",
-                    np.array([0, 0, BASE_HEIGHT + p["trunk_height"]]),
-                    _X,
-                    _Y,
-                    p["trunk_radius"],
-                ),
-            ],
-            "peg": [
-                _cyl_lateral("lateral", p0, d, e1, e2, p["peg_radius"], total),
-                _disk("root", p0, e1, e2, p["peg_radius"]),
-                _disk("tip", p0 + total * d, e1, e2, p["peg_radius"]),
-            ],
-        }
-    if spec.category == "bowl":
-        return {"bowl": _bowl_surfaces(p)}
-    if spec.category == "teapot":
-        rb, hb = p["body_radius"], p["body_height"]
-        spout_origin, spout_dir = _teapot_spout_frame(p)
-        handle_center = _teapot_handle_frame(p)
-        rl = p["lid_radius"]
-        z0 = hb
-        z1 = hb + LID_PLATE_HEIGHT
-        z2 = z1 + LID_KNOB_HEIGHT
-        return {
-            "body": _vessel_surfaces(rb, hb, WALL),
-            "spout": _frustum_surfaces(
-                spout_origin, spout_dir, p["spout_length"], SPOUT_ROOT_RADIUS, SPOUT_TIP_RADIUS
-            ),
-            "handle": _arc_surfaces(
-                handle_center, -_X, _Z, _Y, p["handle_radius"], 0.005, HANDLE_ARC
-            ),
-            "lid": [
-                _cyl_lateral("plate_lateral", np.array([0, 0, z0]), _Z, _X, _Y, rl, z1 - z0),
-                _disk("plate_bottom", np.array([0, 0, z0]), _X, _Y, rl),
-                _disk("plate_top", np.array([0, 0, z1]), _X, _Y, rl, inner=LID_KNOB_RADIUS),
-                _cyl_lateral(
-                    "knob_lateral", np.array([0, 0, z1]), _Z, _X, _Y, LID_KNOB_RADIUS, z2 - z1
-                ),
-                _disk("knob_top", np.array([0, 0, z2]), _X, _Y, LID_KNOB_RADIUS),
-            ],
-        }
-    raise ValueError(f"unknown category {spec.category!r}")
-
-
-# ---------------------------------------------------------------------------
-# signed distances
-# ---------------------------------------------------------------------------
-
-
-def _cyl_sdf_z(radius: float, z0: float, z1: float) -> Callable[[np.ndarray], np.ndarray]:
-    def sdf(pts):
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        dr = rho - radius
-        dz = np.maximum(z0 - pts[:, 2], pts[:, 2] - z1)
-        outside = np.hypot(np.maximum(dr, 0.0), np.maximum(dz, 0.0))
-        inside = np.minimum(np.maximum(dr, dz), 0.0)
-        return outside + inside
-
-    return sdf
-
-
-def _cyl_sdf_frame(p0, d, length: float, radius: float) -> Callable[[np.ndarray], np.ndarray]:
-    p0 = np.asarray(p0, dtype=float)
-    d = np.asarray(d, dtype=float)
-
-    def sdf(pts):
-        q = pts - p0
-        z = q @ d
-        rho = np.sqrt(np.maximum(np.einsum("ij,ij->i", q, q) - z * z, 0.0))
-        dr = rho - radius
-        dz = np.maximum(-z, z - length)
-        outside = np.hypot(np.maximum(dr, 0.0), np.maximum(dz, 0.0))
-        inside = np.minimum(np.maximum(dr, dz), 0.0)
-        return outside + inside
-
-    return sdf
-
-
-def _vessel_sdf(radius: float, height: float, wall: float) -> Callable[[np.ndarray], np.ndarray]:
-    outer = _cyl_sdf_z(radius, 0.0, height)
-    cavity = _cyl_sdf_z(radius - wall, wall, height + 0.05)
-
-    def sdf(pts):
-        return np.maximum(outer(pts), -cavity(pts))
-
-    return sdf
-
-
-def _arc_sdf(center, e1, e2, normal, ring, tube, half_angle) -> Callable[[np.ndarray], np.ndarray]:
-    center = np.asarray(center, dtype=float)
-
-    def sdf(pts):
-        q = pts - center
-        a = q @ e1
-        b = q @ e2
-        lam = np.clip(np.arctan2(b, a), -half_angle, half_angle)
-        nearest = center + ring * (np.outer(np.cos(lam), e1) + np.outer(np.sin(lam), e2))
-        return np.linalg.norm(pts - nearest, axis=1) - tube
-
-    return sdf
-
-
-def _bowl_sdf(p: Mapping[str, float]) -> Callable[[np.ndarray], np.ndarray]:
-    rho_o = p["bowl_radius"] + BOWL_WALL / 2.0
-    rho_i = p["bowl_radius"] - BOWL_WALL / 2.0
-    alpha = p["bowl_angle"]
-    center = np.array([0.0, 0.0, rho_o])
-
-    def sdf(pts):
-        q = pts - center
-        r = np.linalg.norm(q, axis=1)
-        safe_r = np.maximum(r, 1e-15)
-        cos_t = np.clip(-q[:, 2] / safe_r, -1.0, 1.0)
-        theta = np.arccos(cos_t)
-        band = np.maximum(r - rho_o, rho_i - r)
-        cone = r * np.sin(theta - alpha)
-        return np.maximum(band, cone)
-
-    return sdf
-
-
-def _frustum_sdf(origin, d, length, r0, r1) -> Callable[[np.ndarray], np.ndarray]:
-    origin = np.asarray(origin, dtype=float)
-    d = np.asarray(d, dtype=float)
     edges = [
         (np.array([0.0, 0.0]), np.array([r0, 0.0])),
         (np.array([r0, 0.0]), np.array([r1, length])),
@@ -679,9 +556,7 @@ def _frustum_sdf(origin, d, length, r0, r1) -> Callable[[np.ndarray], np.ndarray
     ]
 
     def sdf(pts):
-        q = pts - origin
-        z = q @ d
-        rho = np.sqrt(np.maximum(np.einsum("ij,ij->i", q, q) - z * z, 0.0))
+        rho, z = _axial(pts, origin, d)
         pt2 = np.stack([rho, z], axis=1)
         dist = np.full(len(pts), np.inf)
         for a, b in edges:
@@ -692,50 +567,173 @@ def _frustum_sdf(origin, d, length, r0, r1) -> Callable[[np.ndarray], np.ndarray
         inside = (z >= 0.0) & (z <= length) & (rho <= r0 + (r1 - r0) * z / length)
         return np.where(inside, -dist, dist)
 
-    return sdf
+    return _Part(
+        [
+            _Surface("lateral", np.pi * (r0 + r1) * slant, lateral_embed),
+            _disk("root", origin, e1, e2, r0),
+            _disk("tip", origin + length * d, e1, e2, r1),
+        ],
+        sdf,
+    )
 
 
-def _sdfs(spec: ParametricObjectSpec) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
+# ---------------------------------------------------------------------------
+# objects: parts and feature points from one definition
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ObjectFeatures:
+    """Named analytic landmarks of one object, posable like its cloud."""
+
+    category: str
+    points: Mapping[str, np.ndarray]
+    directions: Mapping[str, np.ndarray]
+    scalars: Mapping[str, float]
+
+    def transformed(self, t: RigidTransform) -> "ObjectFeatures":
+        return ObjectFeatures(
+            self.category,
+            {k: t.apply(v) for k, v in self.points.items()},
+            {k: t.rotation @ v for k, v in self.directions.items()},
+            dict(self.scalars),
+        )
+
+
+def _geometry(spec: ParametricObjectSpec) -> tuple[dict[str, _Part], ObjectFeatures]:
+    """Build every part of spec, keyed in part order, and its feature points.
+
+    Each category's frames and derived lengths are computed once here, so
+    the samples, the signed distances and the features describe one solid.
+    """
     p = spec.params
     if spec.category == "mug":
-        center = np.array([p["cup_radius"] + RING_STANDOFF, 0.0, p["handle_height"]])
-        return {
-            "cup": _vessel_sdf(p["cup_radius"], p["cup_height"], WALL),
-            "handle": _arc_sdf(
-                center, _X, _Z, _Y, p["handle_radius"], p["handle_thickness"], HANDLE_ARC
-            ),
+        r, h = p["cup_radius"], p["cup_height"]
+        ring, tube = p["handle_radius"], p["handle_thickness"]
+        loop_center = np.array([r + RING_STANDOFF, 0.0, p["handle_height"]])
+        parts = {
+            "cup": _vessel(r, h, WALL),
+            "handle": _arc(loop_center, _X, _Z, _Y, ring, tube, HANDLE_ARC),
         }
+        return parts, ObjectFeatures(
+            "mug",
+            {"rim_center": np.array([0.0, 0.0, h]), "loop_center": loop_center},
+            {"up": _Z.copy(), "loop_normal": _Y.copy()},
+            {
+                "rim_radius_outer": r,
+                "rim_radius_inner": r - WALL,
+                "height": h,
+                "loop_ring": ring,
+                "loop_tube": tube,
+                "hole": ring - tube,
+            },
+        )
     if spec.category == "rack":
-        p0, d, total = _rack_peg_frame(p)
-        return {
-            "base": _cyl_sdf_z(p["base_radius"], 0.0, BASE_HEIGHT),
-            "trunk": _cyl_sdf_z(
-                p["trunk_radius"], BASE_HEIGHT, BASE_HEIGHT + p["trunk_height"]
+        tr, pr = p["trunk_radius"], p["peg_radius"]
+        psi = p["peg_angle"]
+        d = np.array(
+            [
+                math.cos(psi) * math.cos(PEG_TILT),
+                math.sin(psi) * math.cos(PEG_TILT),
+                math.sin(PEG_TILT),
+            ]
+        )
+        # The peg starts on the trunk axis and runs through the trunk wall.
+        p0 = np.array([0.0, 0.0, p["peg_height"]])
+        total = tr + p["peg_length"]
+        e1, e2 = _frame(d)
+
+        def peg_sdf(pts):
+            rho, z = _axial(pts, p0, d)
+            return _capped(rho - pr, np.maximum(-z, z - total))
+
+        parts = {
+            "base": _z_cylinder(p["base_radius"], 0.0, BASE_HEIGHT),
+            "trunk": _z_cylinder(tr, BASE_HEIGHT, p["trunk_height"]),
+            "peg": _Part(
+                [
+                    _cyl_lateral("lateral", p0, d, e1, e2, pr, total),
+                    _disk("root", p0, e1, e2, pr),
+                    _disk("tip", p0 + total * d, e1, e2, pr),
+                ],
+                peg_sdf,
             ),
-            "peg": _cyl_sdf_frame(p0, d, total, p["peg_radius"]),
         }
+        return parts, ObjectFeatures(
+            "rack",
+            {"peg_base": p0 + tr * d},
+            {"peg_dir": d, "up": _Z.copy()},
+            {
+                "peg_length": p["peg_length"],
+                "peg_radius": pr,
+                "trunk_radius": tr,
+                "base_radius": p["base_radius"],
+            },
+        )
     if spec.category == "bowl":
-        return {"bowl": _bowl_sdf(p)}
+        rho_o = p["bowl_radius"] + BOWL_WALL / 2.0
+        rho_i = p["bowl_radius"] - BOWL_WALL / 2.0
+        alpha = p["bowl_angle"]
+        return {"bowl": _bowl(rho_o, rho_i, alpha)}, ObjectFeatures(
+            "bowl",
+            {
+                "sphere_center": np.array([0.0, 0.0, rho_o]),
+                "rim_center": np.array([0.0, 0.0, rho_o * (1.0 - math.cos(alpha))]),
+            },
+            {"up": _Z.copy()},
+            {
+                "radius_outer": rho_o,
+                "radius_inner": rho_i,
+                "rim_radius": rho_o * math.sin(alpha),
+            },
+        )
     if spec.category == "teapot":
-        rb, hb = p["body_radius"], p["body_height"]
-        spout_origin, spout_dir = _teapot_spout_frame(p)
-        handle_center = _teapot_handle_frame(p)
+        rb, hb, rl = p["body_radius"], p["body_height"], p["lid_radius"]
+        spout_dir = np.array([math.cos(p["spout_angle"]), 0.0, math.sin(p["spout_angle"])])
+        spout_origin = np.array([rb - 0.002, 0.0, 0.45 * hb])
+        handle_center = np.array([-(rb + RING_STANDOFF), 0.0, 0.55 * hb])
         z1 = hb + LID_PLATE_HEIGHT
-        plate = _cyl_sdf_z(p["lid_radius"], hb, z1)
-        knob = _cyl_sdf_z(LID_KNOB_RADIUS, z1, z1 + LID_KNOB_HEIGHT)
-
-        def lid_sdf(pts):
-            return np.minimum(plate(pts), knob(pts))
-
-        return {
-            "body": _vessel_sdf(rb, hb, WALL),
-            "spout": _frustum_sdf(
+        z2 = z1 + LID_KNOB_HEIGHT
+        plate = _cyl_sdf_z(rl, hb, z1)
+        knob = _cyl_sdf_z(LID_KNOB_RADIUS, z1, z2)
+        parts = {
+            "body": _vessel(rb, hb, WALL),
+            "spout": _frustum(
                 spout_origin, spout_dir, p["spout_length"], SPOUT_ROOT_RADIUS, SPOUT_TIP_RADIUS
             ),
-            "handle": _arc_sdf(handle_center, -_X, _Z, _Y, p["handle_radius"], 0.005, HANDLE_ARC),
-            "lid": lid_sdf,
+            "handle": _arc(handle_center, -_X, _Z, _Y, p["handle_radius"], 0.005, HANDLE_ARC),
+            "lid": _Part(
+                [
+                    _cyl_lateral("plate_lateral", np.array([0, 0, hb]), _Z, _X, _Y, rl, z1 - hb),
+                    _disk("plate_bottom", np.array([0, 0, hb]), _X, _Y, rl),
+                    _disk("plate_top", np.array([0, 0, z1]), _X, _Y, rl, inner=LID_KNOB_RADIUS),
+                    _cyl_lateral(
+                        "knob_lateral", np.array([0, 0, z1]), _Z, _X, _Y, LID_KNOB_RADIUS, z2 - z1
+                    ),
+                    _disk("knob_top", np.array([0, 0, z2]), _X, _Y, LID_KNOB_RADIUS),
+                ],
+                lambda pts: np.minimum(plate(pts), knob(pts)),
+            ),
         }
+        return parts, ObjectFeatures(
+            "teapot",
+            {
+                "spout_tip": spout_origin + p["spout_length"] * spout_dir,
+                "rim_center": np.array([0.0, 0.0, hb]),
+            },
+            {"spout_dir": spout_dir, "up": _Z.copy()},
+            {"rim_radius_outer": rb, "rim_radius_inner": rb - WALL, "height": hb},
+        )
     raise ValueError(f"unknown category {spec.category!r}")
+
+
+def features(spec: ParametricObjectSpec) -> ObjectFeatures:
+    return _geometry(spec)[1]
+
+
+# ---------------------------------------------------------------------------
+# sampling, signed distances and correspondences
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -793,7 +791,7 @@ class CorrespondenceMap:
             idx = np.asarray(indices, dtype=np.int64)
             names = names[idx]
             uv = uv[idx]
-        table = {s.name: s.embed for s in _surfaces(spec)[part]}
+        table = {s.name: s.embed for s in _geometry(spec)[0][part].surfaces}
         out = np.empty((len(names), 3))
         for name in np.unique(names):
             mask = names == name
@@ -813,18 +811,19 @@ def generate(
     so two specs that differ in one parameter share almost all of their
     surface samples.
     """
-    surfaces = _surfaces(spec)
+    parts, _ = _geometry(spec)
     clouds: dict[str, PointCloud] = {}
     names: dict[str, np.ndarray] = {}
     uvs: dict[str, np.ndarray] = {}
     for part_index, part in enumerate(spec.part_names()):
-        areas = np.array([s.area for s in surfaces[part]])
+        surfaces = parts[part].surfaces
+        areas = np.array([s.area for s in surfaces])
         quota = spec.points_per_part * areas / areas.sum()
         counts = np.floor(quota).astype(int)
         shortfall = spec.points_per_part - counts.sum()
         counts[np.argsort(-(quota - counts), kind="stable")[:shortfall]] += 1
         pts_list, name_list, uv_list = [], [], []
-        for surf_index, (surf, count) in enumerate(zip(surfaces[part], counts)):
+        for surf_index, (surf, count) in enumerate(zip(surfaces, counts)):
             if count == 0:
                 continue
             # Each surface draws from its own substream, one (u, v) row per
@@ -846,100 +845,9 @@ def generate(
         names[part] = np.concatenate(name_list)
         uvs[part] = np.concatenate(uv_list)
     obj = PartDecomposedObject(spec.category, clouds)
-    sdf = AnalyticSdf(_sdfs(spec))
+    sdf = AnalyticSdf({name: part.sdf for name, part in parts.items()})
     corr = CorrespondenceMap(spec, names, uvs)
     return obj, sdf, corr
-
-
-# ---------------------------------------------------------------------------
-# feature points
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ObjectFeatures:
-    """Named analytic landmarks of one object, posable like its cloud."""
-
-    category: str
-    points: Mapping[str, np.ndarray]
-    directions: Mapping[str, np.ndarray]
-    scalars: Mapping[str, float]
-
-    def transformed(self, t: RigidTransform) -> "ObjectFeatures":
-        return ObjectFeatures(
-            self.category,
-            {k: t.apply(v) for k, v in self.points.items()},
-            {k: t.rotation @ v for k, v in self.directions.items()},
-            dict(self.scalars),
-        )
-
-
-def features(spec: ParametricObjectSpec) -> ObjectFeatures:
-    p = spec.params
-    if spec.category == "mug":
-        return ObjectFeatures(
-            "mug",
-            {
-                "rim_center": np.array([0.0, 0.0, p["cup_height"]]),
-                "loop_center": np.array(
-                    [p["cup_radius"] + RING_STANDOFF, 0.0, p["handle_height"]]
-                ),
-            },
-            {"up": _Z.copy(), "loop_normal": _Y.copy()},
-            {
-                "rim_radius_outer": p["cup_radius"],
-                "rim_radius_inner": p["cup_radius"] - WALL,
-                "height": p["cup_height"],
-                "loop_ring": p["handle_radius"],
-                "loop_tube": p["handle_thickness"],
-                "hole": p["handle_radius"] - p["handle_thickness"],
-            },
-        )
-    if spec.category == "rack":
-        p0, d, total = _rack_peg_frame(p)
-        return ObjectFeatures(
-            "rack",
-            {"peg_base": p0 + p["trunk_radius"] * d},
-            {"peg_dir": d, "up": _Z.copy()},
-            {
-                "peg_length": p["peg_length"],
-                "peg_radius": p["peg_radius"],
-                "trunk_radius": p["trunk_radius"],
-                "base_radius": p["base_radius"],
-            },
-        )
-    if spec.category == "bowl":
-        rho_o = p["bowl_radius"] + BOWL_WALL / 2.0
-        alpha = p["bowl_angle"]
-        return ObjectFeatures(
-            "bowl",
-            {
-                "sphere_center": np.array([0.0, 0.0, rho_o]),
-                "rim_center": np.array([0.0, 0.0, rho_o * (1.0 - math.cos(alpha))]),
-            },
-            {"up": _Z.copy()},
-            {
-                "radius_outer": rho_o,
-                "radius_inner": p["bowl_radius"] - BOWL_WALL / 2.0,
-                "rim_radius": rho_o * math.sin(alpha),
-            },
-        )
-    if spec.category == "teapot":
-        spout_origin, spout_dir = _teapot_spout_frame(p)
-        return ObjectFeatures(
-            "teapot",
-            {
-                "spout_tip": spout_origin + p["spout_length"] * spout_dir,
-                "rim_center": np.array([0.0, 0.0, p["body_height"]]),
-            },
-            {"spout_dir": spout_dir, "up": _Z.copy()},
-            {
-                "rim_radius_outer": p["body_radius"],
-                "rim_radius_inner": p["body_radius"] - WALL,
-                "height": p["body_height"],
-            },
-        )
-    raise ValueError(f"unknown category {spec.category!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1044,13 +952,14 @@ def goal_transform(
     cat_a, cat_b = task_categories(task)
     if (spec_a.category, spec_b.category) != (cat_a, cat_b):
         raise ValueError(f"task {task!r} expects categories {cat_a!r}, {cat_b!r}")
-    pa, pb = spec_a.params, spec_b.params
+    feat_a, feat_b = features(spec_a), features(spec_b)
+    pb = spec_b.params
 
     if task == "mug_on_rack":
-        feat = features(spec_b)
-        q = feat.points["peg_base"] + HANG_FRACTION * pb["peg_length"] * feat.directions["peg_dir"]
-        hole = pa["handle_radius"] - pa["handle_thickness"]
-        reach = hole - pb["peg_radius"] - HANG_TUBE_GAP
+        peg_dir = feat_b.directions["peg_dir"]
+        q = feat_b.points["peg_base"] + HANG_FRACTION * pb["peg_length"] * peg_dir
+        loop = feat_a.points["loop_center"]
+        reach = feat_a.scalars["hole"] - pb["peg_radius"] - HANG_TUBE_GAP
         if reach <= 0.0005:
             raise ValueError("infeasible pair")
         sin_chi = (pb["peg_radius"] + HANG_WALL_GAP - RING_STANDOFF) / reach
@@ -1058,19 +967,15 @@ def goal_transform(
             raise ValueError("infeasible pair")
         chi = math.asin(sin_chi)
         crossing_local = np.array(
-            [
-                pa["cup_radius"] + RING_STANDOFF + reach * sin_chi,
-                0.0,
-                pa["handle_height"] - reach * math.cos(chi),
-            ]
+            [loop[0] + reach * sin_chi, 0.0, loop[2] - reach * math.cos(chi)]
         )
         yaw = pb["peg_angle"] - math.pi / 2.0
         rot = _rz(yaw)
         return RigidTransform(rot, q - rot @ crossing_local)
 
     if task == "bowl_on_mug":
-        rho_o = pa["bowl_radius"] + BOWL_WALL / 2.0
-        inner = pb["cup_radius"] - WALL
+        rho_o = feat_a.scalars["radius_outer"]
+        inner = feat_b.scalars["rim_radius_inner"]
         if rho_o <= inner + 0.003:
             raise ValueError("infeasible pair")
         drop = math.sqrt(rho_o * rho_o - inner * inner)
@@ -1080,7 +985,7 @@ def goal_transform(
     if task == "teapot_pour_align":
         # Pour over the rim point opposite the mug handle so the spout body
         # clears the handle on approach.
-        tip_local = features(spec_a).points["spout_tip"]
+        tip_local = feat_a.points["spout_tip"]
         target = np.array(
             [-pb["cup_radius"], 0.0, pb["cup_height"] + POUR_HEIGHT]
         )

@@ -681,16 +681,22 @@ def whole_object_baseline(
 
 
 def object_to_dict(obj: PartDecomposedObject) -> dict:
-    return {
+    payload = {
         "category": obj.category,
         "parts": {name: cloud_to_dict(obj.parts[name]) for name in obj.part_names()},
     }
+    # Written only when non-empty, so objects without dropped parts keep
+    # their existing serialized form byte for byte.
+    if obj.dropped_parts:
+        payload["dropped_parts"] = list(obj.dropped_parts)
+    return payload
 
 
 def object_from_dict(payload: Mapping) -> PartDecomposedObject:
     return PartDecomposedObject(
         payload["category"],
         {name: cloud_from_dict(part) for name, part in payload["parts"].items()},
+        tuple(payload.get("dropped_parts", ())),
     )
 
 

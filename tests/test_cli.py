@@ -1,7 +1,8 @@
 """The command-line front end: a tiny gen/train/transfer/eval round trip on
 every task, the demo context `transfer` caches and when it is recomputed,
-config validation, the settings `eval` passes on to training, and `eval`'s
-worker pool reproducing the one-process report."""
+config validation, scene files keeping their dropped parts, the settings
+`eval` passes on to training, and `eval`'s worker pool reproducing the
+one-process report."""
 
 from __future__ import annotations
 
@@ -13,13 +14,15 @@ import os
 import shutil
 import warnings
 
+import numpy as np
 import pytest
 
 from partwarp import cli, evaluation
 from partwarp.evaluation import METHOD_PARTS, METHOD_WHOLE, ExperimentConfig, report_to_dict
+from partwarp.geom import PointCloud
 from partwarp.registration import CpdConfig
 from partwarp.shapemodel import InferenceConfig
-from partwarp.transfer import PipelineConfig
+from partwarp.transfer import PartDecomposedObject, PipelineConfig, object_to_dict
 
 TINY = {
     "seed": 0,
@@ -205,6 +208,14 @@ def test_gen_rejects_raised_peg_off_the_rack_task(tmp_path):
         assert run("gen", "--config", config) == 2
     assert "raised_peg" in err.getvalue()
     assert not (tmp_path / "dataset").exists()
+
+
+def test_scene_object_keeps_dropped_parts(tmp_path):
+    obj = PartDecomposedObject(
+        "mug", {"cup": PointCloud(np.eye(3))}, dropped_parts=("handle",))
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"object": object_to_dict(obj)}))
+    assert cli._load_scene_object(path).dropped_parts == ("handle",)
 
 
 OUT_OF_RANGE = {

@@ -113,6 +113,7 @@ class TestCpd:
             PointCloud(pts), PointCloud(target), CpdConfig(max_iterations=1)
         )
         assert not field.converged
+        assert len(field.objective_history) == 2
         assert np.all(np.isfinite(field.displacements))
 
     def test_field_size_must_match_cloud(self, rng):

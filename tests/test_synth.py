@@ -134,8 +134,9 @@ class TestGenerate:
             values = sdf.part(name, noisy.parts[name].points)
             assert np.abs(values).max() < 6 * 0.001
 
-    def test_correspondence_round_trip_is_identity(self):
-        spec = default_spec("mug", seed=13)
+    @pytest.mark.parametrize("category", ["mug", "rack", "bowl", "teapot"])
+    def test_correspondence_round_trip_is_identity(self, category):
+        spec = default_spec(category, seed=13)
         obj, _, corr = generate(spec)
         for name in obj.part_names():
             back = corr.evaluate(spec, name)
@@ -201,6 +202,46 @@ class TestFeaturesAndTasks:
         np.testing.assert_allclose(
             moved.directions["spout_dir"], t.rotation @ feat.directions["spout_dir"], atol=1e-12)
         assert moved.scalars == feat.scalars
+
+    @pytest.mark.parametrize("draw", range(4))
+    def test_features_agree_with_the_part_distances(self, draw):
+        # Features and signed distances come from one definition of each
+        # solid, so every landmark sits where the distances say it does.
+        def build(category):
+            if draw == 0:
+                spec = default_spec(category, points_per_part=20)
+            else:
+                rng = np.random.default_rng(draw)
+                spec = sample_spec(category, rng, widths=0.1, points_per_part=20)
+            return spec, features(spec), generate(spec)[1]
+
+        x = np.array([1.0, 0.0, 0.0])
+        for category, vessel in (("mug", "cup"), ("teapot", "body")):
+            _, feat, sdf = build(category)
+            rim = feat.points["rim_center"] + feat.scalars["rim_radius_outer"] * x
+            np.testing.assert_allclose(sdf.part(vessel, rim), 0.0, atol=1e-9)
+
+        _, feat, sdf = build("mug")
+        on_ring = feat.points["loop_center"] + feat.scalars["loop_ring"] * x
+        np.testing.assert_allclose(
+            sdf.part("handle", on_ring), -feat.scalars["loop_tube"], atol=1e-9)
+
+        _, feat, sdf = build("rack")
+        length, radius = feat.scalars["peg_length"], feat.scalars["peg_radius"]
+        # Past length - radius the tip cap is nearer than the peg wall.
+        s = np.linspace(0.1, 0.9, 9) * length
+        s = s[s < length - radius]
+        axis = feat.points["peg_base"] + s[:, None] * feat.directions["peg_dir"]
+        np.testing.assert_allclose(sdf.part("peg", axis), -radius, atol=1e-9)
+
+        _, feat, sdf = build("teapot")
+        np.testing.assert_allclose(sdf.part("spout", feat.points["spout_tip"]), 0.0, atol=1e-9)
+
+        spec, feat, sdf = build("bowl")
+        alpha = spec.params["bowl_angle"]
+        edge = feat.points["sphere_center"] + feat.scalars["radius_outer"] * np.array(
+            [np.sin(alpha), 0.0, -np.cos(alpha)])
+        np.testing.assert_allclose(sdf.part("bowl", edge), 0.0, atol=1e-9)
 
     @pytest.mark.parametrize("task", ["mug_on_rack", "bowl_on_mug", "teapot_pour_align"])
     def test_demo_is_feasible(self, task):

@@ -415,6 +415,12 @@ class TestSerialization:
                 again.parts[name].points, labeled.parts[name].points)
             assert again.parts[name].label_keys() == labeled.parts[name].label_keys()
 
+    def test_object_round_trip_keeps_dropped_parts(self, rng):
+        obj = PartDecomposedObject(
+            "mug", {"cup": PointCloud(rng.normal(size=(6, 3)))}, dropped_parts=("handle",))
+        payload = json.loads(json.dumps(object_to_dict(obj)))
+        assert object_from_dict(payload).dropped_parts == ("handle",)
+
     def test_demo_round_trip_and_file(self, tmp_path, rng):
         obj_a = PartDecomposedObject("toy", {"p": PointCloud(rng.normal(size=(6, 3)))})
         obj_b = PartDecomposedObject("toy", {"q": PointCloud(rng.normal(size=(6, 3)))})
