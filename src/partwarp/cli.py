@@ -2,7 +2,7 @@
 evaluation.
 
 All commands are driven by a single JSON config file plus dotted-key
-overrides (``--set pipeline.inference.max_evals=1600``), so a full
+overrides (``--set pipeline.inference.yaw_init_count=12``), so a full
 experiment is reproducible from its config and seed alone: rerunning any
 command with the same inputs rewrites byte-identical outputs.
 
@@ -384,7 +384,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="JSON run config; defaults apply when omitted")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config entry by dotted key, e.g. "
-                          "pipeline.inference.max_evals=1600")
+                          "pipeline.inference.yaw_init_count=12")
     sub.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="worker process cap (used by eval trials)")
 

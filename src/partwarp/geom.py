@@ -1,10 +1,11 @@
 """Point clouds, rigid transforms, squared distances, and Chamfer distances.
 
-Everything here except a ChamferQuery, which reuses scratch buffers across
-calls, is immutable after construction and safe to share between
-threads. Coordinates are float64 world units (meters in the synthetic
-scenes). The labeled Chamfer distance is one-sided: it measures how well
-the second cloud explains the first, summed per binary label class.
+Everything here except a ChamferQuery, which keeps its (5, m) reference
+and (n, m) distance buffers from one match to the next, is immutable after
+construction and safe to share between threads. Coordinates are float64
+world units (meters in the synthetic scenes). The labeled Chamfer distance
+is one-sided: it measures how well the second cloud explains the first,
+summed per binary label class.
 """
 
 from __future__ import annotations
@@ -211,18 +212,19 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class ChamferQuery:
     """One-sided Chamfer from a fixed query set into reference sets that change.
 
-    The prepared mode of sqdist for a loop that scores one query set against
-    many reference sets of one size, such as a fit's objective. The query
-    side is folded once into the (5, n) matrix [-2 q; 1; |q|^2], so a call
-    is one GEMM [r, |r|^2, 1] @ Q into an (m, n) block, a min down its
-    rows, a clamp of the mins at 0, and their mean. The (m, 5) and (m, n)
-    buffers are kept for the next call with the same reference size.
+    The prepared mode of sqdist for a loop that matches one query set
+    against many reference sets of one size, such as a fit's objective. The
+    query side is folded once into the (n, 5) matrix [-2 q, 1, |q|^2], so a
+    call to match is one GEMM with [r; |r|^2; 1] into an (n, m) block, an
+    argmin along its contiguous rows, a clamp of the mins at 0, and their
+    mean. The (5, m) and (n, m) buffers are kept for the next call with the
+    same reference size.
 
-    The result is the mean over queries of the min squared distance into
-    the reference, as sqdist(q, r).min(axis=1).mean(), but it is summed in
-    a different order, so the two differ by a few ulps of |q_i|^2 + |r_j|^2.
-    A call writes the buffers, so an instance must not be shared between
-    threads.
+    The mean is that of sqdist(q, r).min(axis=1), but summed in a different
+    order, so the two differ by a few ulps of |q_i|^2 + |r_j|^2; where two
+    reference points are that close to tied, the index may differ from
+    sqdist's argmin too. A call writes the buffers, so an instance must not
+    be shared between threads.
     """
 
     def __init__(self, query):
@@ -232,28 +234,29 @@ class ChamferQuery:
         if q.shape[0] == 0:
             raise ValueError("empty cloud")
         self._n = q.shape[0]
-        self._folded = np.empty((5, self._n))
-        self._folded[:3] = -2.0 * q.T
-        self._folded[3] = 1.0
-        self._folded[4] = np.einsum("ij,ij->i", q, q)
-        self._mins = np.empty(self._n)
-        self._ref = np.empty((0, 5))
-        self._block = np.empty((0, self._n))
+        self._rows = np.arange(self._n)
+        self._folded = np.empty((self._n, 5))
+        self._folded[:, :3] = -2.0 * q
+        self._folded[:, 3] = 1.0
+        self._folded[:, 4] = np.einsum("ij,ij->i", q, q)
+        self._ref = np.empty((5, 0))
+        self._block = np.empty((self._n, 0))
 
-    def __call__(self, ref: np.ndarray) -> float:
+    def match(self, ref: np.ndarray) -> tuple[float, np.ndarray]:
+        """Mean min squared distance into ref, and each query's nearest index."""
         m = ref.shape[0]
         if m == 0:
             raise ValueError("empty cloud")
-        if m != self._ref.shape[0]:
-            self._ref = np.empty((m, 5))
-            self._ref[:, 4] = 1.0
-            self._block = np.empty((m, self._n))
-        self._ref[:, :3] = ref
-        np.einsum("ij,ij->i", ref, ref, out=self._ref[:, 3])
-        np.matmul(self._ref, self._folded, out=self._block)
-        np.minimum.reduce(self._block, axis=0, out=self._mins)
-        np.maximum(self._mins, 0.0, out=self._mins)
-        return float(self._mins.sum()) / self._n
+        if m != self._ref.shape[1]:
+            self._ref = np.empty((5, m))
+            self._ref[4] = 1.0
+            self._block = np.empty((self._n, m))
+        self._ref[:3] = ref.T
+        np.einsum("ij,ij->i", ref, ref, out=self._ref[3])
+        np.matmul(self._folded, self._ref, out=self._block)
+        nearest = self._block.argmin(axis=1)
+        mins = np.maximum(self._block[self._rows, nearest], 0.0)
+        return float(mins.sum()) / self._n, nearest
 
 
 def _min_sqdist(query: np.ndarray, ref: np.ndarray) -> np.ndarray:

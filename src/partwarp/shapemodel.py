@@ -6,12 +6,14 @@ the flattened displacement fields. Reconstruction at latent zero is the
 canonical cloud itself; label arrays travel by point identity, so a label
 painted on the canonical cloud is known on every reconstruction.
 
-Fitting is a derivative-free pattern search over the latent vector jointly
-with a rigid pose, scoring the label-aware one-sided Chamfer distance from
-the observation into the posed reconstruction plus a whitened quadratic
-latent penalty. The observation's side of every Chamfer term is prepared
-once per fit (geom.ChamferQuery), so an evaluation costs one small GEMM
-per (label key, class) term.
+Fitting minimizes, over the latent vector jointly with a rigid pose, the
+label-aware one-sided Chamfer distance from the observation into the posed
+reconstruction plus a whitened quadratic latent penalty. The reconstruction
+is linear in the latent, so each start alternates, as ICP does, between
+matching every observed point to its nearest same-class reconstruction
+point (geom.ChamferQuery, prepared once per fit) and a damped Gauss-Newton
+step on those correspondences (Levenberg-Marquardt), whose normal
+equations are accumulated per canonical point.
 """
 
 from __future__ import annotations
@@ -58,6 +60,14 @@ __all__ = [
 ]
 
 Z_KEY = "z"
+
+# Levenberg-Marquardt damping, relative to the diagonal of the normal
+# equations: its value at each start, its factor after a kept and after a
+# rejected step, and its floor.
+_DAMPING_START = 1e-3
+_DAMPING_DOWN = 0.3
+_DAMPING_UP = 10.0
+_DAMPING_MIN = 1e-9
 
 
 class InferenceError(RuntimeError):
@@ -108,6 +118,17 @@ class CanonicalPartModel:
 
 @dataclass(frozen=True)
 class InferenceConfig:
+    """Starts and stopping rule of infer.
+
+    infer runs one start per yaw in a grid of yaw_init_count angles crossed
+    with restarts latent seeds. max_evals caps the objective evaluations of
+    each start; every evaluation re-matches the correspondences, and a
+    rejected trial step costs one. A start stops early, converged, when a
+    kept step lowers the objective by less than step_tolerance times its
+    value, or when the step's linearized model promises no more than that.
+    latent_reg_weight weighs the whitened latent prior.
+    """
+
     restarts: int = 3
     yaw_init_count: int = 8
     max_evals: int = 300
@@ -129,9 +150,10 @@ class InferenceConfig:
 class InferenceResult:
     """A fit, with how the search got there.
 
-    evaluations counts objective calls across all starts; start is the
-    ordinal of the winning start (yaw index times restarts plus latent
-    seed index). Neither enters a report.
+    converged is true when the winning start stopped on the tolerance
+    rather than on max_evals. evaluations counts objective calls across all
+    starts; start is the ordinal of the winning start (yaw index times
+    restarts plus latent seed index). Neither enters a report.
     """
 
     latent: np.ndarray
@@ -241,51 +263,6 @@ def reconstruct(model: CanonicalPartModel, latent: np.ndarray) -> PointCloud:
     return PointCloud(model.canonical.points + offset, model.canonical.labels)
 
 
-def _euler_zyx(yaw: float, pitch: float, roll: float) -> np.ndarray:
-    cy, sy = np.cos(yaw), np.sin(yaw)
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cr, sr = np.cos(roll), np.sin(roll)
-    rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
-    return rz @ ry @ rx
-
-
-def _pattern_search(fn, x0, steps0, max_evals, step_tolerance):
-    """Coordinate pattern search with multiplicative step shrinking.
-
-    Probes each coordinate in both directions, moving greedily on the
-    first improvement; a full sweep without improvement halves every
-    step. Converged means all steps shrank below step_tolerance times
-    their initial size within the evaluation budget. Returns the point,
-    its value, convergence and the number of evaluations.
-    """
-    x = np.array(x0, dtype=np.float64)
-    steps = np.array(steps0, dtype=np.float64)
-    floor = steps * step_tolerance
-    fx = fn(x)
-    evals = 1
-    while evals < max_evals:
-        if np.all(steps <= floor):
-            return x, fx, True, evals
-        improved = False
-        for i in range(x.size):
-            for sign in (1.0, -1.0):
-                if evals >= max_evals:
-                    return x, fx, False, evals
-                trial = x.copy()
-                trial[i] += sign * steps[i]
-                ft = fn(trial)
-                evals += 1
-                if ft < fx:
-                    x, fx = trial, ft
-                    improved = True
-                    break
-        if not improved:
-            steps *= 0.5
-    return x, fx, np.all(steps <= floor), evals
-
-
 def _azimuth_anchor(cloud: PointCloud, keys: Sequence[str]) -> float:
     """Yaw angle derived from the cloud itself, so it rotates with the data.
 
@@ -330,7 +307,7 @@ def infer(
     The objective sums the label-aware one-sided Chamfer distance from the
     observation into the posed reconstruction over every requested
     adjacency key plus the height key, and adds a whitened quadratic
-    penalty pulling the latent toward the training mean. Restarts cover a
+    penalty pulling the latent toward the training mean. Starts cover a
     grid of yaw initializations crossed with latent seeds (zero plus draws
     from the training latent statistics).
 
@@ -339,10 +316,14 @@ def infer(
     the vertical axis is optimized along the same trajectory and the
     returned pose moves with the scene.
 
-    Each (key, class) term's observed points are prepared once as a
-    geom.ChamferQuery, so an evaluation poses the reconstruction and runs
-    one GEMM per term. Its Chamfer terms match labeled_chamfer to a few
-    ulps, not bit for bit.
+    Each start runs a Levenberg-Marquardt loop on the nearest-neighbour
+    correspondences, as in ICP: an evaluation matches every observed point
+    to its nearest same-class point of the posed reconstruction (one
+    geom.ChamferQuery per (key, class) term, prepared once per fit), and
+    each iteration solves one damped normal-equation step in latent,
+    body-frame rotation and body-frame translation with the whitened prior
+    as extra rows. A step is kept only if the re-matched objective falls.
+    The Chamfer terms match labeled_chamfer to a few ulps, not bit for bit.
     """
     if len(observed) == 0:
         raise ValueError("empty cloud")
@@ -364,6 +345,7 @@ def infer(
 
     x = observed.points
     terms = []
+    term_points = []
     for key in keys:
         lx = label_of(observed, key)
         ly = label_of(canon, key)
@@ -375,6 +357,11 @@ def infer(
             if my.size == 0:
                 raise ValueError("unmatched label class")
             terms.append((ChamferQuery(x[mx]), my))
+            term_points.append(x[mx])
+    # Every observed point of every term, in term order, weighted as its
+    # term's mean weighs it; the weighted coordinates are kept as rows.
+    w_all = np.concatenate([np.full(len(p), 1.0 / len(p)) for p in term_points])
+    wx_rows = (w_all[:, None] * np.concatenate(term_points)).T.copy()
 
     d = model.latent_dim
     n = model.point_count
@@ -382,56 +369,115 @@ def infer(
     basis = model.basis
     mean = model.latent_mean
     scales = np.maximum(model.latent_scales, 1e-8)
-    reg = cfg.latent_reg_weight
+    prior = cfg.latent_reg_weight / scales**2
+    diag = np.arange(d + 6)
     obs_centroid = x.mean(axis=0)
-    extent = observed.extent()
-    if extent == 0.0:
-        extent = 1.0
 
-    def objective(params: np.ndarray) -> float:
-        v = params[:d]
-        rot = _euler_zyx(params[d], params[d + 1], params[d + 2])
-        y = (canon_pts + (basis @ v).reshape(n, 3)) @ rot.T + params[d + 3:]
-        total = reg * float(np.sum(((v - mean) / scales) ** 2))
-        for chamfer_into, my in terms:
-            total += chamfer_into(y[my])
-        return total
+    # Linearized in the body frame, a residual matched to canonical point j
+    # has the Jacobian [B_j, -[s_j]x, I] in (latent, rotation, translation),
+    # where s_j is j's reconstructed position; only the rotation columns
+    # change between iterations. Rows are (point, axis) pairs.
+    jac = np.zeros((n, 3, d + 6))
+    jac[:, :, :d] = basis.reshape(n, 3, d)
+    jac[:, :, d + 3:] = np.eye(3)
+    jac_rows = jac.reshape(3 * n, d + 6)
+
+    def evaluate(v, rot, t):
+        """Objective, body-frame reconstruction and each observed point's match."""
+        shape = canon_pts + (basis @ v).reshape(n, 3)
+        y = shape @ rot.T + t
+        total = float(np.sum(prior * (v - mean) ** 2))
+        nearest = []
+        for query, my in terms:
+            value, idx = query.match(y[my])
+            total += value
+            nearest.append(my[idx])
+        return total, shape, np.concatenate(nearest)
+
+    def normal_equations(v, rot, t, shape, nearest):
+        """Gauss-Newton (A, g) of the matched objective, accumulated per canonical point.
+
+        With c_j the summed weight of the observed points x_i matched to j
+        and X_j their weighted sum, the body-frame residual sum is
+        c_j s_j - R^T (X_j - c_j t), so A = sum_j c_j J_j^T J_j and
+        g = sum_j J_j^T (c_j (s_j + R^T t) - R^T X_j), plus the prior's rows.
+        """
+        weight = np.bincount(nearest, w_all, minlength=n)
+        pulled = np.stack([np.bincount(nearest, row, minlength=n) for row in wx_rows], axis=1)
+        sx, sy, sz = shape.T
+        jac[:, 0, d + 1], jac[:, 0, d + 2] = sz, -sy
+        jac[:, 1, d], jac[:, 1, d + 2] = -sz, sx
+        jac[:, 2, d], jac[:, 2, d + 1] = sy, -sx
+        a = jac_rows.T @ (np.repeat(weight, 3)[:, None] * jac_rows)
+        g = jac_rows.T @ (weight[:, None] * (shape + t @ rot) - pulled @ rot).ravel()
+        a[diag[:d], diag[:d]] += prior
+        g[:d] += prior * (v - mean)
+        return a, g
+
+    def descend(v, rot, t):
+        """One start's Levenberg-Marquardt loop; returns its end and evaluation count."""
+        f, shape, nearest = evaluate(v, rot, t)
+        evals = 1
+        damping = _DAMPING_START
+        converged = False
+        a = None
+        while evals < cfg.max_evals:
+            if a is None:
+                a, g = normal_equations(v, rot, t, shape, nearest)
+                scale = np.where(a[diag, diag] > 0.0, a[diag, diag], 1.0)
+            damped = a.copy()
+            damped[diag, diag] += damping * scale
+            step = np.linalg.solve(damped, -g)
+            # Decrease the matched objective's quadratic model promises; a
+            # step that promises less than the tolerance cannot give more
+            # than rounding once the matches settle.
+            if -(2.0 * g @ step + step @ a @ step) <= cfg.step_tolerance * f:
+                converged = True
+                break
+            v_t = v + step[:d]
+            angle = float(np.linalg.norm(step[d:d + 3]))
+            rot_t = rot @ rotation_about_axis(step[d:d + 3], angle) if angle > 0.0 else rot
+            t_t = t + rot @ step[d + 3:]
+            f_t, shape_t, nearest_t = evaluate(v_t, rot_t, t_t)
+            evals += 1
+            if f_t < f:
+                converged = f - f_t < cfg.step_tolerance * f
+                v, rot, t, shape, nearest = v_t, rot_t, t_t, shape_t, nearest_t
+                f = f_t
+                a = None
+                damping = max(damping * _DAMPING_DOWN, _DAMPING_MIN)
+                if converged:
+                    break
+            else:
+                damping *= _DAMPING_UP
+        return f, v, rot, t, converged, evals
 
     rng = np.random.default_rng(seed)
     latent_seeds = [np.zeros(d)]
     for _ in range(cfg.restarts - 1):
         latent_seeds.append(mean + scales * rng.standard_normal(d))
 
-    step_lat = np.maximum(model.latent_scales, 0.05 * max(model.latent_scales.max(), 1e-6))
-    steps0 = np.concatenate([step_lat, [0.3, 0.12, 0.12], np.full(3, 0.08 * extent)])
-
     best = None
     ordinal = 0
     evaluations = 0
     for yaw_idx in range(cfg.yaw_init_count):
         yaw = 2.0 * np.pi * yaw_idx / cfg.yaw_init_count
-        rot0 = _euler_zyx(yaw, 0.0, 0.0)
+        rot0 = rotation_about_axis(np.array([0.0, 0.0, 1.0]), yaw)
         for v0 in latent_seeds:
             recon_centroid = canon_pts.mean(axis=0) + (basis @ v0).reshape(n, 3).mean(axis=0)
             t0 = obs_centroid - rot0 @ recon_centroid
-            x0 = np.concatenate([v0, [yaw, 0.0, 0.0], t0])
-            xf, fval, conv, evals = _pattern_search(
-                objective, x0, steps0, cfg.max_evals, cfg.step_tolerance
-            )
+            fval, v, rot, t, conv, evals = descend(v0, rot0, t0)
             evaluations += evals
             if np.isfinite(fval) and (best is None or fval < best[0]):
-                best = (fval, ordinal, xf, conv)
+                best = (fval, ordinal, v, rot, t, conv)
             ordinal += 1
 
     if best is None:
         raise InferenceError("inference failed")
-    fval, start, xf, conv = best
-    pose = frame.compose(
-        RigidTransform(_euler_zyx(xf[d], xf[d + 1], xf[d + 2]), xf[d + 3:])
-    )
+    fval, start, v, rot, t, conv = best
     return InferenceResult(
-        latent=xf[:d].copy(), pose=pose, objective=fval, converged=bool(conv),
-        evaluations=evaluations, start=start,
+        latent=v.copy(), pose=frame.compose(RigidTransform(rot, t)), objective=fval,
+        converged=bool(conv), evaluations=evaluations, start=start,
     )
 
 

@@ -254,16 +254,26 @@ class TestChamferQuery:
             for n, m in ((1, 1), (1, 9), (7, 1), (37, 221), (221, 37)):
                 q = rng.normal(size=(n, 3)) * scale + scale
                 r = rng.normal(size=(m, 3)) * scale
-                want = float(sqdist(q, r).min(axis=1).mean())
-                got = ChamferQuery(q)(r)
+                d2 = sqdist(q, r)
+                want = float(d2.min(axis=1).mean())
+                got, nearest = ChamferQuery(q).match(r)
                 assert isinstance(got, float)
                 assert got >= 0.0
                 assert abs(got - want) <= self.tolerance(q, r)
+                # Where the nearest point is unique beyond the kernels'
+                # rounding difference, both kernels pick it.
+                ranked = np.sort(d2, axis=1)
+                unique = np.ones(n, dtype=bool)
+                if m > 1:
+                    unique = ranked[:, 1] - ranked[:, 0] > self.tolerance(q, r)
+                assert nearest.shape == (n,)
+                assert unique.mean() > 0.9
+                np.testing.assert_array_equal(nearest[unique], d2.argmin(axis=1)[unique])
 
     def test_coincident_sets_never_go_negative(self, rng):
         for scale in (1e-3, 1.0, 30.0):
             pts = rng.normal(size=(37, 3)) * scale + 10.0 * scale
-            got = ChamferQuery(pts)(pts)
+            got, _ = ChamferQuery(pts).match(pts)
             assert 0.0 <= got <= self.tolerance(pts, pts)
 
     def test_reused_buffers_leak_no_state(self, rng):
@@ -272,18 +282,22 @@ class TestChamferQuery:
         b = rng.normal(size=(221, 3)) + 0.5
         small = rng.normal(size=(1, 3))
         prepared = ChamferQuery(q)
-        first = prepared(a)
-        assert prepared(b) != first
-        assert prepared(a) == first
-        prepared(small)
-        assert prepared(a) == first
-        assert first == ChamferQuery(q)(a)
+        first, first_nearest = prepared.match(a)
+        assert prepared.match(b)[0] != first
+        again, again_nearest = prepared.match(a)
+        assert again == first
+        np.testing.assert_array_equal(again_nearest, first_nearest)
+        prepared.match(small)
+        assert prepared.match(a)[0] == first
+        fresh, fresh_nearest = ChamferQuery(q).match(a)
+        assert fresh == first
+        np.testing.assert_array_equal(fresh_nearest, first_nearest)
 
     def test_empty_sets_rejected(self, rng):
         with pytest.raises(ValueError, match="empty cloud"):
             ChamferQuery(np.zeros((0, 3)))
         with pytest.raises(ValueError, match="empty cloud"):
-            ChamferQuery(rng.normal(size=(4, 3)))(np.zeros((0, 3)))
+            ChamferQuery(rng.normal(size=(4, 3))).match(np.zeros((0, 3)))
 
 
 class TestLabelGenerators:
