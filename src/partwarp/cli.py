@@ -385,8 +385,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config entry by dotted key, e.g. "
                           "pipeline.inference.yaw_init_count=12")
-    sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker process cap (used by eval trials)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,6 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="run the paired method-comparison experiment")
     _add_common(p_eval)
+    p_eval.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="worker processes for the trials")
     p_eval.set_defaults(func=cmd_eval)
     return parser
 
@@ -436,7 +436,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         overrides.append(f"task={json.dumps(args.task)}")
     if getattr(args, "count", None) is not None:
         overrides.append(f"count={args.count}")
-    if args.jobs < 1:
+    if getattr(args, "jobs", 1) < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
     try:

@@ -1,5 +1,10 @@
 """Point clouds, rigid transforms, squared distances, and Chamfer distances.
 
+sqdist is the one pairwise-distance kernel: every nearest-neighbour query
+in the library is a min over a dense (n, m) block of it, with no spatial
+index, and ChamferQuery is its prepared mode for a fit's objective loop.
+label_classes is the one rule that pairs the label classes of two clouds.
+
 Everything here except a ChamferQuery, which keeps its (5, m) reference
 and (n, m) distance buffers from one match to the next, is immutable after
 construction and safe to share between threads. Coordinates are float64
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "PointCloud",
@@ -25,6 +29,7 @@ __all__ = [
     "ChamferQuery",
     "chamfer",
     "symmetric_chamfer",
+    "label_classes",
     "labeled_chamfer",
     "adjacency_label_values",
     "z_label_values",
@@ -33,11 +38,6 @@ __all__ = [
     "transform_to_dict",
     "transform_from_dict",
 ]
-
-# Above this many pairwise entries the distance kernel switches from a
-# dense GEMM formulation to a KD-tree; below it the dense path is faster
-# for the cloud sizes this library works with.
-_DENSE_PAIR_LIMIT = 400_000
 
 _ORTHO_TOL = 1e-9
 
@@ -259,19 +259,11 @@ class ChamferQuery:
         return float(mins.sum()) / self._n, nearest
 
 
-def _min_sqdist(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Min squared distance from each query point into ref."""
-    if query.shape[0] * ref.shape[0] <= _DENSE_PAIR_LIMIT:
-        return sqdist(query, ref).min(axis=1)
-    dist, _ = cKDTree(ref).query(query)
-    return np.square(dist)
-
-
 def chamfer(x: PointCloud, y: PointCloud) -> float:
     """One-sided Chamfer: mean squared nearest-neighbor distance from x into y."""
     if len(x) == 0 or len(y) == 0:
         raise ValueError("empty cloud")
-    return float(_min_sqdist(x.points, y.points).mean())
+    return float(sqdist(x.points, y.points).min(axis=1).mean())
 
 
 def symmetric_chamfer(x: PointCloud, y: PointCloud) -> float:
@@ -279,19 +271,13 @@ def symmetric_chamfer(x: PointCloud, y: PointCloud) -> float:
     return chamfer(x, y) + chamfer(y, x)
 
 
-def labeled_chamfer(x: PointCloud, y: PointCloud, key: str) -> float:
-    """Label-aware one-sided Chamfer under the binary label `key`.
+def label_classes(lx: np.ndarray, ly: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(mask_x, mask_y) of each binary label class that a distance from x into y sums.
 
-    For each label value present in x, the mean squared nearest-neighbor
-    distance from the x points of that class into the y points of the same
-    class is accumulated. A class present in x but absent from y is an
-    error; a class absent from x simply contributes nothing.
+    A class absent from x contributes nothing and is skipped; a class
+    present in x but absent from y cannot be matched and is an error.
     """
-    if len(x) == 0 or len(y) == 0:
-        raise ValueError("empty cloud")
-    lx = x.label(key)
-    ly = y.label(key)
-    total = 0.0
+    pairs = []
     for value in (0, 1):
         mask_x = lx == value
         if not mask_x.any():
@@ -299,19 +285,35 @@ def labeled_chamfer(x: PointCloud, y: PointCloud, key: str) -> float:
         mask_y = ly == value
         if not mask_y.any():
             raise ValueError("unmatched label class")
-        total += float(_min_sqdist(x.points[mask_x], y.points[mask_y]).mean())
+        pairs.append((mask_x, mask_y))
+    return pairs
+
+
+def labeled_chamfer(x: PointCloud, y: PointCloud, key: str) -> float:
+    """Label-aware one-sided Chamfer under the binary label `key`.
+
+    For each label value present in x, the mean squared nearest-neighbor
+    distance from the x points of that class into the y points of the same
+    class is accumulated (the pairing of label_classes).
+    """
+    if len(x) == 0 or len(y) == 0:
+        raise ValueError("empty cloud")
+    total = 0.0
+    for mask_x, mask_y in label_classes(x.label(key), y.label(key)):
+        total += float(sqdist(x.points[mask_x], y.points[mask_y]).min(axis=1).mean())
     return total
 
 
-def adjacency_label_values(part: PointCloud, other: PointCloud, ratio: float = 0.4) -> np.ndarray:
-    """Binary relational label of `part` against `other`.
+def adjacency_label_values(nearest: np.ndarray, ratio: float = 0.4) -> np.ndarray:
+    """Binary relational label of a part from its points' nearest squared distances.
 
-    A point is labeled 1 when its nearest-neighbor distance into the other
-    part is below `ratio` times the median of those distances.
+    nearest[i] is the squared distance from point i of the part to its
+    nearest point of the other part. A point is labeled 1 when that
+    distance is below `ratio` times the median of those distances.
     """
-    if len(part) == 0 or len(other) == 0:
+    if len(nearest) == 0:
         raise ValueError("empty cloud")
-    dist = np.sqrt(_min_sqdist(part.points, other.points))
+    dist = np.sqrt(nearest)
     return (dist < ratio * np.median(dist)).astype(np.int64)
 
 

@@ -18,6 +18,7 @@ equations are accumulated per canonical point.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import asdict, dataclass
@@ -32,6 +33,7 @@ from .geom import (
     RigidTransform,
     cloud_from_dict,
     cloud_to_dict,
+    label_classes,
     rotation_about_axis,
     sqdist,
     symmetric_chamfer,
@@ -173,28 +175,26 @@ def select_canonical(instances: Sequence[PointCloud]) -> int:
     """Index of the instance closest to all others by symmetric Chamfer."""
     if len(instances) < 2:
         raise ValueError("need at least two instances")
-    totals = []
-    for i, inst in enumerate(instances):
-        total = 0.0
-        for j, other in enumerate(instances):
-            if i != j:
-                total += symmetric_chamfer(inst, other)
-        totals.append(total)
+    totals = [0.0] * len(instances)
+    # symmetric_chamfer is symmetric to the bit, so each unordered pair is
+    # scored once; every total still adds its terms in ascending partner order.
+    for i, j in itertools.combinations(range(len(instances)), 2):
+        score = symmetric_chamfer(instances[i], instances[j])
+        totals[i] += score
+        totals[j] += score
     return int(np.argmin(totals))  # argmin takes the lowest index on ties
 
 
 def train_part_model(
     instances: Sequence[PointCloud],
-    labels: Sequence[Mapping[str, np.ndarray]] | None = None,
     d: int | None = None,
     cpd: CpdConfig = CpdConfig(),
     part_category: str = "part",
 ) -> CanonicalPartModel:
     """Fit a canonical shape model to pose-aligned instances of one part.
 
-    labels, when given, supplies per-instance label arrays; only the
-    canonical instance's arrays are baked into the model. d defaults to
-    min(K - 1, 4).
+    Only the canonical instance's label arrays are baked into the model.
+    d defaults to min(K - 1, 4).
     """
     k = len(instances)
     if k < 2:
@@ -210,13 +210,10 @@ def train_part_model(
     canon_points = instances[canon_idx].points
     n = canon_points.shape[0]
 
-    if labels is None:
-        labels = [inst.labels or {} for inst in instances]
-
     canon_labels: dict[str, np.ndarray] = {}
-    raw = labels[canon_idx]
+    raw = instances[canon_idx].labels or {}
     for key in sorted(raw):
-        arr = np.asarray(raw[key], dtype=np.int64)
+        arr = raw[key]
         # Keys whose class split collapses on the canonical instance
         # cannot anchor a label-aware distance; drop them up front.
         if 0 < arr.sum() < arr.size:
@@ -347,16 +344,8 @@ def infer(
     terms = []
     term_points = []
     for key in keys:
-        lx = label_of(observed, key)
-        ly = label_of(canon, key)
-        for value in (0, 1):
-            mx = lx == value
-            if not mx.any():
-                continue
-            my = np.flatnonzero(ly == value)
-            if my.size == 0:
-                raise ValueError("unmatched label class")
-            terms.append((ChamferQuery(x[mx]), my))
+        for mx, my in label_classes(label_of(observed, key), label_of(canon, key)):
+            terms.append((ChamferQuery(x[mx]), np.flatnonzero(my)))
             term_points.append(x[mx])
     # Every observed point of every term, in term order, weighted as its
     # term's mean weighs it; the weighted coordinates are kept as rows.

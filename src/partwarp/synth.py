@@ -284,7 +284,6 @@ def sample_spec(
     category: str,
     rng: np.random.Generator,
     widths: float | Mapping[str, float] = 0.10,
-    shifts: Mapping[str, float] | None = None,
     seed: int = 0,
     points_per_part: int = 400,
     noise: float = 0.0,
@@ -292,18 +291,14 @@ def sample_spec(
     """Draw a family member around the category defaults.
 
     Each parameter is jittered by a uniform fractional amount (widths, a
-    scalar or per-parameter map), then optionally shifted by an absolute
-    uniform draw of half-range shifts[name]. Draws happen in sorted
-    parameter order so a given rng state always yields the same spec.
+    scalar or per-parameter map). Draws happen in sorted parameter order
+    so a given rng state always yields the same spec.
     """
     defaults = CATEGORY_DEFAULTS[category]
     params: dict[str, float] = {}
     for name in sorted(defaults):
         w = widths.get(name, 0.0) if isinstance(widths, Mapping) else float(widths)
-        value = defaults[name] * (1.0 + w * rng.uniform(-1.0, 1.0))
-        if shifts and name in shifts:
-            value += rng.uniform(-shifts[name], shifts[name])
-        params[name] = value
+        params[name] = defaults[name] * (1.0 + w * rng.uniform(-1.0, 1.0))
     return ParametricObjectSpec(
         category, _clamp_params(category, params), seed, points_per_part, noise
     )
@@ -1031,6 +1026,10 @@ def task_predicate(task: str, feat_a: ObjectFeatures, feat_b: ObjectFeatures) ->
     raise ValueError(f"unknown task {task!r}")
 
 
+# Where a demonstration's placed object starts, before its recorded motion.
+_DEMO_INIT_A = RigidTransform(_rz(0.3), np.array([0.32, -0.14, 0.0]))
+
+
 @dataclass(frozen=True)
 class DemoScene:
     """A demonstration plus everything needed to audit or evaluate it."""
@@ -1049,15 +1048,12 @@ def generate_demo_scene(
     task: str,
     spec_a: ParametricObjectSpec | None = None,
     spec_b: ParametricObjectSpec | None = None,
-    init_a: RigidTransform | None = None,
 ) -> DemoScene:
     cat_a, cat_b = task_categories(task)
     if spec_a is None:
         spec_a = default_spec(cat_a, seed=11)
     if spec_b is None:
         spec_b = default_spec(cat_b, seed=12)
-    if init_a is None:
-        init_a = RigidTransform(_rz(0.3), np.array([0.32, -0.14, 0.0]))
 
     t_goal = goal_transform(task, spec_a, spec_b)
     obj_a, sdf_a, corr_a = generate(spec_a)
@@ -1071,6 +1067,6 @@ def generate_demo_scene(
     if not task_predicate(task, features(spec_a).transformed(t_goal), features(spec_b)):
         raise ValueError("infeasible pair")
 
-    t_ab = t_goal.compose(init_a.inverse())
-    demo = Demonstration(obj_a.transformed(init_a), obj_b, t_ab)
-    return DemoScene(demo, spec_a, spec_b, init_a, sdf_a, sdf_b, corr_a, corr_b)
+    t_ab = t_goal.compose(_DEMO_INIT_A.inverse())
+    demo = Demonstration(obj_a.transformed(_DEMO_INIT_A), obj_b, t_ab)
+    return DemoScene(demo, spec_a, spec_b, _DEMO_INIT_A, sdf_a, sdf_b, corr_a, corr_b)

@@ -24,6 +24,7 @@ from .geom import (
     adjacency_label_values,
     cloud_from_dict,
     cloud_to_dict,
+    label_classes,
     rotation_about_axis,
     rotation_geodesic,
     sqdist,
@@ -226,11 +227,12 @@ def label_parts(
     for name in names:
         labeled[name][Z_KEY] = z_label_values(obj.parts[name])
     for a, b in itertools.combinations(names, 2):
-        ca, cb = obj.parts[a], obj.parts[b]
-        gap = float(np.sqrt(sqdist(ca.points, cb.points).min()))
-        if gap < threshold:
-            labeled[a][f"adj:{b}"] = adjacency_label_values(ca, cb, ratio)
-            labeled[b][f"adj:{a}"] = adjacency_label_values(cb, ca, ratio)
+        # One block per pair: its min is the gap, its row and column mins
+        # are each side's nearest squared distances into the other.
+        d2 = sqdist(obj.parts[a].points, obj.parts[b].points)
+        if float(np.sqrt(d2.min())) < threshold:
+            labeled[a][f"adj:{b}"] = adjacency_label_values(d2.min(axis=1), ratio)
+            labeled[b][f"adj:{a}"] = adjacency_label_values(d2.min(axis=0), ratio)
     return PartDecomposedObject(
         obj.category,
         {name: obj.parts[name].with_labels(labeled[name]) for name in names},
@@ -421,15 +423,7 @@ def _alignment_groups(
         if not keys:
             raise ValueError(f"no shared label keys for relation {rel}")
         for key in keys:
-            lx = x_cloud.label(key)
-            ly = y_cloud.label(key)
-            for value in (0, 1):
-                mx = lx == value
-                if not mx.any():
-                    continue
-                my = ly == value
-                if not my.any():
-                    raise ValueError("unmatched label class")
+            for mx, my in label_classes(x_cloud.label(key), y_cloud.label(key)):
                 groups.append((x_cloud.points[mx], y_cloud.points[my], 1.0 / mx.sum(), m))
     return groups
 

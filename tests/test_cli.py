@@ -1,8 +1,8 @@
 """The command-line front end: a tiny gen/train/transfer/eval round trip on
 every task, the demo context `transfer` caches and when it is recomputed,
-config validation, scene files keeping their dropped parts, the settings
-`eval` passes on to training, and `eval`'s worker pool reproducing the
-one-process report."""
+config and flag validation, scene files keeping their dropped parts, the
+settings `eval` passes on to training, and `eval`'s worker pool reproducing
+the one-process report."""
 
 from __future__ import annotations
 
@@ -200,6 +200,23 @@ def test_unknown_config_key_exits_2(tmp_path, key):
     with contextlib.redirect_stderr(io.StringIO()) as err:
         assert run("gen", "--config", write_config(tmp_path, **UNKNOWN_KEYS[key])) == 2
     assert f"unknown config key {key}" in err.getvalue()
+
+
+@pytest.mark.parametrize("command", [
+    ["gen"], ["train"], ["transfer", "--demo", "d", "--scene-a", "a", "--scene-b", "b"]],
+    ids=["gen", "train", "transfer"])
+def test_jobs_is_rejected_where_it_does_nothing(command):
+    # Only eval runs trials, so only eval takes --jobs.
+    with contextlib.redirect_stderr(io.StringIO()) as err, pytest.raises(SystemExit) as exc:
+        run(*command, "--jobs", "2")
+    assert exc.value.code == 2
+    assert "--jobs" in err.getvalue()
+
+
+def test_eval_rejects_zero_jobs():
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run("eval", "--jobs", "0") == 2
+    assert "--jobs must be >= 1" in err.getvalue()
 
 
 def test_gen_rejects_raised_peg_off_the_rack_task(tmp_path):

@@ -1,10 +1,15 @@
-"""Public API bookkeeping: every exported name exists, and the package
-re-exports only names its modules declare public."""
+"""Public API bookkeeping: every exported name exists, the package
+re-exports only names its modules declare public, and it runs on numpy
+alone."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -29,3 +34,31 @@ def test_package_imports_only_public_names():
         public = set(importlib.import_module(f"partwarp.{node.module}").__all__)
         private = [alias.name for alias in node.names if alias.name not in public]
         assert private == [], f"partwarp.{node.module}"
+
+
+def test_package_runs_without_scipy():
+    # scipy is a test dependency only; a None entry in sys.modules makes any
+    # import of it raise ImportError.
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        import partwarp
+        from partwarp.shapemodel import select_canonical
+        from partwarp.synth import default_spec, generate
+        from partwarp.transfer import label_parts
+
+        obj, _, _ = generate(default_spec("mug", seed=3, points_per_part=400))
+        labeled = label_parts(obj)
+        assert labeled.parts["cup"].label_keys() == ("adj:handle", "z")
+        clouds = [generate(default_spec("mug", seed=s, points_per_part=60))[0].parts["cup"]
+                  for s in range(3)]
+        assert 0 <= select_canonical(clouds) < 3
+        assert not any(name.split(".")[0] == "scipy" for name, mod in sys.modules.items()
+                       if mod is not None)
+    """)
+    src = str(Path(partwarp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -31,6 +31,11 @@ def brute_chamfer(x: np.ndarray, y: np.ndarray) -> float:
     return total / len(x)
 
 
+def brute_min_sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each x point's min squared distance into y, from explicit differences."""
+    return np.min(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2), axis=1)
+
+
 def random_labeled_cloud(rng, n, keys=("z",)):
     pts = rng.normal(size=(n, 3))
     labels = {}
@@ -146,6 +151,14 @@ class TestChamfer:
             got = chamfer(PointCloud(x), PointCloud(y))
             assert abs(got - brute_chamfer(x, y)) < 1e-10
 
+    def test_matches_brute_force_at_700_points(self, rng):
+        # The size range a spatial index once served; the dense block covers it.
+        for n, m in ((700, 700), (700, 650), (640, 700)):
+            x = rng.normal(size=(n, 3)) * 0.05 + 0.3
+            y = rng.normal(size=(m, 3)) * 0.05
+            got = chamfer(PointCloud(x), PointCloud(y))
+            assert abs(got - brute_min_sqdist(x, y).mean()) < 1e-14
+
     def test_symmetric_variant_sums_both_directions(self, rng):
         x = PointCloud(rng.normal(size=(15, 3)))
         y = PointCloud(rng.normal(size=(22, 3)))
@@ -190,6 +203,17 @@ class TestLabeledChamfer:
                 expected += brute_chamfer(x.points[mx], y.points[my])
             got = labeled_chamfer(x, y, "z")
             assert abs(got - expected) < 1e-10
+
+    def test_matches_per_class_brute_force_at_700_points(self, rng):
+        for n, m in ((700, 700), (700, 650)):
+            x = random_labeled_cloud(rng, n)
+            y = random_labeled_cloud(rng, m)
+            expected = 0.0
+            for value in (0, 1):
+                mx = x.label("z") == value
+                my = y.label("z") == value
+                expected += brute_min_sqdist(x.points[mx], y.points[my]).mean()
+            assert abs(labeled_chamfer(x, y, "z") - expected) < 1e-10
 
     def test_unmatched_class_rejected(self, rng):
         x = random_labeled_cloud(rng, 10)
@@ -311,7 +335,7 @@ class TestLabelGenerators:
         xs = np.array([0.0, 0.5, 3.0, 3.5, 4.0, 4.5, 5.0])
         part = PointCloud(np.stack([xs, np.zeros(7), np.zeros(7)], axis=1))
         other = PointCloud(np.array([[0.0, 0.01, 0], [0.5, 0.01, 0]]))
-        values = adjacency_label_values(part, other, ratio=0.4)
+        values = adjacency_label_values(sqdist(part.points, other.points).min(axis=1), ratio=0.4)
         np.testing.assert_array_equal(values, [1, 1, 0, 0, 0, 0, 0])
         assert values.dtype.kind == "i"
 

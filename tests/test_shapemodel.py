@@ -85,6 +85,27 @@ class TestSelectCanonical:
         ]).ravel()
         assert select_canonical(handles) == int(np.argmin(table))
 
+    def test_matches_the_ordered_double_loop(self, rng):
+        # The reference scores every ordered pair, each unordered pair twice.
+        def ordered_double_loop(instances):
+            totals = []
+            for i, inst in enumerate(instances):
+                total = 0.0
+                for j, other in enumerate(instances):
+                    if i != j:
+                        total += symmetric_chamfer(inst, other)
+                totals.append(total)
+            return int(np.argmin(totals))
+
+        for k in range(2, 9):
+            clouds = [PointCloud(rng.normal(size=(int(rng.integers(5, 40)), 3))
+                                 * rng.uniform(0.5, 1.5)) for _ in range(k)]
+            assert select_canonical(clouds) == ordered_double_loop(clouds)
+            repeated = [clouds[0], clouds[1], clouds[0], clouds[1]]
+            assert select_canonical(repeated) == ordered_double_loop(repeated)
+        handles = varied_handles(7)
+        assert select_canonical(handles) == ordered_double_loop(handles)
+
     def test_needs_two_instances(self, rng):
         with pytest.raises(ValueError):
             select_canonical([PointCloud(rng.normal(size=(5, 3)))])
@@ -117,14 +138,13 @@ class TestTrainPartModel:
         assert model.explained_variance[0] > 0.95
 
     def test_degenerate_label_key_dropped(self, rng):
-        clouds, labels = [], []
+        clouds = []
         for _ in range(5):
             pts = rng.normal(size=(25, 3)) * 0.05
-            clouds.append(PointCloud(pts))
-            labels.append({"z": z_label_values(PointCloud(pts)),
-                           "adj:x": np.zeros(25, dtype=int)})
+            clouds.append(PointCloud(pts, {"z": z_label_values(PointCloud(pts)),
+                                           "adj:x": np.zeros(25, dtype=int)}))
         with pytest.warns(UserWarning, match="degenerate label key"):
-            model = train_part_model(clouds, labels=labels, d=1)
+            model = train_part_model(clouds, d=1)
         assert model.canonical.label_keys() == ("z",)
 
     def test_registration_failure_names_instance(self, rng):

@@ -116,6 +116,32 @@ class TestLabeling:
         assert labeled.parts["cup"].label_keys() == ("z",)
         assert labeled.parts["handle"].label_keys() == ("z",)
 
+    @pytest.mark.parametrize("points", [80, 400, 700])
+    @pytest.mark.parametrize("category", ["mug", "rack", "teapot"])
+    def test_adjacency_labels_follow_the_per_direction_rule(self, category, points):
+        # Brute force from explicit differences: a pair is adjacent when its
+        # gap is under adjacency_scale x extent, and each side's point is 1
+        # when its nearest distance into the other side is under ratio x
+        # that side's median nearest distance. At 80 points a touching pair
+        # can sample a gap of 6% of the extent, so the scale is 0.08; far
+        # pairs (rack base-peg, teapot handle-spout) stay non-adjacent.
+        obj, _, _ = generate(default_spec(category, seed=3, points_per_part=points))
+        ratio, scale = 0.4, 0.08
+        labeled = label_parts(obj, ratio=ratio, adjacency_scale=scale)
+        adjacent = 0
+        for a, b in itertools.combinations(obj.part_names(), 2):
+            pa, pb = obj.parts[a].points, obj.parts[b].points
+            dist = np.sqrt(np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2))
+            if dist.min() >= scale * obj.extent():
+                assert f"adj:{b}" not in labeled.parts[a].label_keys()
+                assert f"adj:{a}" not in labeled.parts[b].label_keys()
+                continue
+            adjacent += 1
+            for part, other, nearest in ((a, b, dist.min(axis=1)), (b, a, dist.min(axis=0))):
+                expected = (nearest < ratio * np.median(nearest)).astype(np.int64)
+                np.testing.assert_array_equal(labeled.parts[part].label(f"adj:{other}"), expected)
+        assert adjacent > 0
+
     def test_merge_object(self):
         obj, _, _ = generate(default_spec("rack", seed=2, points_per_part=50))
         merged = merge_object(obj)
