@@ -131,12 +131,12 @@ class ExperimentConfig:
             raise ValueError("methods must be non-empty")
         if self.train_instances < 2:
             raise ValueError("train_instances must be >= 2")
-        if min(self.points_per_part, self.train_points_per_part) < 1:
-            raise ValueError("points per part must be >= 1")
+        if min(self.points_per_part, self.train_points_per_part) < 10:
+            raise ValueError("points per part must be >= 10")
         if self.penetration_tolerance < 0:
             raise ValueError("penetration_tolerance must be >= 0")
-        if self.latent_dim is not None and self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1 when given")
+        if self.latent_dim is not None and not 1 <= self.latent_dim < self.train_instances:
+            raise ValueError("latent_dim must satisfy 1 <= latent_dim <= train_instances - 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 

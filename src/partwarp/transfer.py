@@ -2,10 +2,11 @@
 
 The pipeline grounds contact-region points from a single demonstration in
 the canonical frames of per-part shape models, re-localizes them on novel
-objects through model fits, and solves for the rigid motion of the placed
-object that best reproduces the demonstrated relation set. A whole-object
-variant of the same pipeline (single part, height labels only) serves as
-the comparison baseline.
+objects through model fits, and places the first object by the one rigid
+motion that best aligns those points with their demonstrated offsets, a
+closed-form least-squares solve over every selected relation's contacts.
+A whole-object variant of the same pipeline (single part, height labels
+only) serves as the comparison baseline.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .geom import (
     adjacency_label_values,
     cloud_from_dict,
     cloud_to_dict,
-    label_classes,
     rotation_about_axis,
     rotation_geodesic,
     sqdist,
@@ -181,7 +181,6 @@ class PipelineConfig:
     k_max: int = 32
     label_ratio: float = 0.4
     adjacency_scale: float = 0.02
-    refine_iterations: int = 40
     max_relation_pairs: int = 12
     inference: InferenceConfig = field(default_factory=InferenceConfig)
 
@@ -197,8 +196,6 @@ class DemoContext:
     """Everything derived from one demonstration, reusable across scenes."""
 
     demo: Demonstration
-    labeled_a: PartDecomposedObject
-    labeled_b: PartDecomposedObject
     fits_a: Mapping[str, InferenceResult]
     fits_b: Mapping[str, InferenceResult]
     interactions: Mapping[tuple[str, str], InteractionPointSet]
@@ -395,134 +392,50 @@ def _shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return rotation_about_axis(axis, np.arctan2(sin, cos))
 
 
-def _chordal_mean(transforms: Sequence[RigidTransform]) -> RigidTransform:
-    stack = np.sum([t.rotation for t in transforms], axis=0)
-    u, _, vt = np.linalg.svd(stack)
-    rot = u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
-    trans = np.mean([t.translation for t in transforms], axis=0)
-    return RigidTransform(rot, trans)
-
-
-def _alignment_groups(
-    novel_a: PartDecomposedObject,
-    relations: Sequence[tuple[str, str]],
-    targets: Mapping[tuple[str, str], PointCloud],
-):
-    """Expand relations into (x_subset, y_subset, weight, part) match groups.
-
-    Each group is one label class of one key of one relation; its weight
-    makes the per-group sum of squared distances equal the class-mean term
-    of the placement objective.
-    """
-    groups = []
-    for rel in relations:
-        m = rel[0]
-        x_cloud = novel_a.parts[m]
-        y_cloud = targets[rel]
-        keys = sorted(set(x_cloud.label_keys()) & set(y_cloud.label_keys()))
-        if not keys:
-            raise ValueError(f"no shared label keys for relation {rel}")
-        for key in keys:
-            for mx, my in label_classes(x_cloud.label(key), y_cloud.label(key)):
-                groups.append((x_cloud.points[mx], y_cloud.points[my], 1.0 / mx.sum(), m))
-    return groups
-
-
-def _matched_objective(groups, t: RigidTransform):
-    """Placement objective at t, its per-part terms, and each group's nearest neighbours."""
-    total = 0.0
-    per_part: dict[str, float] = {}
-    nearest = []
-    for x, y, weight, part in groups:
-        d2 = sqdist(t.apply(x), y)
-        idx = d2.argmin(axis=1)
-        term = weight * float(d2[np.arange(len(idx)), idx].sum())
-        total += term
-        per_part[part] = per_part.get(part, 0.0) + term
-        nearest.append(idx)
-    return total, per_part, nearest
-
-
-def _refine_placement(
-    groups, init: RigidTransform, iterations: int
-) -> tuple[RigidTransform, float, dict[str, float]]:
-    """Refined transform, its objective, and the objective's per-part terms."""
-    # The matches that score a transform are the ones its next step solves
-    # against, so each iteration computes one distance block per group.
-    t = init
-    best, per_part, nearest = _matched_objective(groups, t)
-    sources = np.concatenate([x for x, _y, _weight, _part in groups])
-    weights = np.concatenate([np.full(len(x), weight) for x, _y, weight, _part in groups])
-    for _ in range(iterations):
-        matched = np.concatenate([
-            y[idx] for (_x, y, _weight, _part), idx in zip(groups, nearest)
-        ])
-        try:
-            candidate = kabsch(sources, matched, weights)
-        except ValueError:
-            break
-        value, candidate_per_part, candidate_nearest = _matched_objective(groups, candidate)
-        if value < best - 1e-15:
-            t, best, per_part, nearest = candidate, value, candidate_per_part, candidate_nearest
-        else:
-            break
-    return t, best, per_part
-
-
 def optimize_placement(
-    novel_a: PartDecomposedObject,
-    novel_b: PartDecomposedObject,
     relations: Sequence[tuple[str, str]],
     models_a: Mapping[str, CanonicalPartModel],
     models_b: Mapping[str, CanonicalPartModel],
     fits_a: Mapping[str, InferenceResult],
     fits_b: Mapping[str, InferenceResult],
     interactions: Mapping[tuple[str, str], InteractionPointSet],
-    cfg: PipelineConfig = PipelineConfig(),
 ) -> TransferResult:
-    """Solve for the placed-object transform satisfying the relation set.
+    """Place object a by aligning every relation's transferred contacts at once.
 
-    Each relation contributes a per-relation candidate transform from its
-    aligned interaction points; the final transform is chosen by a local
-    correspondence refinement of the label-aware Chamfer objective between
-    the moved observed parts and the candidate-posed reconstructions,
-    started from every candidate plus their average.
+    Each relation's interaction points are carried onto the fits by
+    transfer_points and aligned on their own by align_pair; those are the
+    per-relation transforms. The final transform is one align_pair over the
+    pairs of every relation stacked, each pair weighted the same, so a
+    single relation places exactly as its own alignment. objective is the
+    mean squared contact residual ||T p_m - (p_n + d)||^2 at the final
+    transform, and diagnostics holds that mean over each placed part's pairs.
     """
     relations = sorted(relations)
     per_relation: dict[tuple[str, str], RigidTransform] = {}
-    transferred: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-    targets: dict[tuple[str, str], PointCloud] = {}
+    contacts: dict[tuple[str, str], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for rel in relations:
         m, n = rel
         ips = interactions[rel]
         pm, pn = transfer_points(ips, models_a[m], fits_a[m], models_b[n], fits_b[n])
-        t_rel = align_pair(pm, pn, ips.displacements_n @ fits_b[n].pose.rotation.T)
-        per_relation[rel] = t_rel
-        transferred[rel] = (pm, pn)
-        recon = reconstruct(models_a[m], fits_a[m].latent)
-        posed = recon.transformed(fits_a[m].pose)
-        targets[rel] = posed.transformed(t_rel)
+        offsets = ips.displacements_n @ fits_b[n].pose.rotation.T
+        per_relation[rel] = align_pair(pm, pn, offsets)
+        contacts[rel] = (pm, pn, offsets)
+    t_final = align_pair(*(np.concatenate(side) for side in zip(*contacts.values())))
+    sq_miss = {
+        rel: np.sum((t_final.apply(pm) - (pn + offsets)) ** 2, axis=1)
+        for rel, (pm, pn, offsets) in contacts.items()
+    }
 
-    groups = _alignment_groups(novel_a, relations, targets)
-    inits = [per_relation[rel] for rel in relations]
-    if len(inits) > 1:
-        inits.append(_chordal_mean(inits))
-
-    best: tuple[RigidTransform, float, dict[str, float]] | None = None
-    for init in inits:
-        refined = _refine_placement(groups, init, cfg.refine_iterations)
-        if best is None or refined[1] < best[1]:
-            best = refined
-    assert best is not None
-    t_final, objective, per_part = best
+    def mean_miss(rels) -> float:
+        return float(np.mean(np.concatenate([sq_miss[rel] for rel in rels])))
 
     return TransferResult(
         t_final=t_final,
         per_relation_transforms=per_relation,
-        objective=objective,
+        objective=mean_miss(relations),
         relations=tuple(relations),
-        diagnostics=per_part,
-        transferred=transferred,
+        diagnostics={m: mean_miss([r for r in relations if r[0] == m]) for m, _n in relations},
+        transferred={rel: (pm, pn) for rel, (pm, pn, _offsets) in contacts.items()},
     )
 
 
@@ -532,63 +445,41 @@ def select_relevant_relations(
     models_b: Mapping[str, CanonicalPartModel],
     cfg: PipelineConfig = PipelineConfig(),
     *,
-    labeled: tuple[PartDecomposedObject, PartDecomposedObject],
     fits: tuple[Mapping[str, InferenceResult], Mapping[str, InferenceResult]],
     interactions: Mapping[tuple[str, str], InteractionPointSet],
 ) -> RelationSet:
     """Pick the interaction-bearing relation subset that best replays the demo.
 
-    labeled, fits and interactions are the demo's labeled objects, part fits
-    and contact sets as process_demonstration derives them; selection only
-    scores. Every non-empty subset of the interaction-bearing part pairs is
-    scored by re-running the placement optimization against the
-    demonstration itself and measuring how closely the demonstrated goal
-    transform is recreated (translation error over scene extent plus
-    rotation geodesic over pi). Ties prefer smaller, then lexicographically
+    fits and interactions are the demo's part fits and contact sets as
+    process_demonstration derives them; selection only scores. Every
+    non-empty subset of the interaction-bearing part pairs is placed on the
+    demonstration itself by optimize_placement, and scored by how far that
+    placement misses the demonstrated goal transform: translation error
+    over scene extent plus rotation geodesic over pi. A subset whose
+    contacts pin the goal scores about 0; point or line contacts leave the
+    rotation free and score by how far the smallest-rotation solution
+    misses. Scores are compared rounded to 9 decimals, so subsets that all
+    replay the goal tie, and ties prefer smaller, then lexicographically
     earlier subsets.
     """
-    labeled_a, labeled_b = labeled
     fits_a, fits_b = fits
     bearing = sorted(interactions)
+    if not bearing:
+        raise ValueError("no relation candidates")
     if len(bearing) > cfg.max_relation_pairs:
         raise ValueError(
             f"{len(bearing)} interaction-bearing pairs exceeds the cap of {cfg.max_relation_pairs}"
         )
     extent = scene_extent(demo)
 
-    best_key: tuple[float, int, tuple] | None = None
-    best_set: RelationSet | None = None
-    rejected: ValueError | None = None
+    scores: dict[tuple, float] = {}
     for size in range(1, len(bearing) + 1):
         for subset in itertools.combinations(bearing, size):
-            try:
-                result = optimize_placement(
-                    labeled_a,
-                    labeled_b,
-                    subset,
-                    models_a,
-                    models_b,
-                    fits_a,
-                    fits_b,
-                    interactions,
-                    cfg,
-                )
-            except ValueError as exc:
-                # Every contact set aligns; what remains is a relation whose
-                # observed and reconstructed parts share no label key or
-                # label class. It cannot place the object; score it out.
-                rejected = exc
-                continue
-            trans_err = float(
-                np.linalg.norm(result.t_final.translation - demo.t_ab.translation)
-            )
-            score = trans_err / extent + rotation_geodesic(result.t_final, demo.t_ab) / np.pi
-            key = (score, size, subset)
-            if best_key is None or key < best_key:
-                best_key, best_set = key, RelationSet(subset, score)
-    if best_set is None:
-        raise rejected if rejected is not None else ValueError("no relation candidates")
-    return best_set
+            t = optimize_placement(subset, models_a, models_b, fits_a, fits_b, interactions).t_final
+            trans_err = float(np.linalg.norm(t.translation - demo.t_ab.translation))
+            scores[subset] = trans_err / extent + rotation_geodesic(t, demo.t_ab) / np.pi
+    best = min(scores, key=lambda subset: (round(scores[subset], 9), len(subset), subset))
+    return RelationSet(best, scores[best])
 
 
 def process_demonstration(
@@ -604,7 +495,7 @@ def process_demonstration(
     fits_a = fit_parts(labeled_a, models_a, cfg.inference, seed)
     fits_b = fit_parts(labeled_b, models_b, cfg.inference, seed)
     interactions = extract_interaction_points(
-        Demonstration(labeled_a, labeled_b, demo.t_ab),
+        demo,
         models_a,
         models_b,
         fits_a,
@@ -617,11 +508,10 @@ def process_demonstration(
         models_a,
         models_b,
         cfg,
-        labeled=(labeled_a, labeled_b),
         fits=(fits_a, fits_b),
         interactions=interactions,
     )
-    return DemoContext(demo, labeled_a, labeled_b, fits_a, fits_b, interactions, relations)
+    return DemoContext(demo, fits_a, fits_b, interactions, relations)
 
 
 def transfer_skill(
@@ -641,17 +531,7 @@ def transfer_skill(
     parts_b = sorted({n for _, n in relations})
     fits_a = fit_parts(labeled_a, models_a, cfg.inference, seed, parts=parts_a)
     fits_b = fit_parts(labeled_b, models_b, cfg.inference, seed, parts=parts_b)
-    return optimize_placement(
-        labeled_a,
-        labeled_b,
-        relations,
-        models_a,
-        models_b,
-        fits_a,
-        fits_b,
-        ctx.interactions,
-        cfg,
-    )
+    return optimize_placement(relations, models_a, models_b, fits_a, fits_b, ctx.interactions)
 
 
 def whole_object_baseline(
@@ -724,21 +604,10 @@ _INTERACTION_ARRAYS = (
 def context_to_dict(ctx: DemoContext) -> dict:
     """Everything process_demonstration derived, without the demo itself.
 
-    A labeled demo object is stored as its label arrays alone, since its
-    points are the demo's. Arrays go through tolist, so every float
-    survives a JSON round trip exactly and context_from_dict rebuilds an
-    equal context.
+    Arrays go through tolist, so every float survives a JSON round trip
+    exactly and context_from_dict rebuilds an equal context.
     """
-
-    def labels(obj: PartDecomposedObject) -> dict:
-        return {
-            name: {key: cloud.label(key).tolist() for key in cloud.label_keys()}
-            for name, cloud in sorted(obj.parts.items())
-        }
-
     return {
-        "labels_a": labels(ctx.labeled_a),
-        "labels_b": labels(ctx.labeled_b),
         "fits_a": {name: inference_to_dict(ctx.fits_a[name]) for name in sorted(ctx.fits_a)},
         "fits_b": {name: inference_to_dict(ctx.fits_b[name]) for name in sorted(ctx.fits_b)},
         "interactions": [
@@ -758,20 +627,10 @@ def context_to_dict(ctx: DemoContext) -> dict:
 
 def context_from_dict(demo: Demonstration, payload: Mapping) -> DemoContext:
     """Inverse of context_to_dict for the demonstration it was derived from."""
-
-    def labeled(obj: PartDecomposedObject, labels: Mapping) -> PartDecomposedObject:
-        return PartDecomposedObject(
-            obj.category,
-            {name: cloud.with_labels(labels[name]) for name, cloud in obj.parts.items()},
-            obj.dropped_parts,
-        )
-
     interactions = [InteractionPointSet(**entry) for entry in payload["interactions"]]
     relations = payload["relations"]
     return DemoContext(
         demo=demo,
-        labeled_a=labeled(demo.object_a, payload["labels_a"]),
-        labeled_b=labeled(demo.object_b, payload["labels_b"]),
         fits_a={name: inference_from_dict(fit) for name, fit in payload["fits_a"].items()},
         fits_b={name: inference_from_dict(fit) for name, fit in payload["fits_b"].items()},
         interactions={(ips.part_m, ips.part_n): ips for ips in interactions},

@@ -10,18 +10,19 @@ acceptance suite runs at full batch size.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from partwarp import transfer as tr
 from partwarp.geom import (
     PointCloud,
     RigidTransform,
     rotation_about_axis,
     rotation_geodesic,
 )
-from partwarp.registration import CpdConfig, cpd_nonrigid
-from partwarp.shapemodel import CanonicalPartModel, InferenceResult, reconstruct
+from partwarp.registration import CpdConfig, cpd_nonrigid, kabsch
+from partwarp.shapemodel import CanonicalPartModel, InferenceResult
 from partwarp.transfer import (
     Demonstration,
     InteractionPointSet,
@@ -184,20 +185,15 @@ def interaction_symmetry_suite(n_cases: int = 100, seed: int = 3) -> tuple[list[
 
 
 def _toy_relation_scene(rng: np.random.Generator, n_relations: int):
-    """Novel scene, models, synthetic fits, and handcrafted interactions."""
+    """Models, synthetic fits, and handcrafted interactions for n relations."""
     models_a, models_b, fits_a, fits_b = {}, {}, {}, {}
-    parts_a, parts_b, interactions, relations = {}, {}, {}, []
+    interactions, relations = {}, []
     for r in range(n_relations):
         m, n = f"a{r}", f"b{r}"
         models_a[m] = toy_model(rng, n=int(rng.integers(30, 50)))
         models_b[n] = toy_model(rng, n=int(rng.integers(30, 50)))
         fits_a[m] = toy_fit(rng, models_a[m])
         fits_b[n] = toy_fit(rng, models_b[n])
-        for part_map, name in ((parts_a, m), (parts_b, n)):
-            pts = rng.normal(size=(int(rng.integers(30, 60)), 3)) * 0.05
-            pts += rng.normal(size=3) * 0.1
-            z = (pts[:, 2] < np.median(pts[:, 2])).astype(np.int8)
-            part_map[name] = PointCloud(pts, {"z": z})
         k = int(rng.integers(4, 12))
         disp = rng.normal(size=(k, 3)) * 0.02
         interactions[(m, n)] = InteractionPointSet(
@@ -213,43 +209,65 @@ def _toy_relation_scene(rng: np.random.Generator, n_relations: int):
             source_indices=np.zeros((k, 2), dtype=np.int64),
         )
         relations.append((m, n))
-    novel_a = PartDecomposedObject("toya", parts_a)
-    novel_b = PartDecomposedObject("toyb", parts_b)
-    return novel_a, novel_b, relations, models_a, models_b, fits_a, fits_b, interactions
+    return relations, models_a, models_b, fits_a, fits_b, interactions
 
 
-def placement_optimality_suite(n_cases: int = 100, seed: int = 4) -> list[str]:
-    """The returned placement objective is at least as good as every init.
+def _contact_miss(t: RigidTransform, sources: np.ndarray, targets: np.ndarray) -> float:
+    return float(np.mean(np.sum((t.apply(sources) - targets) ** 2, axis=1)))
 
-    Initializations are the per-relation aligned transforms (returned in
-    the result) plus their chordal mean when there are several; the
-    objective is recomputed at each through the same match groups the
-    optimizer used.
+
+def placement_alignment_suite(n_cases: int = 100, seed: int = 4) -> list[str]:
+    """The placement is the least-squares alignment of the stacked contacts.
+
+    For each toy scene of one or two relations: t_final equals kabsch on
+    every relation's transferred pairs (p_m, p_n + d) stacked; its mean
+    squared contact residual, which is the returned objective, is no larger
+    than at any per-relation transform; and when the demonstrated offsets
+    are rebuilt so that a known rigid motion maps every p_m exactly onto
+    p_n + d, that motion comes back to 1e-9.
     """
     violations = []
     for case in range(n_cases):
         rng = np.random.default_rng([seed, case])
-        scene = _toy_relation_scene(rng, n_relations=int(rng.integers(1, 3)))
-        novel_a, novel_b, relations, models_a, models_b, fits_a, fits_b, ips = scene
-        result = optimize_placement(
-            novel_a, novel_b, relations, models_a, models_b, fits_a, fits_b, ips
+        relations, models_a, models_b, fits_a, fits_b, ips = _toy_relation_scene(
+            rng, n_relations=int(rng.integers(1, 3)))
+        result = optimize_placement(relations, models_a, models_b, fits_a, fits_b, ips)
+        sources = np.concatenate([result.transferred[rel][0] for rel in relations])
+        targets = np.concatenate([
+            result.transferred[(m, n)][1] + ips[(m, n)].displacements_n @ fits_b[n].pose.rotation.T
+            for m, n in relations
+        ])
+        expected = kabsch(sources, targets)
+        gap = max(
+            float(np.abs(result.t_final.rotation - expected.rotation).max()),
+            float(np.abs(result.t_final.translation - expected.translation).max()),
         )
-        targets = {}
-        for rel in relations:
-            m = rel[0]
-            posed = reconstruct(models_a[m], fits_a[m].latent).transformed(fits_a[m].pose)
-            targets[rel] = posed.transformed(result.per_relation_transforms[rel])
-        groups = tr._alignment_groups(novel_a, sorted(relations), targets)
-        inits = [result.per_relation_transforms[rel] for rel in sorted(relations)]
-        if len(inits) > 1:
-            inits.append(tr._chordal_mean(inits))
-        for ordinal, init in enumerate(inits):
-            value, _, _ = tr._matched_objective(groups, init)
-            if result.objective > value * (1 + 1e-9) + 1e-12:
+        if gap > 1e-12:
+            violations.append(f"case {case}: t_final is {gap:.3e} from the stacked kabsch")
+        miss = _contact_miss(result.t_final, sources, targets)
+        if abs(miss - result.objective) > 1e-12 * max(1.0, miss):
+            violations.append(f"case {case}: objective {result.objective:.6e} is not {miss:.6e}")
+        for rel, t_rel in sorted(result.per_relation_transforms.items()):
+            other = _contact_miss(t_rel, sources, targets)
+            if miss > other * (1 + 1e-9) + 1e-15:
                 violations.append(
-                    f"case {case}: objective {result.objective:.6e} exceeds "
-                    f"init {ordinal} at {value:.6e}"
-                )
+                    f"case {case}: residual {miss:.6e} exceeds {other:.6e} at {rel}")
+
+        truth = random_transform(rng)
+        exact = {}
+        for m, n in relations:
+            pm, pn = result.transferred[(m, n)]
+            disp = truth.apply(pm) - pn
+            exact[(m, n)] = dataclasses.replace(
+                ips[(m, n)], demo_displacements=disp,
+                displacements_n=disp @ fits_b[n].pose.rotation)
+        t = optimize_placement(relations, models_a, models_b, fits_a, fits_b, exact).t_final
+        err = max(
+            float(np.abs(t.rotation - truth.rotation).max()),
+            float(np.abs(t.translation - truth.translation).max()),
+        )
+        if err > 1e-9:
+            violations.append(f"case {case}: known motion recovered only to {err:.3e}")
     return violations
 
 

@@ -192,6 +192,7 @@ UNKNOWN_KEYS = {
     "jobs": {"jobs": 2},
     "master_seed": {"master_seed": 1},
     "pipeline.symmetric_objective": {"pipeline": {"symmetric_objective": True}},
+    "pipeline.refine_iterations": {"pipeline": {"refine_iterations": 40}},
 }
 
 
@@ -236,19 +237,23 @@ def test_scene_object_keeps_dropped_parts(tmp_path):
 
 
 OUT_OF_RANGE = {
-    "train_instances": (1, "train_instances"),
-    "points_per_part": (0, "points per part"),
-    "train_points_per_part": (0, "points per part"),
-    "penetration_tolerance": (-1e-3, "penetration_tolerance"),
-    "latent_dim": (0, "latent_dim"),
+    "train_instances": ({"train_instances": 1}, "train_instances"),
+    "points_per_part": ({"points_per_part": 0}, "points per part"),
+    "train_points_per_part": ({"train_points_per_part": 0}, "points per part"),
+    "penetration_tolerance": ({"penetration_tolerance": -1e-3}, "penetration_tolerance"),
+    "latent_dim": ({"latent_dim": 0}, "latent_dim"),
+    # Values the config once accepted but generation or training could not use.
+    "points_per_part=9": ({"points_per_part": 9}, "points per part"),
+    "train_points_per_part=9": ({"train_points_per_part": 9}, "points per part"),
+    "latent_dim=train_instances": ({"train_instances": 3, "latent_dim": 3}, "latent_dim"),
 }
 
 
-@pytest.mark.parametrize("field", list(OUT_OF_RANGE))
-def test_experiment_config_rejects_out_of_range_values(field):
-    value, message = OUT_OF_RANGE[field]
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+def test_experiment_config_rejects_out_of_range_values(case):
+    values, message = OUT_OF_RANGE[case]
     with pytest.raises(ValueError, match=message):
-        ExperimentConfig(**{field: value})
+        ExperimentConfig(**values)
 
 
 class _Stop(Exception):

@@ -159,8 +159,8 @@ class TestExtraction:
             k = len(ips.pairs)
             assert 3 <= k <= cfg.k_max
             src = ips.source_indices
-            pm = mug_ctx.labeled_a.parts[m].points[src[:, 0]]
-            pn = mug_ctx.labeled_b.parts[n].points[src[:, 1]]
+            pm = mug_ctx.demo.object_a.parts[m].points[src[:, 0]]
+            pn = mug_ctx.demo.object_b.parts[n].points[src[:, 1]]
             np.testing.assert_allclose(
                 ips.demo_displacements, goal_a(pm) - pn, atol=1e-12)
             rot = mug_ctx.fits_b[n].pose.rotation
@@ -168,7 +168,7 @@ class TestExtraction:
                 ips.displacements_n, ips.demo_displacements @ rot, atol=1e-12)
 
     def test_larger_delta_finds_a_superset(self, mug_ctx, mug_models, rack_models):
-        demo = Demonstration(mug_ctx.labeled_a, mug_ctx.labeled_b, mug_ctx.demo.t_ab)
+        demo = mug_ctx.demo
         delta = 0.02 * scene_extent(demo)
         small = extract_interaction_points(
             demo, mug_models, rack_models, mug_ctx.fits_a, mug_ctx.fits_b,
@@ -184,7 +184,7 @@ class TestExtraction:
 
     def test_separated_objects_have_no_interaction(self, mug_ctx, mug_models, rack_models):
         far = RigidTransform(np.eye(3), np.array([10.0, 0.0, 0.0]))
-        demo = Demonstration(mug_ctx.labeled_a, mug_ctx.labeled_b, far)
+        demo = Demonstration(mug_ctx.demo.object_a, mug_ctx.demo.object_b, far)
         with pytest.raises(ValueError, match="no interaction found in demonstration"):
             extract_interaction_points(
                 demo, mug_models, rack_models, mug_ctx.fits_a, mug_ctx.fits_b)
@@ -199,9 +199,9 @@ class TestTransferPoints:
                 ips, mug_models[m], mug_ctx.fits_a[m], rack_models[n], mug_ctx.fits_b[n])
             src = ips.source_indices
             np.testing.assert_allclose(
-                pm, mug_ctx.labeled_a.parts[m].points[src[:, 0]], atol=1e-9)
+                pm, mug_ctx.demo.object_a.parts[m].points[src[:, 0]], atol=1e-9)
             np.testing.assert_allclose(
-                pn, mug_ctx.labeled_b.parts[n].points[src[:, 1]], atol=1e-9)
+                pn, mug_ctx.demo.object_b.parts[n].points[src[:, 1]], atol=1e-9)
 
     def test_align_pair_pure_translation(self, rng):
         pm = rng.normal(size=(12, 3))
@@ -268,8 +268,8 @@ class TestTransferPoints:
         for size in range(1, len(bearing) + 1):
             for subset in itertools.combinations(bearing, size):
                 result = optimize_placement(
-                    mug_ctx.labeled_a, mug_ctx.labeled_b, subset, mug_models,
-                    rack_models, mug_ctx.fits_a, mug_ctx.fits_b, mug_ctx.interactions)
+                    subset, mug_models, rack_models,
+                    mug_ctx.fits_a, mug_ctx.fits_b, mug_ctx.interactions)
                 rot = result.t_final.rotation
                 np.testing.assert_allclose(rot @ rot.T, np.eye(3), atol=1e-9)
                 assert np.linalg.det(rot) == pytest.approx(1.0)
@@ -280,8 +280,8 @@ class TestTransferPoints:
         # cup contact is a graze whose point set is too flat to align on
         # its own, which is exactly why selection exists.
         result = optimize_placement(
-            mug_ctx.labeled_a, mug_ctx.labeled_b, list(mug_ctx.relations.relations),
-            mug_models, rack_models, mug_ctx.fits_a, mug_ctx.fits_b, mug_ctx.interactions)
+            list(mug_ctx.relations.relations), mug_models, rack_models,
+            mug_ctx.fits_a, mug_ctx.fits_b, mug_ctx.interactions)
         for rel, t_rel in result.per_relation_transforms.items():
             assert rotation_geodesic(t_rel, mug_ctx.demo.t_ab) < 1e-6
             np.testing.assert_allclose(
@@ -297,7 +297,6 @@ class TestSelection:
         only = {("handle", "peg"): mug_ctx.interactions[("handle", "peg")]}
         chosen = select_relevant_relations(
             mug_ctx.demo, mug_models, rack_models,
-            labeled=(mug_ctx.labeled_a, mug_ctx.labeled_b),
             fits=(mug_ctx.fits_a, mug_ctx.fits_b),
             interactions=only)
         assert chosen.relations == (("handle", "peg"),)
@@ -314,17 +313,34 @@ class TestSelection:
         tampered[("handle", "peg")] = corrupted
         chosen = select_relevant_relations(
             mug_ctx.demo, mug_models, rack_models,
-            labeled=(mug_ctx.labeled_a, mug_ctx.labeled_b),
             fits=(mug_ctx.fits_a, mug_ctx.fits_b),
             interactions=tampered)
         assert ("handle", "peg") not in chosen.relations
         assert ("cup", "peg") in chosen.relations
 
+    def test_subsets_that_replay_the_goal_tie_and_the_smaller_wins(
+            self, mug_ctx, mug_models, rack_models):
+        # The hanging contact and the full set both pin the demo goal, so
+        # they differ only by rounding; the tie goes to the smaller subset.
+        hanging, full = [("handle", "peg")], sorted(mug_ctx.interactions)
+        assert len(full) > 1
+        for subset in (hanging, full):
+            t = optimize_placement(
+                subset, mug_models, rack_models,
+                mug_ctx.fits_a, mug_ctx.fits_b, mug_ctx.interactions).t_final
+            np.testing.assert_allclose(t.rotation, mug_ctx.demo.t_ab.rotation, atol=1e-9)
+            np.testing.assert_allclose(t.translation, mug_ctx.demo.t_ab.translation, atol=1e-9)
+        chosen = select_relevant_relations(
+            mug_ctx.demo, mug_models, rack_models,
+            fits=(mug_ctx.fits_a, mug_ctx.fits_b),
+            interactions=mug_ctx.interactions)
+        assert chosen.relations == (("handle", "peg"),)
+
     def test_selected_score_not_worse_than_full_set(self, mug_ctx, mug_models, rack_models):
         full = sorted(mug_ctx.interactions)
         result = optimize_placement(
-            mug_ctx.labeled_a, mug_ctx.labeled_b, full,
-            mug_models, rack_models, mug_ctx.fits_a, mug_ctx.fits_b, mug_ctx.interactions)
+            full, mug_models, rack_models,
+            mug_ctx.fits_a, mug_ctx.fits_b, mug_ctx.interactions)
         extent = scene_extent(mug_ctx.demo)
         full_score = (
             float(np.linalg.norm(result.t_final.translation - mug_ctx.demo.t_ab.translation))
@@ -336,8 +352,8 @@ class TestSelection:
 class TestPlacement:
     def test_recreates_demo_transform(self, mug_ctx, mug_models, rack_models):
         result = optimize_placement(
-            mug_ctx.labeled_a, mug_ctx.labeled_b, list(mug_ctx.relations.relations),
-            mug_models, rack_models, mug_ctx.fits_a, mug_ctx.fits_b, mug_ctx.interactions)
+            list(mug_ctx.relations.relations), mug_models, rack_models,
+            mug_ctx.fits_a, mug_ctx.fits_b, mug_ctx.interactions)
         assert rotation_geodesic(result.t_final, mug_ctx.demo.t_ab) < np.radians(1.0)
         err = np.linalg.norm(result.t_final.translation - mug_ctx.demo.t_ab.translation)
         assert err < 0.01 * scene_extent(mug_ctx.demo)
@@ -388,7 +404,7 @@ class TestPlacement:
         with pytest.raises(ValueError, match=f"'mug' object has no part '{m}'"):
             transfer_skill(mug_ctx, mug_models, rack_models, partial, demo.object_b)
         with pytest.raises(ValueError, match=f"no model for part '{m}' of category 'mug'"):
-            fit_parts(mug_ctx.labeled_a, {}, parts=[m])
+            fit_parts(mug_ctx.demo.object_a, {}, parts=[m])
 
 
 class TestWholeObjectBaseline:
@@ -477,8 +493,8 @@ class TestSerialization:
 
     def test_result_payload_shape(self, mug_ctx, mug_models, rack_models):
         result = optimize_placement(
-            mug_ctx.labeled_a, mug_ctx.labeled_b, list(mug_ctx.relations.relations),
-            mug_models, rack_models, mug_ctx.fits_a, mug_ctx.fits_b, mug_ctx.interactions)
+            list(mug_ctx.relations.relations), mug_models, rack_models,
+            mug_ctx.fits_a, mug_ctx.fits_b, mug_ctx.interactions)
         payload = result_to_dict(result)
         assert set(payload) == {
             "t_final", "relations", "per_relation_transforms", "objective", "diagnostics"}
@@ -491,8 +507,8 @@ class TestProperties:
         assert completed == 100
         assert violations == []
 
-    def test_placement_objective_beats_every_initialization(self):
-        violations = ps.placement_optimality_suite(n_cases=100, seed=4)
+    def test_placement_is_the_stacked_contact_alignment(self):
+        violations = ps.placement_alignment_suite(n_cases=100, seed=4)
         assert violations == []
 
     def test_decision_equivariance_spot_check(self, mug_ctx, mug_models, rack_models):
