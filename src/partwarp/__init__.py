@@ -38,7 +38,7 @@ from .transfer import (
     PipelineConfig,
     RelationSet,
     TransferResult,
-    align_pair,
+    contact_pairs,
     extract_interaction_points,
     fit_parts,
     label_parts,

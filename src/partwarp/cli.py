@@ -6,8 +6,8 @@ overrides (``--set pipeline.inference.yaw_init_count=12``), so a full
 experiment is reproducible from its config and seed alone: rerunning any
 command with the same inputs rewrites byte-identical outputs.
 
-``transfer`` keeps what it derives from the demonstration (part fits,
-contact sets and the chosen relations) in
+``transfer`` keeps what it derives from the demonstration (the fits of
+the parts in contact, the contact sets and the chosen relations) in
 ``<demo stem>.context.json`` beside the demo file, and later transfers
 with the same demo reuse it instead of processing the demo again. The
 file is stored under a sha256 key over the demo file's bytes, the bytes
@@ -272,7 +272,7 @@ def _load_models(
 
 
 # Part of every context key; bump it when context_to_dict's layout changes.
-_CONTEXT_FORMAT = 2
+_CONTEXT_FORMAT = 3
 
 
 def _context_key(demo_bytes: bytes, model_files: Mapping[str, bytes], exp: ExperimentConfig) -> str:

@@ -131,6 +131,8 @@ class ExperimentConfig:
             raise ValueError("methods must be non-empty")
         if self.train_instances < 2:
             raise ValueError("train_instances must be >= 2")
+        if not 0.0 <= self.train_width < 1.0:
+            raise ValueError("train_width must be in [0, 1)")
         if min(self.points_per_part, self.train_points_per_part) < 10:
             raise ValueError("points per part must be >= 10")
         if self.penetration_tolerance < 0:

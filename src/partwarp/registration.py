@@ -2,8 +2,9 @@
 
 The non-rigid path is an EM fit of a Gaussian mixture whose centroids are
 the source points, regularized by a motion-coherence kernel so nearby
-source points move together. The rigid path is the usual weighted SVD
-orthogonal-Procrustes solve.
+source points move together. The rigid path is the SVD orthogonal-Procrustes
+solve (kabsch), which also gives a defined result on a point or a line: the
+least-squares transform with the smallest rotation.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .geom import PointCloud, RigidTransform, sqdist
+from .geom import PointCloud, RigidTransform, rotation_about_axis, sqdist
 
 __all__ = [
     "CpdConfig",
     "DisplacementField",
     "cpd_nonrigid",
     "kabsch",
-    "RankDeficientError",
 ]
 
 
@@ -161,19 +161,6 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
     return DisplacementField(displacement, converged, tuple(history))
 
 
-class RankDeficientError(ValueError):
-    """A correspondence set whose points fix no unique rotation.
-
-    point is True when a side collapses to a single point, so that every
-    rotation fits equally well; otherwise the thinner side is a line and
-    only turns about it are free.
-    """
-
-    def __init__(self, point: bool):
-        super().__init__("rank-deficient correspondence set")
-        self.point = point
-
-
 def _spread_rank(points: np.ndarray, wgt: np.ndarray) -> int:
     """0 for a single point, 1 for a line, 2 otherwise.
 
@@ -187,41 +174,52 @@ def _spread_rank(points: np.ndarray, wgt: np.ndarray) -> int:
     return 1 if sv[1] <= 1e-9 * sv[0] else 2
 
 
-def kabsch(source: np.ndarray, target: np.ndarray, weights: np.ndarray | None = None) -> RigidTransform:
+def _shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Smallest-angle rotation taking unit vector u onto unit vector v."""
+    axis = np.cross(u, v)
+    sin, cos = float(np.linalg.norm(axis)), float(u @ v)
+    if sin < 1e-12:
+        if cos > 0:
+            return np.eye(3)
+        # Antiparallel: every half turn about an axis normal to u is
+        # smallest; take the one normal to u's least-aligned coordinate axis.
+        axis = np.cross(u, np.eye(3)[np.argmin(np.abs(u))])
+    return rotation_about_axis(axis, np.arctan2(sin, cos))
+
+
+def kabsch(source: np.ndarray, target: np.ndarray) -> RigidTransform:
     """Least-squares rigid transform taking source points onto target points.
 
-    Solves argmin_T sum_k w_k ||T(source_k) - target_k||^2 with the SVD
-    construction, forcing a proper rotation. Requires at least three pairs
-    in a non-collinear configuration on each side, and raises
-    RankDeficientError, a ValueError, otherwise.
+    Solves argmin_T sum_k ||T(source_k) - target_k||^2 with the SVD
+    construction, forcing a proper rotation. When either side is a single
+    point or a line the minimizer is not unique, and the one with the
+    smallest rotation angle is returned: the identity (a pure translation)
+    when a side is a point; for a line the cross-covariance has rank one,
+    and the rotation is the shortest arc taking its leading left singular
+    vector onto its right partner. The translation makes the centroids
+    meet. Any non-empty pair of (k, 3) arrays has a result; empty or
+    mis-shaped input raises ValueError.
     """
     a = np.asarray(source, dtype=np.float64)
     b = np.asarray(target, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != 3 or a.shape != b.shape:
-        raise ValueError("source and target must both have shape (k, 3)")
-    k = a.shape[0]
-    if k == 0:
-        raise RankDeficientError(point=True)
-    if weights is None:
-        wgt = np.full(k, 1.0 / k)
-    else:
-        wgt = np.asarray(weights, dtype=np.float64)
-        if wgt.shape != (k,) or (wgt < 0).any() or wgt.sum() <= 0:
-            raise ValueError("weights must be nonnegative with positive sum")
-        wgt = wgt / wgt.sum()
-
+    if a.ndim != 2 or a.shape[1] != 3 or a.shape != b.shape or a.shape[0] == 0:
+        raise ValueError("source and target must both have shape (k, 3) with k >= 1")
+    wgt = np.full(a.shape[0], 1.0 / a.shape[0])
     rank = min(_spread_rank(a, wgt), _spread_rank(b, wgt))
-    if k < 3 or rank < 2:
-        raise RankDeficientError(point=rank == 0)
     ca = wgt @ a
     cb = wgt @ b
     a0 = a - ca
     b0 = b - cb
 
     h = (a0 * wgt[:, None]).T @ b0
-    u, _, vt = np.linalg.svd(h)
-    sign = np.sign(np.linalg.det(vt.T @ u.T))
-    if sign == 0:
-        sign = 1.0
-    rot = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
+    u, s, vt = np.linalg.svd(h)
+    if rank == 2:
+        sign = np.sign(np.linalg.det(vt.T @ u.T))
+        rot = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
+    elif rank == 1 and s[0] > 1e-9 * np.linalg.norm(a0) * np.linalg.norm(b0) * wgt[0]:
+        # A line whose positions are uncorrelated with the other side leaves
+        # only rounding noise in the cross-covariance; no turn is called for.
+        rot = _shortest_arc(u[:, 0], vt[0])
+    else:
+        rot = np.eye(3)
     return RigidTransform(rot, cb - rot @ ca)

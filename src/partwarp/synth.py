@@ -250,6 +250,11 @@ def _clamp_params(category: str, p: dict[str, float]) -> dict[str, float]:
         q["cup_height"] = max(q["cup_height"], 0.045)
         rr, rt = q["handle_radius"], q["handle_thickness"]
         rr = min(rr, (q["cup_height"] - 0.003) / 2.0 - rt)
+        if rr - rt < 0.011:
+            # The cup is too short for the handle's smallest opening: grow
+            # the cup to fit the floored handle rather than close the opening.
+            rr = q["handle_radius"]
+            q["cup_height"] = 2.0 * (rr + rt) + 0.003
         q["handle_radius"] = rr
         lo = rr + rt + 0.003
         hi = q["cup_height"] - rr - rt

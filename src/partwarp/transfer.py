@@ -1,10 +1,11 @@
 """One-shot transfer of a demonstrated object-object arrangement.
 
-The pipeline grounds contact-region points from a single demonstration in
-the canonical frames of per-part shape models, re-localizes them on novel
-objects through model fits, and places the first object by the one rigid
-motion that best aligns those points with their demonstrated offsets, a
-closed-form least-squares solve over every selected relation's contacts.
+The pipeline finds the contact point pairs of a single demonstration from
+its geometry, fits per-part shape models to the parts those contacts touch,
+and grounds the contacts in the models' canonical frames. It re-localizes
+them on novel objects through model fits, and places the first object by
+the one rigid motion that best aligns those points with their demonstrated
+offsets: one kabsch solve over every selected relation's contacts.
 A whole-object variant of the same pipeline (single part, height labels
 only) serves as the comparison baseline.
 """
@@ -25,14 +26,13 @@ from .geom import (
     adjacency_label_values,
     cloud_from_dict,
     cloud_to_dict,
-    rotation_about_axis,
     rotation_geodesic,
     sqdist,
     transform_from_dict,
     transform_to_dict,
     z_label_values,
 )
-from .registration import RankDeficientError, kabsch
+from .registration import kabsch
 from .shapemodel import (
     Z_KEY,
     CanonicalPartModel,
@@ -56,9 +56,9 @@ __all__ = [
     "label_parts",
     "fit_parts",
     "merge_object",
+    "contact_pairs",
     "extract_interaction_points",
     "transfer_points",
-    "align_pair",
     "select_relevant_relations",
     "optimize_placement",
     "process_demonstration",
@@ -121,12 +121,12 @@ class Demonstration:
 class InteractionPointSet:
     """Contact pairs for one part pair, grounded in canonical indices.
 
-    demo_displacements holds, per pair, the world-frame offset from the
-    second object's point to the first object's point in the demonstrated
-    goal configuration. displacements_n holds the same vectors expressed
-    in part n's canonical frame; a novel fit of part n re-expresses them
-    in its own scene, which keeps the replayed contact geometry attached
-    to the reference part rather than to the demo's world axes. offsets_m
+    displacements_n holds, per pair, the offset from the second object's
+    point to the first object's point in the demonstrated goal
+    configuration, expressed in part n's canonical frame; a novel fit of
+    part n re-expresses it in its own scene, which keeps the replayed
+    contact geometry attached to the reference part rather than to the
+    demo's world axes. offsets_m
     and offsets_n keep each demo point's residual from its grounding
     point, expressed in the canonical frame, so re-localization is not
     quantized to the model's discrete points. source_indices keeps the
@@ -136,7 +136,6 @@ class InteractionPointSet:
     part_m: str
     part_n: str
     pairs: np.ndarray
-    demo_displacements: np.ndarray
     displacements_n: np.ndarray
     offsets_m: np.ndarray
     offsets_n: np.ndarray
@@ -148,7 +147,7 @@ class InteractionPointSet:
         if pairs.ndim != 2 or pairs.shape[1] != 2 or k < 3:
             raise ValueError("need at least three interaction pairs")
         arrays = {"pairs": pairs, "source_indices": np.asarray(self.source_indices, np.int64)}
-        for name in ("demo_displacements", "displacements_n", "offsets_m", "offsets_n"):
+        for name in ("displacements_n", "offsets_m", "offsets_n"):
             arrays[name] = np.asarray(getattr(self, name), dtype=np.float64)
             if arrays[name].shape != (k, 3):
                 raise ValueError("inconsistent interaction point arrays")
@@ -193,7 +192,11 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class DemoContext:
-    """Everything derived from one demonstration, reusable across scenes."""
+    """Everything derived from one demonstration, reusable across scenes.
+
+    fits_a and fits_b cover only the parts that take part in a contact, the
+    parts that interactions and relations can name.
+    """
 
     demo: Demonstration
     fits_a: Mapping[str, InferenceResult]
@@ -272,57 +275,65 @@ def fit_parts(
     return out
 
 
-def extract_interaction_points(
-    demo: Demonstration,
-    models_a: Mapping[str, CanonicalPartModel],
-    models_b: Mapping[str, CanonicalPartModel],
-    fits_a: Mapping[str, InferenceResult],
-    fits_b: Mapping[str, InferenceResult],
-    delta: float | None = None,
-    k_max: int = 32,
-    delta_scale: float = 0.02,
-) -> dict[tuple[str, str], InteractionPointSet]:
-    """Collect contact-region point pairs from the demonstrated goal.
+def contact_pairs(
+    demo: Demonstration, delta: float, k_max: int = 32
+) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+    """Raw contact point pairs of the demonstrated goal, per part pair.
 
-    For every cross-object part pair, all point pairs closer than delta in
-    the goal configuration are found and the k_max closest kept; pairs
-    with fewer than three hits carry no interaction and are skipped. When
-    delta is not given it defaults to delta_scale times the goal-scene
-    bounding-box diagonal.
+    For every cross-object part pair (m, n), all point pairs closer than
+    delta in the goal configuration are found and the k_max closest kept,
+    as index arrays (ii into part m of object a, jj into part n of object
+    b); part pairs with fewer than three hits carry no interaction and are
+    left out. This needs the demo's geometry only, no models or fits.
     """
-    if delta is None:
-        delta = delta_scale * scene_extent(demo)
-    out: dict[tuple[str, str], InteractionPointSet] = {}
+    out: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
     for m in demo.object_a.part_names():
-        cloud_m = demo.object_a.parts[m]
-        goal_m = demo.t_ab.apply(cloud_m.points)
+        goal_m = demo.t_ab.apply(demo.object_a.parts[m].points)
         for n in demo.object_b.part_names():
-            cloud_n = demo.object_b.parts[n]
-            d2 = sqdist(goal_m, cloud_n.points)
+            d2 = sqdist(goal_m, demo.object_b.parts[n].points)
             ii, jj = np.nonzero(d2 <= delta * delta)
             if ii.size < 3:
                 continue
             order = np.lexsort((jj, ii, d2[ii, jj]))[:k_max]
-            ii, jj = ii[order], jj[order]
-            ci = warp_point_indices(models_a[m], fits_a[m], cloud_m.points[ii])
-            cj = warp_point_indices(models_b[n], fits_b[n], cloud_n.points[jj])
-            canon_m = reconstruct(models_a[m], fits_a[m].latent).points
-            canon_n = reconstruct(models_b[n], fits_b[n].latent).points
-            off_m = fits_a[m].pose.inverse().apply(cloud_m.points[ii]) - canon_m[ci]
-            off_n = fits_b[n].pose.inverse().apply(cloud_n.points[jj]) - canon_n[cj]
-            displacements = goal_m[ii] - cloud_n.points[jj]
-            out[(m, n)] = InteractionPointSet(
-                part_m=m,
-                part_n=n,
-                pairs=np.stack([ci, cj], axis=1),
-                demo_displacements=displacements,
-                displacements_n=displacements @ fits_b[n].pose.rotation,
-                offsets_m=off_m,
-                offsets_n=off_n,
-                source_indices=np.stack([ii, jj], axis=1),
-            )
+            out[(m, n)] = (ii[order], jj[order])
     if not out:
         raise ValueError("no interaction found in demonstration")
+    return out
+
+
+def extract_interaction_points(
+    demo: Demonstration,
+    contacts: Mapping[tuple[str, str], tuple[np.ndarray, np.ndarray]],
+    models_a: Mapping[str, CanonicalPartModel],
+    models_b: Mapping[str, CanonicalPartModel],
+    fits_a: Mapping[str, InferenceResult],
+    fits_b: Mapping[str, InferenceResult],
+) -> dict[tuple[str, str], InteractionPointSet]:
+    """Ground each contact pair set of contact_pairs in its parts' models.
+
+    Each raw point goes to the canonical index its part's fit warps
+    nearest to it, plus the canonical-frame residual from that point; the
+    demonstrated offset between the two points is kept in part n's frame.
+    """
+    out: dict[tuple[str, str], InteractionPointSet] = {}
+    for (m, n), (ii, jj) in sorted(contacts.items()):
+        cloud_m, cloud_n = demo.object_a.parts[m], demo.object_b.parts[n]
+        ci = warp_point_indices(models_a[m], fits_a[m], cloud_m.points[ii])
+        cj = warp_point_indices(models_b[n], fits_b[n], cloud_n.points[jj])
+        canon_m = reconstruct(models_a[m], fits_a[m].latent).points
+        canon_n = reconstruct(models_b[n], fits_b[n].latent).points
+        off_m = fits_a[m].pose.inverse().apply(cloud_m.points[ii]) - canon_m[ci]
+        off_n = fits_b[n].pose.inverse().apply(cloud_n.points[jj]) - canon_n[cj]
+        displacements = demo.t_ab.apply(cloud_m.points)[ii] - cloud_n.points[jj]
+        out[(m, n)] = InteractionPointSet(
+            part_m=m,
+            part_n=n,
+            pairs=np.stack([ci, cj], axis=1),
+            displacements_n=displacements @ fits_b[n].pose.rotation,
+            offsets_m=off_m,
+            offsets_n=off_n,
+            source_indices=np.stack([ii, jj], axis=1),
+        )
     return out
 
 
@@ -346,52 +357,6 @@ def transfer_points(
     return pm, pn
 
 
-def align_pair(
-    transferred_m: np.ndarray,
-    transferred_n: np.ndarray,
-    demo_displacements: np.ndarray,
-) -> RigidTransform:
-    """Rigid transform reproducing the demonstrated contact offsets.
-
-    Minimizes sum_k ||T p_m_k - (p_n_k + d_k)||^2 over rigid T. When either
-    side is a single point or a line (kabsch raises RankDeficientError) the
-    minimizer is not unique, and the one with the smallest rotation angle is
-    returned: the cross-covariance then has rank at most one, and the
-    rotation is the shortest arc taking its leading left singular vector u
-    onto its right partner v, or the identity when a side is a point. The
-    translation makes the centroids meet.
-    """
-    src = np.asarray(transferred_m, dtype=np.float64)
-    dst = np.asarray(transferred_n, dtype=np.float64) + np.asarray(demo_displacements)
-    try:
-        return kabsch(src, dst)
-    except RankDeficientError as exc:
-        point = exc.point
-    src_c, dst_c = src.mean(axis=0), dst.mean(axis=0)
-    rot = np.eye(3)
-    if not point:
-        a0, b0 = src - src_c, dst - dst_c
-        u, s, vt = np.linalg.svd(a0.T @ b0)
-        # A line whose positions are uncorrelated with the other side leaves
-        # only rounding noise in the cross-covariance; no turn is called for.
-        if s[0] > 1e-9 * np.linalg.norm(a0) * np.linalg.norm(b0):
-            rot = _shortest_arc(u[:, 0], vt[0])
-    return RigidTransform(rot, dst_c - rot @ src_c)
-
-
-def _shortest_arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Smallest-angle rotation taking unit vector u onto unit vector v."""
-    axis = np.cross(u, v)
-    sin, cos = float(np.linalg.norm(axis)), float(u @ v)
-    if sin < 1e-12:
-        if cos > 0:
-            return np.eye(3)
-        # Antiparallel: every half turn about an axis normal to u is
-        # smallest; take the one normal to u's least-aligned coordinate axis.
-        axis = np.cross(u, np.eye(3)[np.argmin(np.abs(u))])
-    return rotation_about_axis(axis, np.arctan2(sin, cos))
-
-
 def optimize_placement(
     relations: Sequence[tuple[str, str]],
     models_a: Mapping[str, CanonicalPartModel],
@@ -403,10 +368,10 @@ def optimize_placement(
     """Place object a by aligning every relation's transferred contacts at once.
 
     Each relation's interaction points are carried onto the fits by
-    transfer_points and aligned on their own by align_pair; those are the
-    per-relation transforms. The final transform is one align_pair over the
-    pairs of every relation stacked, each pair weighted the same, so a
-    single relation places exactly as its own alignment. objective is the
+    transfer_points, and kabsch aligns its p_m with p_n + d on their own;
+    those are the per-relation transforms. The final transform is one kabsch
+    over the pairs of every relation stacked, each pair weighted the same, so
+    a single relation places exactly as its own alignment. objective is the
     mean squared contact residual ||T p_m - (p_n + d)||^2 at the final
     transform, and diagnostics holds that mean over each placed part's pairs.
     """
@@ -417,13 +382,16 @@ def optimize_placement(
         m, n = rel
         ips = interactions[rel]
         pm, pn = transfer_points(ips, models_a[m], fits_a[m], models_b[n], fits_b[n])
-        offsets = ips.displacements_n @ fits_b[n].pose.rotation.T
-        per_relation[rel] = align_pair(pm, pn, offsets)
-        contacts[rel] = (pm, pn, offsets)
-    t_final = align_pair(*(np.concatenate(side) for side in zip(*contacts.values())))
+        target = pn + ips.displacements_n @ fits_b[n].pose.rotation.T
+        per_relation[rel] = kabsch(pm, target)
+        contacts[rel] = (pm, pn, target)
+    t_final = kabsch(
+        np.concatenate([pm for pm, _pn, _target in contacts.values()]),
+        np.concatenate([target for _pm, _pn, target in contacts.values()]),
+    )
     sq_miss = {
-        rel: np.sum((t_final.apply(pm) - (pn + offsets)) ** 2, axis=1)
-        for rel, (pm, pn, offsets) in contacts.items()
+        rel: np.sum((t_final.apply(pm) - target) ** 2, axis=1)
+        for rel, (pm, _pn, target) in contacts.items()
     }
 
     def mean_miss(rels) -> float:
@@ -435,7 +403,7 @@ def optimize_placement(
         objective=mean_miss(relations),
         relations=tuple(relations),
         diagnostics={m: mean_miss([r for r in relations if r[0] == m]) for m, _n in relations},
-        transferred={rel: (pm, pn) for rel, (pm, pn, _offsets) in contacts.items()},
+        transferred={rel: (pm, pn) for rel, (pm, pn, _target) in contacts.items()},
     )
 
 
@@ -489,20 +457,19 @@ def process_demonstration(
     cfg: PipelineConfig = PipelineConfig(),
     seed: int = 0,
 ) -> DemoContext:
-    """Label, fit, extract, and select relations for a demonstration once."""
+    """Derive a demonstration's reusable context once.
+
+    The steps run in this order: find the contact pairs of the goal
+    configuration (contact_pairs, geometry only); label both objects' parts;
+    fit only the parts those contacts touch, as transfer_skill does on a
+    novel pair; ground the contacts in the fits; select the relations.
+    """
+    contacts = contact_pairs(demo, cfg.delta_scale * scene_extent(demo), cfg.k_max)
     labeled_a = label_parts(demo.object_a, cfg.label_ratio, cfg.adjacency_scale)
     labeled_b = label_parts(demo.object_b, cfg.label_ratio, cfg.adjacency_scale)
-    fits_a = fit_parts(labeled_a, models_a, cfg.inference, seed)
-    fits_b = fit_parts(labeled_b, models_b, cfg.inference, seed)
-    interactions = extract_interaction_points(
-        demo,
-        models_a,
-        models_b,
-        fits_a,
-        fits_b,
-        k_max=cfg.k_max,
-        delta_scale=cfg.delta_scale,
-    )
+    fits_a = fit_parts(labeled_a, models_a, cfg.inference, seed, parts={m for m, _ in contacts})
+    fits_b = fit_parts(labeled_b, models_b, cfg.inference, seed, parts={n for _, n in contacts})
+    interactions = extract_interaction_points(demo, contacts, models_a, models_b, fits_a, fits_b)
     relations = select_relevant_relations(
         demo,
         models_a,
@@ -527,10 +494,8 @@ def transfer_skill(
     labeled_a = label_parts(novel_a, cfg.label_ratio, cfg.adjacency_scale)
     labeled_b = label_parts(novel_b, cfg.label_ratio, cfg.adjacency_scale)
     relations = ctx.relations.relations
-    parts_a = sorted({m for m, _ in relations})
-    parts_b = sorted({n for _, n in relations})
-    fits_a = fit_parts(labeled_a, models_a, cfg.inference, seed, parts=parts_a)
-    fits_b = fit_parts(labeled_b, models_b, cfg.inference, seed, parts=parts_b)
+    fits_a = fit_parts(labeled_a, models_a, cfg.inference, seed, parts={m for m, _ in relations})
+    fits_b = fit_parts(labeled_b, models_b, cfg.inference, seed, parts={n for _, n in relations})
     return optimize_placement(relations, models_a, models_b, fits_a, fits_b, ctx.interactions)
 
 
@@ -596,9 +561,7 @@ def load_demo(source) -> Demonstration:
     return demo_from_dict(json.loads(raw))
 
 
-_INTERACTION_ARRAYS = (
-    "pairs", "demo_displacements", "displacements_n", "offsets_m", "offsets_n", "source_indices",
-)
+_INTERACTION_ARRAYS = ("pairs", "displacements_n", "offsets_m", "offsets_n", "source_indices")
 
 
 def context_to_dict(ctx: DemoContext) -> dict:

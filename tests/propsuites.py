@@ -27,7 +27,7 @@ from partwarp.transfer import (
     Demonstration,
     InteractionPointSet,
     PartDecomposedObject,
-    extract_interaction_points,
+    contact_pairs,
     optimize_placement,
     transfer_skill,
 )
@@ -132,22 +132,20 @@ def toy_fit(rng: np.random.Generator, model: CanonicalPartModel,
 
 
 def interaction_symmetry_suite(n_cases: int = 100, seed: int = 3) -> tuple[list[str], int]:
-    """Swapping the object roles in a demo mirrors every interaction pair.
+    """Swapping the object roles in a demo mirrors every contact pair.
 
-    Extraction is run on the demo and on the role-swapped demo (second
+    contact_pairs is run on the demo and on the role-swapped demo (second
     object placed onto the first through the inverse goal transform); the
-    grounded pair (i, j) must appear swapped as (j, i) and nothing else.
-    A fixed interaction radius is passed so both runs use the same cutoff.
-    Cases where extraction finds no interaction (its documented error) are
-    skipped; the second return value counts the cases that were compared.
+    raw pair (i, j) must appear swapped as (j, i) and nothing else. Both
+    runs use the same fixed radius and no k_max cut. Cases where no contact
+    is found (its documented error) are skipped; the second return value
+    counts the cases that were compared.
     """
     violations = []
     completed = 0
     delta = 0.012
     for case in range(n_cases):
         rng = np.random.default_rng([seed, case])
-        model_m = toy_model(rng, n=int(rng.integers(25, 55)))
-        model_n = toy_model(rng, n=int(rng.integers(25, 55)))
         cloud_a = PointCloud(rng.normal(size=(int(rng.integers(30, 60)), 3)) * 0.05)
         t_ab = random_transform(rng, translation_scale=0.4)
         goal_a = t_ab.apply(cloud_a.points)
@@ -157,26 +155,17 @@ def interaction_symmetry_suite(n_cases: int = 100, seed: int = 3) -> tuple[list[
         cloud_b = PointCloud(np.concatenate([near, far]))
         obj_a = PartDecomposedObject("toya", {"pa": cloud_a})
         obj_b = PartDecomposedObject("toyb", {"pb": cloud_b})
-        fit_a = toy_fit(rng, model_m)
-        fit_b = toy_fit(rng, model_n)
         try:
-            forward = extract_interaction_points(
-                Demonstration(obj_a, obj_b, t_ab),
-                {"pa": model_m}, {"pb": model_n}, {"pa": fit_a}, {"pb": fit_b},
-                delta=delta, k_max=10**6,
-            )
-            backward = extract_interaction_points(
-                Demonstration(obj_b, obj_a, t_ab.inverse()),
-                {"pb": model_n}, {"pa": model_m}, {"pb": fit_b}, {"pa": fit_a},
-                delta=delta, k_max=10**6,
-            )
+            forward = contact_pairs(Demonstration(obj_a, obj_b, t_ab), delta, k_max=10**6)
+            backward = contact_pairs(
+                Demonstration(obj_b, obj_a, t_ab.inverse()), delta, k_max=10**6)
         except ValueError as exc:
             if str(exc) != "no interaction found in demonstration":
                 raise
             continue
         completed += 1
-        fwd = {tuple(p) for p in forward[("pa", "pb")].pairs}
-        bwd = {(j, i) for i, j in backward[("pb", "pa")].pairs}
+        fwd = set(zip(*(idx.tolist() for idx in forward[("pa", "pb")])))
+        bwd = {(i, j) for j, i in zip(*(idx.tolist() for idx in backward[("pb", "pa")]))}
         if fwd != bwd:
             violations.append(
                 f"case {case}: {len(fwd ^ bwd)} unmatched pairs of {len(fwd | bwd)}"
@@ -202,7 +191,6 @@ def _toy_relation_scene(rng: np.random.Generator, n_relations: int):
                 rng.integers(0, models_a[m].point_count, size=k),
                 rng.integers(0, models_b[n].point_count, size=k),
             ], axis=1),
-            demo_displacements=disp,
             displacements_n=disp @ fits_b[n].pose.rotation,
             offsets_m=rng.normal(size=(k, 3)) * 0.004,
             offsets_n=rng.normal(size=(k, 3)) * 0.004,
@@ -259,8 +247,7 @@ def placement_alignment_suite(n_cases: int = 100, seed: int = 4) -> list[str]:
             pm, pn = result.transferred[(m, n)]
             disp = truth.apply(pm) - pn
             exact[(m, n)] = dataclasses.replace(
-                ips[(m, n)], demo_displacements=disp,
-                displacements_n=disp @ fits_b[n].pose.rotation)
+                ips[(m, n)], displacements_n=disp @ fits_b[n].pose.rotation)
         t = optimize_placement(relations, models_a, models_b, fits_a, fits_b, exact).t_final
         err = max(
             float(np.abs(t.rotation - truth.rotation).max()),

@@ -246,6 +246,10 @@ OUT_OF_RANGE = {
     "points_per_part=9": ({"points_per_part": 9}, "points per part"),
     "train_points_per_part=9": ({"train_points_per_part": 9}, "points per part"),
     "latent_dim=train_instances": ({"train_instances": 3, "latent_dim": 3}, "latent_dim"),
+    "train_width=NaN": ({"train_width": float("nan")}, "train_width"),
+    "train_width=inf": ({"train_width": float("inf")}, "train_width"),
+    "train_width=1": ({"train_width": 1.0}, "train_width"),
+    "train_width<0": ({"train_width": -0.1}, "train_width"),
 }
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import propsuites as ps
-from partwarp.geom import PointCloud, RigidTransform, chamfer, rotation_geodesic
+from partwarp.geom import (
+    PointCloud, RigidTransform, chamfer, rotation_about_axis, rotation_geodesic,
+)
 from partwarp.registration import CpdConfig, cpd_nonrigid, kabsch
 from partwarp.synth import generate, sample_spec
 
@@ -38,22 +40,87 @@ class TestKabsch:
         t = kabsch(pts, mirrored)
         assert np.linalg.det(t.rotation) == pytest.approx(1.0, abs=1e-9)
 
-    def test_degenerate_sets_rejected(self, rng):
-        with pytest.raises(ValueError, match="rank-deficient"):
-            kabsch(np.zeros((2, 3)), np.zeros((2, 3)))
-        line = np.outer(np.linspace(0, 1, 8), np.array([1.0, 2.0, 0.5]))
-        with pytest.raises(ValueError, match="rank-deficient"):
-            kabsch(line, line + 1.0)
+    def test_degenerate_sets_have_a_defined_result(self, rng):
+        # Two coincident points fix no rotation: the result is a pure
+        # translation. A line fixes all but turns about itself: the result
+        # is the smallest rotation that lays it on the target line.
+        shift = np.array([0.2, -0.4, 0.1])
+        t = kabsch(np.zeros((2, 3)), np.zeros((2, 3)) + shift)
+        np.testing.assert_array_equal(t.rotation, np.eye(3))
+        np.testing.assert_allclose(t.translation, shift, atol=1e-15)
+        direction = np.array([1.0, 2.0, 0.5]) / np.linalg.norm([1.0, 2.0, 0.5])
+        line = np.outer(np.linspace(0, 1, 8), direction)
+        t = kabsch(line, line + 1.0)
+        np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(t.translation, 1.0, atol=1e-12)
+        turned = ps.random_transform(rng)
+        t = kabsch(line, turned.apply(line))
+        np.testing.assert_allclose(t.apply(line), turned.apply(line), atol=1e-9)
+        target_dir = turned.rotation @ direction
+        assert rotation_geodesic(t, RigidTransform.identity()) == pytest.approx(
+            np.arccos(np.clip(direction @ target_dir, -1.0, 1.0)), abs=1e-9)
+        for bad in (np.zeros((0, 3)), np.zeros((3, 2))):
+            with pytest.raises(ValueError, match="shape"):
+                kabsch(bad, bad)
+        with pytest.raises(ValueError, match="shape"):
+            kabsch(np.zeros((3, 3)), np.zeros((4, 3)))
 
-    def test_weights_downweight_outliers(self, rng):
-        pts = rng.normal(size=(30, 3))
+    def test_pure_translation(self, rng):
+        pm = rng.normal(size=(12, 3))
+        shift = np.array([0.3, -0.1, 0.25])
+        disp = rng.normal(size=(12, 3)) * 0.01
+        pn = pm + shift - disp
+        t = kabsch(pm, pn + disp)
+        np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-9)
+        np.testing.assert_allclose(t.translation, shift, atol=1e-9)
+
+    def test_already_in_relation_gives_identity(self, rng):
+        pm = rng.normal(size=(10, 3))
+        disp = rng.normal(size=(10, 3)) * 0.02
+        t = kabsch(pm, pm - disp + disp)
+        np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-9)
+        np.testing.assert_allclose(t.translation, 0.0, atol=1e-9)
+
+    def test_single_point_is_a_pure_translation(self, rng):
+        # The cross-covariance of a point contact vanishes, so every rotation
+        # is a minimizer; the smallest is none at all. Both sides carry
+        # rounding noise, as transferred contact points do, and that noise
+        # must not pick a rotation.
+        offsets = rng.normal(size=(3, 3)) * 0.1
+        pm = (rng.normal(size=3) + offsets) - offsets
+        target = rng.normal(size=3)
+        disp = rng.normal(size=(3, 3)) * 0.02
+        t = kabsch(pm, target - disp + disp)
+        assert np.linalg.det(t.rotation) == pytest.approx(1.0)
+        np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(t.apply(pm), np.tile(target, (3, 1)), atol=1e-12)
+
+    @pytest.mark.parametrize("reversed_line", [False, True])
+    def test_collinear_takes_the_smallest_rotation(self, rng, reversed_line):
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        pm = np.outer(rng.normal(size=6), direction) + rng.normal(size=3)
         t_true = ps.random_transform(rng)
-        target = t_true.apply(pts)
-        target[0] += 5.0
-        weights = np.ones(30)
-        weights[0] = 1e-12
-        t = kabsch(pts, target, weights)
-        assert rotation_geodesic(t, t_true) < 1e-6
+        if reversed_line:
+            # A half turn about a normal of the line: the line lands on
+            # itself reversed, and every minimizer is a half turn.
+            half = rotation_about_axis(np.cross(direction, rng.normal(size=3)), np.pi)
+            t_true = RigidTransform(half, t_true.translation)
+        disp = rng.normal(size=(6, 3)) * 0.02
+        target = t_true.apply(pm)
+        t = kabsch(pm, target - disp + disp)
+        assert np.linalg.det(t.rotation) == pytest.approx(1.0)
+        np.testing.assert_allclose(t.apply(pm), target, atol=1e-9)
+        # Every other minimizer is this one followed by a turn about the
+        # target line; none of them rotates less. The rotation angle falls
+        # as the trace grows, and the trace stays well conditioned near pi.
+        line = t_true.rotation @ direction
+        centroid = target.mean(axis=0)
+        for phi in np.linspace(-np.pi, np.pi, 25):
+            spin = rotation_about_axis(line, phi)
+            other = RigidTransform(spin, centroid - spin @ centroid).compose(t)
+            np.testing.assert_allclose(other.apply(pm), target, atol=1e-9)
+            assert np.trace(t.rotation) >= np.trace(other.rotation) - 1e-9
 
     def test_invariant_to_pair_ordering(self, rng):
         pts = rng.normal(size=(25, 3))

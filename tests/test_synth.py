@@ -83,11 +83,13 @@ class TestSpecs:
 
     def test_sampled_specs_are_always_valid(self):
         # The clamp step must keep even wide draws inside the validators'
-        # joint region; constructing the spec runs the validators.
+        # joint region; constructing the spec runs the validators. Past a
+        # width of about 0.4 some mug draws have a cup too short for the
+        # smallest handle opening.
         rng = np.random.default_rng(3)
         for category in ("mug", "rack", "bowl", "teapot"):
-            for _ in range(50):
-                sample_spec(category, rng, widths=0.3)
+            for width in np.linspace(0.1, 0.99, 2000):
+                sample_spec(category, rng, widths=width)
 
     def test_spec_dict_round_trip(self):
         spec = sample_spec("teapot", np.random.default_rng(2), widths=0.15,

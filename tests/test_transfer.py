@@ -12,12 +12,15 @@ import numpy as np
 import pytest
 
 import propsuites as ps
-from partwarp.geom import PointCloud, RigidTransform, rotation_about_axis, rotation_geodesic
+from partwarp.geom import PointCloud, RigidTransform, rotation_geodesic
+from partwarp.evaluation import train_category_models
+from partwarp.registration import CpdConfig
 from partwarp.shapemodel import InferenceConfig
 from partwarp.synth import (
     default_spec,
     features,
     generate,
+    generate_demo_scene,
     penetration_depth,
     task_predicate,
 )
@@ -26,8 +29,7 @@ from partwarp.transfer import (
     InteractionPointSet,
     PartDecomposedObject,
     PipelineConfig,
-    extract_interaction_points,
-    align_pair,
+    contact_pairs,
     context_from_dict,
     context_to_dict,
     fit_parts,
@@ -74,7 +76,6 @@ class TestObjects:
         good = dict(
             part_m="a", part_n="b",
             pairs=np.array([[0, 1], [1, 2], [2, 0]]),
-            demo_displacements=np.zeros((3, 3)),
             displacements_n=np.zeros((3, 3)),
             offsets_m=np.zeros((3, 3)),
             offsets_n=np.zeros((3, 3)),
@@ -83,7 +84,6 @@ class TestObjects:
         InteractionPointSet(**good)
         with pytest.raises(ValueError, match="at least three"):
             InteractionPointSet(**{**good, "pairs": np.array([[0, 1], [1, 2]]),
-                                   "demo_displacements": np.zeros((2, 3)),
                                    "displacements_n": np.zeros((2, 3)),
                                    "offsets_m": np.zeros((2, 3)),
                                    "offsets_n": np.zeros((2, 3)),
@@ -161,33 +161,44 @@ class TestExtraction:
             src = ips.source_indices
             pm = mug_ctx.demo.object_a.parts[m].points[src[:, 0]]
             pn = mug_ctx.demo.object_b.parts[n].points[src[:, 1]]
-            np.testing.assert_allclose(
-                ips.demo_displacements, goal_a(pm) - pn, atol=1e-12)
             rot = mug_ctx.fits_b[n].pose.rotation
             np.testing.assert_allclose(
-                ips.displacements_n, ips.demo_displacements @ rot, atol=1e-12)
+                ips.displacements_n, (goal_a(pm) - pn) @ rot, atol=1e-12)
 
-    def test_larger_delta_finds_a_superset(self, mug_ctx, mug_models, rack_models):
+    def test_larger_delta_finds_a_superset(self, mug_ctx):
         demo = mug_ctx.demo
         delta = 0.02 * scene_extent(demo)
-        small = extract_interaction_points(
-            demo, mug_models, rack_models, mug_ctx.fits_a, mug_ctx.fits_b,
-            delta=delta, k_max=10**6)
-        large = extract_interaction_points(
-            demo, mug_models, rack_models, mug_ctx.fits_a, mug_ctx.fits_b,
-            delta=2 * delta, k_max=10**6)
+        small = contact_pairs(demo, delta, k_max=10**6)
+        large = contact_pairs(demo, 2 * delta, k_max=10**6)
         assert set(small) <= set(large)
-        for rel, ips in small.items():
-            pairs_small = {tuple(r) for r in ips.source_indices}
-            pairs_large = {tuple(r) for r in large[rel].source_indices}
+        for rel, (ii, jj) in small.items():
+            pairs_small = set(zip(ii.tolist(), jj.tolist()))
+            pairs_large = set(zip(large[rel][0].tolist(), large[rel][1].tolist()))
             assert pairs_small <= pairs_large
 
-    def test_separated_objects_have_no_interaction(self, mug_ctx, mug_models, rack_models):
+    def test_separated_objects_have_no_interaction(self, mug_ctx):
         far = RigidTransform(np.eye(3), np.array([10.0, 0.0, 0.0]))
         demo = Demonstration(mug_ctx.demo.object_a, mug_ctx.demo.object_b, far)
         with pytest.raises(ValueError, match="no interaction found in demonstration"):
-            extract_interaction_points(
-                demo, mug_models, rack_models, mug_ctx.fits_a, mug_ctx.fits_b)
+            contact_pairs(demo, 0.02 * scene_extent(mug_ctx.demo))
+
+    def test_demo_fits_only_the_contact_parts(self, mug_ctx):
+        assert set(mug_ctx.fits_a) == {"cup", "handle"}
+        assert set(mug_ctx.fits_b) == {"peg"}
+
+    def test_teapot_demo_fits_only_the_spout_and_cup(self):
+        # The contact parts come from geometry alone, so cheap models do.
+        cheap = dict(seed=17, count=2, points_per_part=40, cpd=CpdConfig(max_iterations=5))
+        cfg = PipelineConfig(inference=InferenceConfig(restarts=1, yaw_init_count=2, max_evals=20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            teapot = train_category_models("teapot", **cheap)
+            mug = train_category_models("mug", **cheap)
+            ctx = process_demonstration(
+                generate_demo_scene("teapot_pour_align").demo, teapot, mug, cfg)
+        assert set(ctx.interactions) == {("spout", "cup")}
+        assert set(ctx.fits_a) == {"spout"}
+        assert set(ctx.fits_b) == {"cup"}
 
 
 class TestTransferPoints:
@@ -202,63 +213,6 @@ class TestTransferPoints:
                 pm, mug_ctx.demo.object_a.parts[m].points[src[:, 0]], atol=1e-9)
             np.testing.assert_allclose(
                 pn, mug_ctx.demo.object_b.parts[n].points[src[:, 1]], atol=1e-9)
-
-    def test_align_pair_pure_translation(self, rng):
-        pm = rng.normal(size=(12, 3))
-        shift = np.array([0.3, -0.1, 0.25])
-        disp = rng.normal(size=(12, 3)) * 0.01
-        pn = pm + shift - disp
-        t = align_pair(pm, pn, disp)
-        np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-9)
-        np.testing.assert_allclose(t.translation, shift, atol=1e-9)
-
-    def test_align_pair_already_in_relation_gives_identity(self, rng):
-        pm = rng.normal(size=(10, 3))
-        disp = rng.normal(size=(10, 3)) * 0.02
-        t = align_pair(pm, pm - disp, disp)
-        np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-9)
-        np.testing.assert_allclose(t.translation, 0.0, atol=1e-9)
-
-    def test_align_pair_single_point_is_a_pure_translation(self, rng):
-        # The cross-covariance of a point contact vanishes, so every rotation
-        # is a minimizer; the smallest is none at all. Both sides carry
-        # rounding noise, as transferred contact points do, and that noise
-        # must not pick a rotation.
-        offsets = rng.normal(size=(3, 3)) * 0.1
-        pm = (rng.normal(size=3) + offsets) - offsets
-        target = rng.normal(size=3)
-        disp = rng.normal(size=(3, 3)) * 0.02
-        t = align_pair(pm, target - disp, disp)
-        assert np.linalg.det(t.rotation) == pytest.approx(1.0)
-        np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(t.apply(pm), np.tile(target, (3, 1)), atol=1e-12)
-
-    @pytest.mark.parametrize("reversed_line", [False, True])
-    def test_align_pair_collinear_takes_the_smallest_rotation(self, rng, reversed_line):
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        pm = np.outer(rng.normal(size=6), direction) + rng.normal(size=3)
-        t_true = ps.random_transform(rng)
-        if reversed_line:
-            # A half turn about a normal of the line: the line lands on
-            # itself reversed, and every minimizer is a half turn.
-            half = rotation_about_axis(np.cross(direction, rng.normal(size=3)), np.pi)
-            t_true = RigidTransform(half, t_true.translation)
-        disp = rng.normal(size=(6, 3)) * 0.02
-        target = t_true.apply(pm)
-        t = align_pair(pm, target - disp, disp)
-        assert np.linalg.det(t.rotation) == pytest.approx(1.0)
-        np.testing.assert_allclose(t.apply(pm), target, atol=1e-9)
-        # Every other minimizer is this one followed by a turn about the
-        # target line; none of them rotates less. The rotation angle falls
-        # as the trace grows, and the trace stays well conditioned near pi.
-        line = t_true.rotation @ direction
-        centroid = target.mean(axis=0)
-        for phi in np.linspace(-np.pi, np.pi, 25):
-            spin = rotation_about_axis(line, phi)
-            other = RigidTransform(spin, centroid - spin @ centroid).compose(t)
-            np.testing.assert_allclose(other.apply(pm), target, atol=1e-9)
-            assert np.trace(t.rotation) >= np.trace(other.rotation) - 1e-9
 
     def test_every_demo_relation_subset_places(self, mug_ctx, mug_models, rack_models):
         # The default-radius cup contact is a single point; alone or with the
@@ -306,9 +260,8 @@ class TestSelection:
         # misplaces the mug, so selection must fall back to the cup contact.
         ips = mug_ctx.interactions[("handle", "peg")]
         rot = mug_ctx.fits_b["peg"].pose.rotation
-        bad_disp = ips.demo_displacements + np.array([0.0, 0.0, 0.08])
         corrupted = dataclasses.replace(
-            ips, demo_displacements=bad_disp, displacements_n=bad_disp @ rot)
+            ips, displacements_n=ips.displacements_n + np.array([0.0, 0.0, 0.08]) @ rot)
         tampered = dict(mug_ctx.interactions)
         tampered[("handle", "peg")] = corrupted
         chosen = select_relevant_relations(
