@@ -81,6 +81,17 @@ from .evaluation import (
     train_whole_models,
     write_report,
 )
-from .cli import RunConfig, config_from_dict, load_run_config, main
 
 __version__ = "0.1.0"
+
+_CLI_NAMES = ("RunConfig", "config_from_dict", "load_run_config", "main")
+
+
+def __getattr__(name: str):
+    # cli loads on first use: imported eagerly here, it would already be in
+    # sys.modules when `python -m partwarp.cli` runs it again as __main__.
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

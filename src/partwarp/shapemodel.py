@@ -222,8 +222,12 @@ def train_part_model(
             warnings.warn(f"dropping degenerate label key {key!r}")
     canonical = PointCloud(canon_points, canon_labels or None)
 
-    fields = np.empty((k, 3 * n))
+    # The canonical's own field is zero: registered onto itself, CPD only
+    # collapses sigma^2 to its floor.
+    fields = np.zeros((k, 3 * n))
     for j, inst in enumerate(instances):
+        if j == canon_idx:
+            continue
         try:
             field = cpd_nonrigid(canonical, inst, cpd)
         except (ValueError, RuntimeError) as exc:

@@ -29,11 +29,27 @@ def test_every_name_in_all_resolves(name):
 def test_package_imports_only_public_names():
     tree = ast.parse(Path(partwarp.__file__).read_text())
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert {node.module for node in imports} == set(MODULES)
+    # cli's names are loaded on first access, through the package __getattr__.
+    assert {node.module for node in imports} == set(MODULES) - {"cli"}
     for node in imports:
         public = set(importlib.import_module(f"partwarp.{node.module}").__all__)
         private = [alias.name for alias in node.names if alias.name not in public]
         assert private == [], f"partwarp.{node.module}"
+    from partwarp import cli
+
+    assert set(partwarp._CLI_NAMES) <= set(cli.__all__)
+    for name in partwarp._CLI_NAMES:
+        assert getattr(partwarp, name) is getattr(cli, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(partwarp, "no_such_name")
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    src = str(Path(partwarp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_package_runs_without_scipy():
@@ -56,9 +72,14 @@ def test_package_runs_without_scipy():
         assert not any(name.split(".")[0] == "scipy" for name, mod in sys.modules.items()
                        if mod is not None)
     """)
-    src = str(Path(partwarp.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_module_runs_without_a_reimport_warning():
+    # runpy warns when the module it is asked to run as __main__ was already
+    # imported by its package's __init__.
+    proc = _run_python("-W", "default", "-m", "partwarp.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr

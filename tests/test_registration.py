@@ -7,13 +7,71 @@ import propsuites as ps
 from partwarp.geom import (
     PointCloud, RigidTransform, chamfer, rotation_about_axis, rotation_geodesic,
 )
-from partwarp.registration import CpdConfig, cpd_nonrigid, kabsch
+from partwarp.registration import CpdConfig, DisplacementField, cpd_nonrigid, kabsch
 from partwarp.synth import generate, sample_spec
+from partwarp.transfer import merge_object
 
 
 def sinusoid_warp(points: np.ndarray, amplitude: float) -> np.ndarray:
     extent = np.linalg.norm(points.max(axis=0) - points.min(axis=0))
     return points + amplitude * extent * np.sin(points[:, [1, 2, 0]] * 2.0)
+
+
+def dense_cpd(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdConfig()) -> DisplacementField:
+    """Reference CPD with the full M-step: one dense (m, m) solve for W.
+
+    The Gram is built from explicit differences and every E-step quantity
+    is reduced afresh, so it shares no shortcut with cpd_nonrigid.
+    """
+    lo = np.minimum(source.points.min(axis=0), target.points.min(axis=0))
+    hi = np.maximum(source.points.max(axis=0), target.points.max(axis=0))
+    center, scale = (lo + hi) / 2.0, float(np.linalg.norm(hi - lo))
+    s, x = (source.points - center) / scale, (target.points - center) / scale
+    m, n = len(s), len(x)
+    diff = s[:, None, :] - s[None, :, :]
+    g = np.exp(-np.sum(diff**2, axis=2) / (2.0 * cfg.beta**2))
+    w = np.zeros((m, 3))
+    warped = s.copy()
+    sigma2 = max(np.sum((x[:, None, :] - s[None, :, :]) ** 2) / (3.0 * m * n), 1e-12)
+    history, best, best_w, converged = [], np.inf, w, False
+    mu = cfg.outlier_weight
+    for iteration in range(cfg.max_iterations + 1):
+        gauss = np.exp(-np.sum((x[:, None, :] - warped[None, :, :]) ** 2, axis=2) / (2.0 * sigma2))
+        density = (1 - mu) * (2 * np.pi * sigma2) ** -1.5 / m * gauss.sum(axis=1) + mu / n + 1e-300
+        objective = float(-np.log(density).sum() + 0.5 * cfg.lam * np.trace(w.T @ g @ w))
+        history.append(objective)
+        if objective < best:
+            best, best_w = objective, w.copy()
+        if iteration == cfg.max_iterations:
+            break
+        if len(history) > 1 and abs(history[-2] - objective) <= cfg.tolerance * (abs(history[-2]) + 1.0):
+            converged = True
+            break
+        c = (2 * np.pi * sigma2) ** 1.5 * mu / (1 - mu) * m / n
+        p = gauss / (gauss.sum(axis=1, keepdims=True) + c)
+        p1 = p.sum(axis=0)
+        w = np.linalg.solve(g * p1[:, None] + cfg.lam * sigma2 * np.eye(m), p.T @ x - p1[:, None] * s)
+        warped = s + g @ w
+        sigma2 = max(float(
+            np.sum(p.sum(axis=1) * np.sum(x * x, axis=1))
+            - 2.0 * np.sum((p.T @ x) * warped)
+            + np.sum(p1 * np.sum(warped * warped, axis=1))
+        ) / (3.0 * p1.sum()), 1e-12)
+    return DisplacementField((g @ best_w) * scale, converged, tuple(history))
+
+
+def bench_sized_pairs(category: str, points: int = 80):
+    """(source, target) pairs of centered training clouds, per part and merged."""
+    rng = np.random.default_rng(11)
+    objs = [generate(sample_spec(category, rng, seed=60 + k, points_per_part=points))[0]
+            for k in range(3)]
+    pairs = []
+    for group in (objs, [merge_object(o) for o in objs]):
+        for part in group[0].part_names():
+            clouds = [PointCloud(o.parts[part].points - o.parts[part].points.mean(axis=0))
+                      for o in group]
+            pairs += [(clouds[0], clouds[1]), (clouds[0], clouds[2])]
+    return pairs
 
 
 class TestKabsch:
@@ -188,6 +246,30 @@ class TestCpd:
         field = cpd_nonrigid(cloud, cloud)
         with pytest.raises(ValueError, match="size"):
             field.apply(cloud.subset(range(10)))
+
+    @pytest.mark.parametrize("category", ["mug", "rack"])
+    def test_eigenbasis_m_step_matches_the_dense_solve(self, category):
+        for source, target in bench_sized_pairs(category):
+            field = cpd_nonrigid(source, target)
+            dense = dense_cpd(source, target)
+            gap = np.abs(field.displacements - dense.displacements).max()
+            assert gap <= 1e-4 * np.abs(dense.displacements).max(), len(source)
+            assert len(field.objective_history) == len(dense.objective_history)
+            assert field.converged == dense.converged
+
+    def test_degenerate_sources_give_a_finite_field(self, rng):
+        target = PointCloud(rng.normal(size=(30, 3)))
+        direction = np.array([0.3, -0.5, 0.8])
+        sources = {
+            "single point": np.array([[0.1, 0.2, 0.3]]),
+            "coincident": np.tile([0.1, 0.2, 0.3], (20, 1)),  # Gram of rank 1
+            "collinear": np.outer(np.linspace(-1.0, 1.0, 25), direction),
+        }
+        for name, points in sources.items():
+            field = cpd_nonrigid(PointCloud(points), target)
+            assert field.displacements.shape == points.shape, name
+            assert np.all(np.isfinite(field.displacements)), name
+            assert np.all(np.isfinite(field.objective_history)), name
 
     def test_objective_monotonicity_suite(self):
         assert ps.cpd_monotonicity_suite(n_cases=100) == []

@@ -127,6 +127,22 @@ class TestTrainPartModel:
         with pytest.warns(UserWarning, match="outside the expected"):
             train_part_model(clouds, d=2)
 
+    def test_canonical_is_not_registered_onto_itself(self, monkeypatch):
+        calls = []
+
+        def counting_cpd(source, target, cfg):
+            calls.append(target)
+            return cpd_nonrigid(source, target, cfg)
+
+        monkeypatch.setattr(sm, "cpd_nonrigid", counting_cpd)
+        handles = varied_handles(5, points=60)
+        model = train_part_model(handles, d=2)
+        canon = select_canonical(handles)
+        assert len(calls) == len(handles) - 1
+        assert all(target is not handles[canon] for target in calls)
+        np.testing.assert_array_equal(model.training_latents[canon], 0.0)
+        assert model.training_residuals[canon] == 0.0
+
     def test_default_latent_dim(self):
         handles = varied_handles(6, points=80)
         model = train_part_model(handles)
