@@ -20,7 +20,8 @@ The file is flat. ``dataset_dir``, ``model_dir``, ``output_dir`` and
 ``count`` belong to the CLI alone; ``seed`` is the experiment's
 ``master_seed``; every other key, the ``cpd`` and ``pipeline`` sections
 included, is the ``evaluation.ExperimentConfig`` field of the same name,
-which validates the whole experiment once, when the file is loaded.
+which validates the whole experiment once, when the file is loaded. The
+``pipeline`` section takes ``delta_scale`` and the ``inference`` section.
 
 Exit codes: 0 on success, 1 on a runtime failure, 2 on a usage or config
 error.
@@ -227,10 +228,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         objects = []
         for name in manifest["train"][cat]:
             payload = json.loads((dataset / name).read_text())
-            objects.append(label_parts(
-                object_from_dict(payload["object"]),
-                exp.pipeline.label_ratio, exp.pipeline.adjacency_scale,
-            ))
+            objects.append(label_parts(object_from_dict(payload["object"])))
         try:
             models = train_models_from_objects(cat, objects, cpd=exp.cpd, d=exp.latent_dim)
         except (RuntimeError, ValueError) as exc:
@@ -295,13 +293,19 @@ def _context_key(demo_bytes: bytes, model_files: Mapping[str, bytes], exp: Exper
     return h.hexdigest()
 
 
-def _load_context(path: Path, key: str, demo: Demonstration) -> DemoContext | None:
+def _load_context(
+    path: Path,
+    key: str,
+    demo: Demonstration,
+    models_a: Mapping[str, CanonicalPartModel],
+    models_b: Mapping[str, CanonicalPartModel],
+) -> DemoContext | None:
     """The context cached at path, or None if it is absent, unreadable or under another key."""
     try:
         payload = json.loads(path.read_bytes())
         if payload["key"] != key:
             return None
-        return context_from_dict(demo, payload["context"])
+        return context_from_dict(demo, models_a, models_b, payload["context"])
     except (OSError, ValueError, KeyError, TypeError, AttributeError, IndexError):
         return None
 
@@ -336,16 +340,14 @@ def cmd_transfer(cfg: RunConfig, args: argparse.Namespace) -> int:
         stage = "processing demonstration"
         cache = demo_path.with_name(f"{demo_path.stem}.context.json")
         key = _context_key(demo_bytes, model_files, exp)
-        ctx = _load_context(cache, key, demo)
+        ctx = _load_context(cache, key, demo, models_a, models_b)
         if ctx is None:
             ctx = process_demonstration(
                 demo, models_a, models_b, exp.pipeline, seed=exp.master_seed
             )
             _store_context(cache, key, ctx)
         stage = "optimizing placement"
-        result = transfer_skill(
-            ctx, models_a, models_b, novel_a, novel_b, exp.pipeline, seed=exp.master_seed
-        )
+        result = transfer_skill(ctx, novel_a, novel_b, exp.pipeline, seed=exp.master_seed)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {stage}: {exc}", file=sys.stderr)
         return 1

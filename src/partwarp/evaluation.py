@@ -129,6 +129,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {bad[0]!r}")
         if not self.methods:
             raise ValueError("methods must be non-empty")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError("methods must not repeat")
         if self.train_instances < 2:
             raise ValueError("train_instances must be >= 2")
         if not 0.0 <= self.train_width < 1.0:
@@ -223,16 +225,13 @@ def train_category_models(
     points_per_part: int = 220,
     cpd: CpdConfig = CpdConfig(),
     d: int | None = None,
-    label_ratio: float = 0.4,
-    adjacency_scale: float = 0.02,
 ) -> dict[str, CanonicalPartModel]:
     """Per-part canonical models from a family of generated objects.
 
     Each instance is labeled as a whole object first, so relational labels
     exist on every part before the parts are split apart for training.
-    label_ratio and adjacency_scale are PipelineConfig's labeling settings.
     """
-    objects = [label_parts(generate(s)[0], label_ratio, adjacency_scale) for s in
+    objects = [label_parts(generate(s)[0]) for s in
                _training_specs(category, seed, count, width, points_per_part)]
     return train_models_from_objects(category, objects, cpd=cpd, d=d)
 
@@ -245,12 +244,10 @@ def train_whole_models(
     points_per_part: int = 220,
     cpd: CpdConfig = CpdConfig(),
     d: int | None = None,
-    label_ratio: float = 0.4,
-    adjacency_scale: float = 0.02,
 ) -> dict[str, CanonicalPartModel]:
     """train_category_models on each instance merged to one part, 'whole'."""
     objects = [
-        label_parts(merge_object(generate(s)[0]), label_ratio, adjacency_scale)
+        label_parts(merge_object(generate(s)[0]))
         for s in _training_specs(category, seed, count, width, points_per_part)
     ]
     return train_models_from_objects(category, objects, cpd=cpd, d=d)
@@ -319,11 +316,7 @@ def _task_demo(task: str) -> Demonstration:
 
 
 def _run_trial(
-    cfg: ExperimentConfig,
-    trial: int,
-    contexts: Mapping[str, DemoContext],
-    models_a: Mapping[str, Mapping[str, CanonicalPartModel]],
-    models_b: Mapping[str, Mapping[str, CanonicalPartModel]],
+    cfg: ExperimentConfig, trial: int, contexts: Mapping[str, DemoContext]
 ) -> list[TrialRecord]:
     spec_a, spec_b, init_a, pose_b = _trial_scene(cfg, trial)
     obj_a, _, _ = generate(spec_a)
@@ -341,10 +334,7 @@ def _run_trial(
         result: TransferResult | None = None
         try:
             transfer = transfer_skill if method == METHOD_PARTS else whole_object_baseline
-            result = transfer(
-                contexts[method], models_a[method], models_b[method],
-                novel_a, novel_b, cfg.pipeline, seed=seed,
-            )
+            result = transfer(contexts[method], novel_a, novel_b, cfg.pipeline, seed=seed)
         except Exception as exc:  # noqa: BLE001 - trial failures must not abort the batch
             note = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
@@ -387,8 +377,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     batch.
     """
     cat_a, cat_b = task_categories(cfg.task)
-    models_a: dict[str, dict[str, CanonicalPartModel]] = {}
-    models_b: dict[str, dict[str, CanonicalPartModel]] = {}
     contexts: dict[str, DemoContext] = {}
     settings = dict(
         count=cfg.train_instances,
@@ -396,8 +384,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         points_per_part=cfg.train_points_per_part,
         cpd=cfg.cpd,
         d=cfg.latent_dim,
-        label_ratio=cfg.pipeline.label_ratio,
-        adjacency_scale=cfg.pipeline.adjacency_scale,
     )
     for method in cfg.methods:
         # Both here and in _run_trial the function is picked by name at call
@@ -405,22 +391,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         # the functions it was built with and hide the calls from tracing
         # that patches these module attributes.
         train = train_category_models if method == METHOD_PARTS else train_whole_models
-        models_a[method] = train(cat_a, cfg.master_seed + 11, **settings)
-        models_b[method] = train(cat_b, cfg.master_seed + 12, **settings)
-        contexts[method] = _demo_context(cfg, method, models_a[method], models_b[method])
+        models_a = train(cat_a, cfg.master_seed + 11, **settings)
+        models_b = train(cat_b, cfg.master_seed + 12, **settings)
+        contexts[method] = _demo_context(cfg, method, models_a, models_b)
 
     trials: list[TrialRecord] = []
     if cfg.jobs > 1 and cfg.n_trials > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             futures = [
-                pool.submit(_run_trial, cfg, i, contexts, models_a, models_b)
-                for i in range(cfg.n_trials)
+                pool.submit(_run_trial, cfg, i, contexts) for i in range(cfg.n_trials)
             ]
             for fut in futures:
                 trials.extend(fut.result())
     else:
         for i in range(cfg.n_trials):
-            trials.extend(_run_trial(cfg, i, contexts, models_a, models_b))
+            trials.extend(_run_trial(cfg, i, contexts))
 
     rates: dict[str, float | None] = {}
     errors: dict[str, float | None] = {}

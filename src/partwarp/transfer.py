@@ -6,6 +6,8 @@ and grounds the contacts in the models' canonical frames. It re-localizes
 them on novel objects through model fits, and places the first object by
 the one rigid motion that best aligns those points with their demonstrated
 offsets: one kabsch solve over every selected relation's contacts.
+Relation selection scores each candidate subset with that same alignment,
+on the demonstration itself.
 A whole-object variant of the same pipeline (single part, height labels
 only) serves as the comparison baseline.
 """
@@ -16,7 +18,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -177,28 +179,31 @@ class TransferResult:
 @dataclass(frozen=True)
 class PipelineConfig:
     delta_scale: float = 0.02
-    k_max: int = 32
-    label_ratio: float = 0.4
-    adjacency_scale: float = 0.02
-    max_relation_pairs: int = 12
     inference: InferenceConfig = field(default_factory=InferenceConfig)
 
     def __post_init__(self):
-        if self.delta_scale <= 0 or self.k_max < 3:
-            raise ValueError("delta_scale must be positive and k_max >= 3")
-        if self.max_relation_pairs < 1:
-            raise ValueError("max_relation_pairs must be >= 1")
+        if self.delta_scale <= 0:
+            raise ValueError("delta_scale must be positive")
+
+
+# Selection scores all 2^n - 1 subsets of the n contact-bearing part pairs;
+# a demo read from a file can carry any number of them.
+_MAX_RELATIONS = 12
 
 
 @dataclass(frozen=True)
 class DemoContext:
     """Everything derived from one demonstration, reusable across scenes.
 
+    models_a and models_b are the part models the demo was processed with,
+    and every transfer of the context fits the novel objects with them.
     fits_a and fits_b cover only the parts that take part in a contact, the
     parts that interactions and relations can name.
     """
 
     demo: Demonstration
+    models_a: Mapping[str, CanonicalPartModel]
+    models_b: Mapping[str, CanonicalPartModel]
     fits_a: Mapping[str, InferenceResult]
     fits_b: Mapping[str, InferenceResult]
     interactions: Mapping[tuple[str, str], InteractionPointSet]
@@ -220,6 +225,8 @@ def label_parts(
     Two parts are adjacent when their closest points come within
     adjacency_scale times the object extent. Every part receives the
     height key; each adjacent pair receives mutual adj:<other> keys.
+    Training and transfer both label with the defaults, so a model's
+    label keys always match the keys of the clouds it is fitted to.
     """
     names = obj.part_names()
     threshold = adjacency_scale * obj.extent()
@@ -255,13 +262,14 @@ def _part_seed(seed: int, name: str) -> int:
 def fit_parts(
     obj: PartDecomposedObject,
     models: Mapping[str, CanonicalPartModel],
+    parts: Collection[str],
     cfg: InferenceConfig = InferenceConfig(),
     seed: int = 0,
-    parts: Sequence[str] | None = None,
 ) -> dict[str, InferenceResult]:
-    """Fit each requested part of a labeled object with its model."""
+    """Label an object with label_parts, then fit each named part with its model."""
+    obj = label_parts(obj)
     out: dict[str, InferenceResult] = {}
-    for name in sorted(parts) if parts is not None else obj.part_names():
+    for name in sorted(parts):
         if name not in obj.parts:
             raise ValueError(f"{obj.category!r} object has no part {name!r}")
         if name not in models:
@@ -357,6 +365,35 @@ def transfer_points(
     return pm, pn
 
 
+_Carried = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _carry(
+    relations: Iterable[tuple[str, str]],
+    models_a: Mapping[str, CanonicalPartModel],
+    models_b: Mapping[str, CanonicalPartModel],
+    fits_a: Mapping[str, InferenceResult],
+    fits_b: Mapping[str, InferenceResult],
+    interactions: Mapping[tuple[str, str], InteractionPointSet],
+) -> dict[tuple[str, str], _Carried]:
+    """Each relation's transferred (p_m, p_n, p_n + d), in sorted relation order."""
+    carried: dict[tuple[str, str], _Carried] = {}
+    for rel in sorted(relations):
+        m, n = rel
+        ips = interactions[rel]
+        pm, pn = transfer_points(ips, models_a[m], fits_a[m], models_b[n], fits_b[n])
+        carried[rel] = (pm, pn, pn + ips.displacements_n @ fits_b[n].pose.rotation.T)
+    return carried
+
+
+def _align(carried: Sequence[_Carried]) -> RigidTransform:
+    """One kabsch of the stacked p_m onto the stacked p_n + d, each pair weighted the same."""
+    return kabsch(
+        np.concatenate([pm for pm, _pn, _target in carried]),
+        np.concatenate([target for _pm, _pn, target in carried]),
+    )
+
+
 def optimize_placement(
     relations: Sequence[tuple[str, str]],
     models_a: Mapping[str, CanonicalPartModel],
@@ -376,22 +413,11 @@ def optimize_placement(
     transform, and diagnostics holds that mean over each placed part's pairs.
     """
     relations = sorted(relations)
-    per_relation: dict[tuple[str, str], RigidTransform] = {}
-    contacts: dict[tuple[str, str], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for rel in relations:
-        m, n = rel
-        ips = interactions[rel]
-        pm, pn = transfer_points(ips, models_a[m], fits_a[m], models_b[n], fits_b[n])
-        target = pn + ips.displacements_n @ fits_b[n].pose.rotation.T
-        per_relation[rel] = kabsch(pm, target)
-        contacts[rel] = (pm, pn, target)
-    t_final = kabsch(
-        np.concatenate([pm for pm, _pn, _target in contacts.values()]),
-        np.concatenate([target for _pm, _pn, target in contacts.values()]),
-    )
+    carried = _carry(relations, models_a, models_b, fits_a, fits_b, interactions)
+    t_final = _align(list(carried.values()))
     sq_miss = {
         rel: np.sum((t_final.apply(pm) - target) ** 2, axis=1)
-        for rel, (pm, _pn, target) in contacts.items()
+        for rel, (pm, _pn, target) in carried.items()
     }
 
     def mean_miss(rels) -> float:
@@ -399,11 +425,13 @@ def optimize_placement(
 
     return TransferResult(
         t_final=t_final,
-        per_relation_transforms=per_relation,
+        per_relation_transforms={
+            rel: kabsch(pm, target) for rel, (pm, _pn, target) in carried.items()
+        },
         objective=mean_miss(relations),
         relations=tuple(relations),
         diagnostics={m: mean_miss([r for r in relations if r[0] == m]) for m, _n in relations},
-        transferred={rel: (pm, pn) for rel, (pm, pn, _target) in contacts.items()},
+        transferred={rel: (pm, pn) for rel, (pm, pn, _target) in carried.items()},
     )
 
 
@@ -411,7 +439,6 @@ def select_relevant_relations(
     demo: Demonstration,
     models_a: Mapping[str, CanonicalPartModel],
     models_b: Mapping[str, CanonicalPartModel],
-    cfg: PipelineConfig = PipelineConfig(),
     *,
     fits: tuple[Mapping[str, InferenceResult], Mapping[str, InferenceResult]],
     interactions: Mapping[tuple[str, str], InteractionPointSet],
@@ -421,29 +448,30 @@ def select_relevant_relations(
     fits and interactions are the demo's part fits and contact sets as
     process_demonstration derives them; selection only scores. Every
     non-empty subset of the interaction-bearing part pairs is placed on the
-    demonstration itself by optimize_placement, and scored by how far that
-    placement misses the demonstrated goal transform: translation error
-    over scene extent plus rotation geodesic over pi. A subset whose
-    contacts pin the goal scores about 0; point or line contacts leave the
-    rotation free and score by how far the smallest-rotation solution
-    misses. Scores are compared rounded to 9 decimals, so subsets that all
-    replay the goal tie, and ties prefer smaller, then lexicographically
-    earlier subsets.
+    demonstration itself by optimize_placement's alignment, of contacts
+    carried once, and scored by how far that placement misses the
+    demonstrated goal transform: translation error over scene extent plus
+    rotation geodesic over pi. A subset whose contacts pin the goal scores
+    about 0; point or line contacts leave the rotation free and score by how
+    far the smallest-rotation solution misses. Scores are compared rounded
+    to 9 decimals, so subsets that all replay the goal tie, and ties prefer
+    smaller, then lexicographically earlier subsets.
     """
     fits_a, fits_b = fits
     bearing = sorted(interactions)
     if not bearing:
         raise ValueError("no relation candidates")
-    if len(bearing) > cfg.max_relation_pairs:
+    if len(bearing) > _MAX_RELATIONS:
         raise ValueError(
-            f"{len(bearing)} interaction-bearing pairs exceeds the cap of {cfg.max_relation_pairs}"
+            f"{len(bearing)} interaction-bearing pairs exceeds the cap of {_MAX_RELATIONS}"
         )
     extent = scene_extent(demo)
+    carried = _carry(bearing, models_a, models_b, fits_a, fits_b, interactions)
 
     scores: dict[tuple, float] = {}
     for size in range(1, len(bearing) + 1):
         for subset in itertools.combinations(bearing, size):
-            t = optimize_placement(subset, models_a, models_b, fits_a, fits_b, interactions).t_final
+            t = _align([carried[rel] for rel in subset])
             trans_err = float(np.linalg.norm(t.translation - demo.t_ab.translation))
             scores[subset] = trans_err / extent + rotation_geodesic(t, demo.t_ab) / np.pi
     best = min(scores, key=lambda subset: (round(scores[subset], 9), len(subset), subset))
@@ -460,49 +488,38 @@ def process_demonstration(
     """Derive a demonstration's reusable context once.
 
     The steps run in this order: find the contact pairs of the goal
-    configuration (contact_pairs, geometry only); label both objects' parts;
-    fit only the parts those contacts touch, as transfer_skill does on a
-    novel pair; ground the contacts in the fits; select the relations.
+    configuration (contact_pairs, geometry only); label both objects and fit
+    only the parts those contacts touch (fit_parts, as transfer_skill does on
+    a novel pair); ground the contacts in the fits; select the relations.
     """
-    contacts = contact_pairs(demo, cfg.delta_scale * scene_extent(demo), cfg.k_max)
-    labeled_a = label_parts(demo.object_a, cfg.label_ratio, cfg.adjacency_scale)
-    labeled_b = label_parts(demo.object_b, cfg.label_ratio, cfg.adjacency_scale)
-    fits_a = fit_parts(labeled_a, models_a, cfg.inference, seed, parts={m for m, _ in contacts})
-    fits_b = fit_parts(labeled_b, models_b, cfg.inference, seed, parts={n for _, n in contacts})
+    contacts = contact_pairs(demo, cfg.delta_scale * scene_extent(demo))
+    fits_a = fit_parts(demo.object_a, models_a, {m for m, _ in contacts}, cfg.inference, seed)
+    fits_b = fit_parts(demo.object_b, models_b, {n for _, n in contacts}, cfg.inference, seed)
     interactions = extract_interaction_points(demo, contacts, models_a, models_b, fits_a, fits_b)
     relations = select_relevant_relations(
-        demo,
-        models_a,
-        models_b,
-        cfg,
-        fits=(fits_a, fits_b),
-        interactions=interactions,
+        demo, models_a, models_b, fits=(fits_a, fits_b), interactions=interactions
     )
-    return DemoContext(demo, fits_a, fits_b, interactions, relations)
+    return DemoContext(demo, models_a, models_b, fits_a, fits_b, interactions, relations)
 
 
 def transfer_skill(
     ctx: DemoContext,
-    models_a: Mapping[str, CanonicalPartModel],
-    models_b: Mapping[str, CanonicalPartModel],
     novel_a: PartDecomposedObject,
     novel_b: PartDecomposedObject,
     cfg: PipelineConfig = PipelineConfig(),
     seed: int = 0,
 ) -> TransferResult:
-    """Apply a processed demonstration to a novel object pair."""
-    labeled_a = label_parts(novel_a, cfg.label_ratio, cfg.adjacency_scale)
-    labeled_b = label_parts(novel_b, cfg.label_ratio, cfg.adjacency_scale)
+    """Apply a processed demonstration to a novel object pair, with its models."""
     relations = ctx.relations.relations
-    fits_a = fit_parts(labeled_a, models_a, cfg.inference, seed, parts={m for m, _ in relations})
-    fits_b = fit_parts(labeled_b, models_b, cfg.inference, seed, parts={n for _, n in relations})
-    return optimize_placement(relations, models_a, models_b, fits_a, fits_b, ctx.interactions)
+    fits_a = fit_parts(novel_a, ctx.models_a, {m for m, _ in relations}, cfg.inference, seed)
+    fits_b = fit_parts(novel_b, ctx.models_b, {n for _, n in relations}, cfg.inference, seed)
+    return optimize_placement(
+        relations, ctx.models_a, ctx.models_b, fits_a, fits_b, ctx.interactions
+    )
 
 
 def whole_object_baseline(
     ctx: DemoContext,
-    models_a: Mapping[str, CanonicalPartModel],
-    models_b: Mapping[str, CanonicalPartModel],
     novel_a: PartDecomposedObject,
     novel_b: PartDecomposedObject,
     cfg: PipelineConfig = PipelineConfig(),
@@ -511,12 +528,10 @@ def whole_object_baseline(
     """Run transfer_skill on the novel objects merged to one part each.
 
     ctx must come from process_demonstration on a demonstration whose two
-    objects were merged with merge_object, and models_a/models_b must map
-    the part name 'whole' to models trained on merged clouds.
+    objects were merged with merge_object, with models that map the part
+    name 'whole' to models trained on merged clouds.
     """
-    return transfer_skill(
-        ctx, models_a, models_b, merge_object(novel_a), merge_object(novel_b), cfg, seed
-    )
+    return transfer_skill(ctx, merge_object(novel_a), merge_object(novel_b), cfg, seed)
 
 
 def object_to_dict(obj: PartDecomposedObject) -> dict:
@@ -565,7 +580,7 @@ _INTERACTION_ARRAYS = ("pairs", "displacements_n", "offsets_m", "offsets_n", "so
 
 
 def context_to_dict(ctx: DemoContext) -> dict:
-    """Everything process_demonstration derived, without the demo itself.
+    """Everything process_demonstration derived, without the demo or its models.
 
     Arrays go through tolist, so every float survives a JSON round trip
     exactly and context_from_dict rebuilds an equal context.
@@ -588,12 +603,19 @@ def context_to_dict(ctx: DemoContext) -> dict:
     }
 
 
-def context_from_dict(demo: Demonstration, payload: Mapping) -> DemoContext:
-    """Inverse of context_to_dict for the demonstration it was derived from."""
+def context_from_dict(
+    demo: Demonstration,
+    models_a: Mapping[str, CanonicalPartModel],
+    models_b: Mapping[str, CanonicalPartModel],
+    payload: Mapping,
+) -> DemoContext:
+    """Inverse of context_to_dict for the demonstration and models it was derived from."""
     interactions = [InteractionPointSet(**entry) for entry in payload["interactions"]]
     relations = payload["relations"]
     return DemoContext(
         demo=demo,
+        models_a=models_a,
+        models_b=models_b,
         fits_a={name: inference_from_dict(fit) for name, fit in payload["fits_a"].items()},
         fits_b={name: inference_from_dict(fit) for name, fit in payload["fits_b"].items()},
         interactions={(ips.part_m, ips.part_n): ips for ips in interactions},

@@ -258,7 +258,7 @@ def placement_alignment_suite(n_cases: int = 100, seed: int = 4) -> list[str]:
     return violations
 
 
-def decision_equivariance_suite(ctx, models_a, models_b, draw_scene, cfg,
+def decision_equivariance_suite(ctx, draw_scene, cfg,
                                 n_cases: int = 100, seed: int = 5,
                                 rot_tol_deg: float = 2.0,
                                 trans_tol: float = 0.01) -> list[str]:
@@ -274,11 +274,8 @@ def decision_equivariance_suite(ctx, models_a, models_b, draw_scene, cfg,
         rng = np.random.default_rng([seed, case])
         novel_a, novel_b = draw_scene(rng)
         g = random_yaw_transform(rng, translation_scale=0.3)
-        base = transfer_skill(ctx, models_a, models_b, novel_a, novel_b, cfg, seed=0)
-        moved = transfer_skill(
-            ctx, models_a, models_b,
-            novel_a.transformed(g), novel_b.transformed(g), cfg, seed=0,
-        )
+        base = transfer_skill(ctx, novel_a, novel_b, cfg, seed=0)
+        moved = transfer_skill(ctx, novel_a.transformed(g), novel_b.transformed(g), cfg, seed=0)
         expected = g.compose(base.t_final).compose(g.inverse())
         rot_err = np.degrees(rotation_geodesic(moved.t_final, expected))
         pts = np.concatenate([novel_a.all_points(), novel_b.all_points()])

@@ -1,8 +1,8 @@
 """The command-line front end: a tiny gen/train/transfer/eval round trip on
 every task, the demo context `transfer` caches and when it is recomputed,
 config and flag validation, scene files keeping their dropped parts, the
-settings `eval` passes on to training, and `eval`'s worker pool reproducing
-the one-process report."""
+settings `eval` passes on to training, `train` writing the models `eval`
+trains, and `eval`'s worker pool reproducing the one-process report."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from partwarp import cli, evaluation
 from partwarp.evaluation import METHOD_PARTS, METHOD_WHOLE, ExperimentConfig, report_to_dict
 from partwarp.geom import PointCloud
 from partwarp.registration import CpdConfig
-from partwarp.shapemodel import InferenceConfig
+from partwarp.shapemodel import InferenceConfig, model_to_dict
 from partwarp.transfer import PartDecomposedObject, PipelineConfig, object_to_dict
 
 TINY = {
@@ -145,7 +145,7 @@ def _edit_model_file(workspace) -> tuple[str, ...]:
 
 CHANGED_INPUTS = {
     "model file": _edit_model_file,
-    "pipeline": lambda workspace: ("pipeline.k_max=16",),
+    "pipeline": lambda workspace: ("pipeline.delta_scale=0.021",),
     "seed": lambda workspace: ("seed=1",),
 }
 
@@ -193,6 +193,12 @@ UNKNOWN_KEYS = {
     "master_seed": {"master_seed": 1},
     "pipeline.symmetric_objective": {"pipeline": {"symmetric_objective": True}},
     "pipeline.refine_iterations": {"pipeline": {"refine_iterations": 40}},
+    # Removed settings: labeling uses label_parts' defaults, and the contact
+    # and subset caps are fixed.
+    "pipeline.k_max": {"pipeline": {"k_max": 16}},
+    "pipeline.label_ratio": {"pipeline": {"label_ratio": 0.3}},
+    "pipeline.adjacency_scale": {"pipeline": {"adjacency_scale": 0.05}},
+    "pipeline.max_relation_pairs": {"pipeline": {"max_relation_pairs": 4}},
 }
 
 
@@ -250,6 +256,8 @@ OUT_OF_RANGE = {
     "train_width=inf": ({"train_width": float("inf")}, "train_width"),
     "train_width=1": ({"train_width": 1.0}, "train_width"),
     "train_width<0": ({"train_width": -0.1}, "train_width"),
+    # A repeated method would record every trial twice and double the SE's n.
+    'methods=["PSW", "PSW"]': ({"methods": (METHOD_PARTS, METHOD_PARTS)}, "methods"),
 }
 
 
@@ -282,21 +290,25 @@ def test_eval_trains_with_the_configured_cpd_and_latent_dim(tmp_path, monkeypatc
     assert part_category.endswith("/whole") == (method == METHOD_WHOLE)
 
 
-@pytest.mark.parametrize("method", [METHOD_PARTS, METHOD_WHOLE])
-def test_eval_labels_training_objects_with_the_configured_settings(
-        tmp_path, monkeypatch, method):
-    seen = []
-
-    def record(obj, ratio=0.4, adjacency_scale=0.02):
-        seen.append((ratio, adjacency_scale))
-        raise _Stop
-
-    monkeypatch.setattr(evaluation, "label_parts", record)
-    pipeline = {**TINY["pipeline"], "label_ratio": 0.3, "adjacency_scale": 0.05}
-    config = write_config(tmp_path, methods=[method], pipeline=pipeline)
-    with pytest.raises(_Stop):
-        run("eval", "--config", config)
-    assert seen == [(0.3, 0.05)]
+def test_train_writes_the_models_eval_trains(tmp_path):
+    # `train` labels objects read back from `gen`'s files, `eval` labels the
+    # objects it generates; one config must give byte-equal models either way.
+    config = write_config(tmp_path, seed=3, count=0)
+    assert run("gen", "--config", config) == 0
+    assert run("train", "--config", config) == 0
+    exp = cli.load_run_config(config, []).experiment
+    compared = 0
+    for offset, category in ((11, "mug"), (12, "rack")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            models = evaluation.train_category_models(
+                category, exp.master_seed + offset, exp.train_instances, exp.train_width,
+                exp.train_points_per_part, exp.cpd, exp.latent_dim)
+        for part, model in models.items():
+            written = (tmp_path / "models" / category / f"{part}.json").read_text()
+            assert written == json.dumps(model_to_dict(model)), f"{category}/{part}"
+            compared += 1
+    assert compared == 5
 
 
 def test_worker_pool_gives_the_one_process_report():

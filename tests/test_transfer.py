@@ -150,14 +150,27 @@ class TestLabeling:
         np.testing.assert_array_equal(merged.parts["whole"].points, obj.all_points())
 
 
+@pytest.fixture(scope="module")
+def cheap_teapot_ctx():
+    # The contact parts come from geometry alone, so cheap models do.
+    cheap = dict(seed=17, count=2, points_per_part=40, cpd=CpdConfig(max_iterations=5))
+    cfg = PipelineConfig(inference=InferenceConfig(restarts=1, yaw_init_count=2, max_evals=20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        teapot = train_category_models("teapot", **cheap)
+        mug = train_category_models("mug", **cheap)
+        return process_demonstration(
+            generate_demo_scene("teapot_pour_align").demo, teapot, mug, cfg)
+
+
 class TestExtraction:
     def test_demo_interactions_are_bounded_and_consistent(self, mug_ctx):
-        cfg = PipelineConfig()
+        k_max = 32  # contact_pairs' default cut
         assert ("handle", "peg") in mug_ctx.interactions
         goal_a = mug_ctx.demo.t_ab.apply
         for (m, n), ips in mug_ctx.interactions.items():
             k = len(ips.pairs)
-            assert 3 <= k <= cfg.k_max
+            assert 3 <= k <= k_max
             src = ips.source_indices
             pm = mug_ctx.demo.object_a.parts[m].points[src[:, 0]]
             pn = mug_ctx.demo.object_b.parts[n].points[src[:, 1]]
@@ -186,16 +199,8 @@ class TestExtraction:
         assert set(mug_ctx.fits_a) == {"cup", "handle"}
         assert set(mug_ctx.fits_b) == {"peg"}
 
-    def test_teapot_demo_fits_only_the_spout_and_cup(self):
-        # The contact parts come from geometry alone, so cheap models do.
-        cheap = dict(seed=17, count=2, points_per_part=40, cpd=CpdConfig(max_iterations=5))
-        cfg = PipelineConfig(inference=InferenceConfig(restarts=1, yaw_init_count=2, max_evals=20))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            teapot = train_category_models("teapot", **cheap)
-            mug = train_category_models("mug", **cheap)
-            ctx = process_demonstration(
-                generate_demo_scene("teapot_pour_align").demo, teapot, mug, cfg)
+    def test_teapot_demo_fits_only_the_spout_and_cup(self, cheap_teapot_ctx):
+        ctx = cheap_teapot_ctx
         assert set(ctx.interactions) == {("spout", "cup")}
         assert set(ctx.fits_a) == {"spout"}
         assert set(ctx.fits_b) == {"cup"}
@@ -289,6 +294,35 @@ class TestSelection:
             interactions=mug_ctx.interactions)
         assert chosen.relations == (("handle", "peg"),)
 
+    @pytest.mark.parametrize("demo", ["mug", "corrupted_mug", "teapot"])
+    def test_selection_matches_a_full_placement_per_subset(
+            self, mug_ctx, cheap_teapot_ctx, demo):
+        # The reference scores every subset by a whole optimize_placement;
+        # selection aligns the same stacked contacts in the same order, so
+        # it must pick the same subset at a bit-equal score.
+        ctx = cheap_teapot_ctx if demo == "teapot" else mug_ctx
+        interactions = dict(ctx.interactions)
+        if demo == "corrupted_mug":
+            ips = interactions[("handle", "peg")]
+            offset = np.array([0.0, 0.0, 0.08]) @ ctx.fits_b["peg"].pose.rotation
+            interactions[("handle", "peg")] = dataclasses.replace(
+                ips, displacements_n=ips.displacements_n + offset)
+        bearing, extent = sorted(interactions), scene_extent(ctx.demo)
+        scores = {}
+        for size in range(1, len(bearing) + 1):
+            for subset in itertools.combinations(bearing, size):
+                t = optimize_placement(
+                    subset, ctx.models_a, ctx.models_b,
+                    ctx.fits_a, ctx.fits_b, interactions).t_final
+                trans_err = float(np.linalg.norm(t.translation - ctx.demo.t_ab.translation))
+                scores[subset] = trans_err / extent + rotation_geodesic(t, ctx.demo.t_ab) / np.pi
+        best = min(scores, key=lambda subset: (round(scores[subset], 9), len(subset), subset))
+        chosen = select_relevant_relations(
+            ctx.demo, ctx.models_a, ctx.models_b,
+            fits=(ctx.fits_a, ctx.fits_b), interactions=interactions)
+        assert chosen.relations == best
+        assert chosen.score == scores[best]
+
     def test_selected_score_not_worse_than_full_set(self, mug_ctx, mug_models, rack_models):
         full = sorted(mug_ctx.interactions)
         result = optimize_placement(
@@ -315,7 +349,7 @@ class TestPlacement:
         assert set(result.diagnostics) == {m for m, _ in result.relations}
         assert result.objective >= 0.0
 
-    def test_transfer_to_raised_peg_rack(self, mug_ctx, mug_models, rack_models, mug_scene):
+    def test_transfer_to_raised_peg_rack(self, mug_ctx, mug_scene):
         # Novel pair: a taller mug with a wider handle, and a rack whose peg
         # sits 4 cm higher. The placement must track the peg, not the demo
         # height, and the transferred contact points must land on the novel
@@ -325,7 +359,7 @@ class TestPlacement:
             "rack", seed=32, peg_height=mug_scene.spec_b.params["peg_height"] + 0.04)
         novel_a, sdf_a, _ = generate(spec_m)
         novel_b, sdf_b, _ = generate(spec_r)
-        result = transfer_skill(mug_ctx, mug_models, rack_models, novel_a, novel_b, seed=0)
+        result = transfer_skill(mug_ctx, novel_a, novel_b, seed=0)
 
         feat_a = features(spec_m).transformed(result.t_final)
         assert task_predicate("mug_on_rack", feat_a, features(spec_r))
@@ -339,23 +373,22 @@ class TestPlacement:
         assert np.abs(sdf_a.part("handle", pm)).max() < 0.02 * extent
         assert np.abs(sdf_b.part("peg", pn)).max() < 0.02 * extent
 
-    def test_deterministic_result_bytes(self, mug_ctx, mug_models, rack_models, mug_scene):
+    def test_deterministic_result_bytes(self, mug_ctx):
         spec_m = default_spec("mug", seed=41)
         novel_a, _, _ = generate(spec_m)
         runs = []
         for _ in range(2):
-            result = transfer_skill(
-                mug_ctx, mug_models, rack_models, novel_a, mug_ctx.demo.object_b, seed=3)
+            result = transfer_skill(mug_ctx, novel_a, mug_ctx.demo.object_b, seed=3)
             runs.append(json.dumps(result_to_dict(result), sort_keys=True))
         assert runs[0] == runs[1]
 
-    def test_missing_part_is_named(self, mug_ctx, mug_models, rack_models):
+    def test_missing_part_is_named(self, mug_ctx):
         demo = mug_ctx.demo
         ((m, _n),) = mug_ctx.relations.relations
         partial = PartDecomposedObject(
             "mug", {p: c for p, c in demo.object_a.parts.items() if p != m}, (m,))
         with pytest.raises(ValueError, match=f"'mug' object has no part '{m}'"):
-            transfer_skill(mug_ctx, mug_models, rack_models, partial, demo.object_b)
+            transfer_skill(mug_ctx, partial, demo.object_b)
         with pytest.raises(ValueError, match=f"no model for part '{m}' of category 'mug'"):
             fit_parts(mug_ctx.demo.object_a, {}, parts=[m])
 
@@ -368,9 +401,7 @@ class TestWholeObjectBaseline:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ctx = process_demonstration(merged, mug_whole_models, rack_whole_models, seed=0)
-            result = whole_object_baseline(
-                ctx, mug_whole_models, rack_whole_models,
-                demo.object_a, demo.object_b, seed=0)
+            result = whole_object_baseline(ctx, demo.object_a, demo.object_b, seed=0)
         assert result.relations == (("whole", "whole"),)
         assert rotation_geodesic(result.t_final, mug_ctx.demo.t_ab) < np.radians(1.0)
         err = np.linalg.norm(result.t_final.translation - mug_ctx.demo.t_ab.translation)
@@ -433,13 +464,12 @@ class TestSerialization:
 
     def test_context_round_trip(self, mug_ctx, mug_models, rack_models):
         payload = json.loads(json.dumps(context_to_dict(mug_ctx), allow_nan=False))
-        again = context_from_dict(mug_ctx.demo, payload)
+        again = context_from_dict(mug_ctx.demo, mug_models, rack_models, payload)
         assert_same_fields(again, mug_ctx)
         cfg = PipelineConfig(inference=InferenceConfig(restarts=1, yaw_init_count=2, max_evals=40))
         demo = mug_ctx.demo
         results = [
-            result_to_dict(transfer_skill(
-                ctx, mug_models, rack_models, demo.object_a, demo.object_b, cfg))
+            result_to_dict(transfer_skill(ctx, demo.object_a, demo.object_b, cfg))
             for ctx in (mug_ctx, again)
         ]
         assert results[0] == results[1]
@@ -464,7 +494,7 @@ class TestProperties:
         violations = ps.placement_alignment_suite(n_cases=100, seed=4)
         assert violations == []
 
-    def test_decision_equivariance_spot_check(self, mug_ctx, mug_models, rack_models):
+    def test_decision_equivariance_spot_check(self, mug_ctx):
         cfg = PipelineConfig(inference=InferenceConfig(
             restarts=2, yaw_init_count=4, max_evals=100))
 
@@ -475,6 +505,5 @@ class TestProperties:
             novel_b = generate(spec_b)[0]
             t = ps.random_yaw_transform(rng, translation_scale=0.2)
             return novel_a.transformed(t), novel_b
-        violations = ps.decision_equivariance_suite(
-            mug_ctx, mug_models, rack_models, draw_scene, cfg, n_cases=3, seed=5)
+        violations = ps.decision_equivariance_suite(mug_ctx, draw_scene, cfg, n_cases=3, seed=5)
         assert violations == []
