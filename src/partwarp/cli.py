@@ -4,7 +4,9 @@ evaluation.
 All commands are driven by a single JSON config file plus dotted-key
 overrides (``--set pipeline.inference.yaw_init_count=12``), so a full
 experiment is reproducible from its config and seed alone: rerunning any
-command with the same inputs rewrites byte-identical outputs.
+command with the same inputs at a fixed BLAS thread count rewrites
+byte-identical outputs. The thread count fixes the order of the BLAS
+reductions, and so the last bits of every fit.
 
 ``transfer`` keeps what it derives from the demonstration (the fits of
 the parts in contact, the contact sets and the chosen relations) in
@@ -42,17 +44,17 @@ from typing import Mapping, Sequence
 
 from .evaluation import (
     ExperimentConfig,
-    _task_demo,
-    _training_specs,
-    _trial_scene,
     run_experiment,
     train_models_from_objects,
+    training_seeds,
+    training_specs,
+    trial_scene,
     write_report,
 )
 from .geom import transform_to_dict
 from .registration import CpdConfig
 from .shapemodel import CanonicalPartModel, InferenceConfig, load_model, save_model
-from .synth import generate, spec_to_dict, task_categories
+from .synth import generate, generate_demo_scene, spec_to_dict
 from .transfer import (
     DemoContext,
     Demonstration,
@@ -166,7 +168,6 @@ def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
     exp = cfg.experiment
     dataset = Path(cfg.dataset_dir)
     dataset.mkdir(parents=True, exist_ok=True)
-    cat_a, cat_b = task_categories(exp.task)
 
     manifest: dict = {
         "task": exp.task,
@@ -176,13 +177,9 @@ def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
         "heldout": [],
         "demo": "demo.json",
     }
-    for offset, cat in ((11, cat_a), (12, cat_b)):
-        specs = _training_specs(
-            cat, exp.master_seed + offset, exp.train_instances,
-            exp.train_width, exp.train_points_per_part,
-        )
+    for cat, seed in training_seeds(exp):
         names = []
-        for i, spec in enumerate(specs):
+        for i, spec in enumerate(training_specs(cat, seed, exp)):
             obj, _, _ = generate(spec)
             name = f"train_{cat}_{i:02d}.json"
             _dump(dataset / name, {"spec": spec_to_dict(spec), "object": object_to_dict(obj)})
@@ -191,7 +188,7 @@ def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     for i in range(cfg.count):
         # The written pairs are the scenes trial i of this experiment sees.
-        spec_a, spec_b, pose_a, pose_b = _trial_scene(exp, i)
+        spec_a, spec_b, pose_a, pose_b = trial_scene(exp, i)
         pair = []
         for side, spec, pose in (("a", spec_a, pose_a), ("b", spec_b, pose_b)):
             obj, _, _ = generate(spec)
@@ -204,7 +201,7 @@ def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
             pair.append(name)
         manifest["heldout"].append(pair)
 
-    _dump(dataset / "demo.json", demo_to_dict(_task_demo(exp.task)))
+    _dump(dataset / "demo.json", demo_to_dict(generate_demo_scene(exp.task).demo))
     _dump(dataset / "manifest.json", manifest, indent=2)
     print(f"wrote {exp.train_instances * 2} training instances, "
           f"{cfg.count} held-out pairs, 1 demo to {dataset}")
@@ -230,7 +227,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
             payload = json.loads((dataset / name).read_text())
             objects.append(label_parts(object_from_dict(payload["object"])))
         try:
-            models = train_models_from_objects(cat, objects, cpd=exp.cpd, d=exp.latent_dim)
+            models = train_models_from_objects(cat, objects, exp)
         except (RuntimeError, ValueError) as exc:
             print(f"error: training {cat!r} failed: {exc}", file=sys.stderr)
             return 1
@@ -269,10 +266,6 @@ def _load_models(
     return models
 
 
-# Part of every context key; bump it when context_to_dict's layout changes.
-_CONTEXT_FORMAT = 3
-
-
 def _context_key(demo_bytes: bytes, model_files: Mapping[str, bytes], exp: ExperimentConfig) -> str:
     """sha256 over everything process_demonstration's result depends on."""
     h = hashlib.sha256()
@@ -281,8 +274,8 @@ def _context_key(demo_bytes: bytes, model_files: Mapping[str, bytes], exp: Exper
         h.update(f"{label}\0{len(data)}\0".encode())
         h.update(data)
 
-    add("format", str(_CONTEXT_FORMAT).encode())
-    # The code is an input too: a context from an older partwarp must miss.
+    # The code is an input too, context_to_dict's layout included: a context
+    # from an older partwarp must miss.
     for path in sorted(Path(__file__).parent.glob("*.py")):
         add(f"source {path.name}", path.read_bytes())
     add("demo", demo_bytes)

@@ -25,10 +25,10 @@ from .geom import PointCloud, RigidTransform, rotation_about_axis, transform_to_
 from .shapemodel import CanonicalPartModel, CpdConfig, train_part_model
 from .synth import (
     CATEGORY_DEFAULTS,
+    PENETRATION_TOLERANCE,
     AnalyticSdf,
     ObjectFeatures,
     ParametricObjectSpec,
-    default_spec,
     features,
     generate,
     generate_demo_scene,
@@ -57,11 +57,15 @@ __all__ = [
     "TrialRecord",
     "ExperimentConfig",
     "ExperimentReport",
+    "TEST_FAMILIES",
     "check_success",
+    "training_seeds",
+    "training_specs",
     "train_models_from_objects",
     "train_category_models",
     "train_whole_models",
     "draw_test_pair",
+    "trial_scene",
     "run_experiment",
     "report_to_dict",
     "report_to_csv",
@@ -74,11 +78,14 @@ __all__ = [
 METHOD_PARTS = "PSW"
 METHOD_WHOLE = "IW"
 
-TEST_FAMILIES = ("control", "raised_peg")
-
-# Demonstrations are denser for the bowl task: the bowl-rim contact ring is
-# thin, and a sparse demo leaves too few interaction pairs to align.
-DEMO_POINTS_PER_PART = {"bowl_on_mug": 700}
+# Test families: each draws both objects from the training family and
+# widens only the parameters it names, to the fractional width given.
+TEST_FAMILIES: dict[str, dict[str, float]] = {
+    "control": {},
+    # Puts the rack's peg, hence the contact, far outside anything the
+    # training family shows.
+    "raised_peg": {"peg_height": 0.30},
+}
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,7 @@ class ExperimentConfig:
     train_width: float = 0.10
     latent_dim: int | None = None
     cpd: CpdConfig = field(default_factory=CpdConfig)
-    penetration_tolerance: float = 1e-3
+    penetration_tolerance: float = PENETRATION_TOLERANCE
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     jobs: int = 1
 
@@ -122,8 +129,13 @@ class ExperimentConfig:
             raise ValueError("n_trials must be >= 0")
         if self.test_family not in TEST_FAMILIES:
             raise ValueError(f"unknown test family {self.test_family!r}")
-        if self.test_family == "raised_peg" and self.task != "mug_on_rack":
-            raise ValueError("the raised_peg family only applies to mug_on_rack")
+        params = {name for cat in task_categories(self.task) for name in CATEGORY_DEFAULTS[cat]}
+        stray = sorted(set(TEST_FAMILIES[self.test_family]) - params)
+        if stray:
+            raise ValueError(
+                f"test family {self.test_family!r} widens {stray[0]!r}, "
+                f"which no object of task {self.task!r} has"
+            )
         bad = sorted(set(self.methods) - {METHOD_PARTS, METHOD_WHOLE})
         if bad:
             raise ValueError(f"unknown method {bad[0]!r}")
@@ -159,7 +171,7 @@ def check_success(
     sdf_b: AnalyticSdf,
     feat_a: ObjectFeatures,
     feat_b: ObjectFeatures,
-    tolerance: float = 1e-3,
+    tolerance: float = PENETRATION_TOLERANCE,
 ) -> tuple[bool, float, bool]:
     """Judge a placed object: returns (success, penetration, predicate).
 
@@ -176,31 +188,31 @@ def _centered(cloud: PointCloud) -> PointCloud:
     return PointCloud(cloud.points - cloud.points.mean(axis=0), cloud.labels)
 
 
-def _training_specs(
-    category: str,
-    seed: int,
-    count: int,
-    width: float,
-    points_per_part: int,
-) -> list[ParametricObjectSpec]:
+def training_seeds(cfg: ExperimentConfig) -> tuple[tuple[str, int], tuple[str, int]]:
+    """Each category of cfg's task with the seed its training set is drawn from."""
+    cat_a, cat_b = task_categories(cfg.task)
+    return (cat_a, cfg.master_seed + 11), (cat_b, cfg.master_seed + 12)
+
+
+def training_specs(category: str, seed: int, cfg: ExperimentConfig) -> list[ParametricObjectSpec]:
+    """The cfg.train_instances specs of category's training set under seed."""
     rng = np.random.default_rng([seed, 1])
     return [
         sample_spec(
             category,
             rng,
-            widths=width,
+            widths=cfg.train_width,
             seed=int(rng.integers(2**31)),
-            points_per_part=points_per_part,
+            points_per_part=cfg.train_points_per_part,
         )
-        for _ in range(count)
+        for _ in range(cfg.train_instances)
     ]
 
 
 def train_models_from_objects(
     category: str,
     objects: Sequence[PartDecomposedObject],
-    cpd: CpdConfig = CpdConfig(),
-    d: int | None = None,
+    cfg: ExperimentConfig = ExperimentConfig(),
 ) -> dict[str, CanonicalPartModel]:
     """Per-part models from already-labeled instances of one category.
 
@@ -212,73 +224,53 @@ def train_models_from_objects(
     for part in objects[0].part_names():
         instances = [_centered(o.parts[part]) for o in objects]
         models[part] = train_part_model(
-            instances, d=d, cpd=cpd, part_category=f"{category}/{part}"
+            instances, d=cfg.latent_dim, cpd=cfg.cpd, part_category=f"{category}/{part}"
         )
     return models
 
 
 def train_category_models(
-    category: str,
-    seed: int = 0,
-    count: int = 5,
-    width: float = 0.10,
-    points_per_part: int = 220,
-    cpd: CpdConfig = CpdConfig(),
-    d: int | None = None,
+    category: str, seed: int, cfg: ExperimentConfig = ExperimentConfig()
 ) -> dict[str, CanonicalPartModel]:
     """Per-part canonical models from a family of generated objects.
 
     Each instance is labeled as a whole object first, so relational labels
     exist on every part before the parts are split apart for training.
     """
-    objects = [label_parts(generate(s)[0]) for s in
-               _training_specs(category, seed, count, width, points_per_part)]
-    return train_models_from_objects(category, objects, cpd=cpd, d=d)
+    objects = [label_parts(generate(s)[0]) for s in training_specs(category, seed, cfg)]
+    return train_models_from_objects(category, objects, cfg)
 
 
 def train_whole_models(
-    category: str,
-    seed: int = 0,
-    count: int = 5,
-    width: float = 0.10,
-    points_per_part: int = 220,
-    cpd: CpdConfig = CpdConfig(),
-    d: int | None = None,
+    category: str, seed: int, cfg: ExperimentConfig = ExperimentConfig()
 ) -> dict[str, CanonicalPartModel]:
     """train_category_models on each instance merged to one part, 'whole'."""
     objects = [
-        label_parts(merge_object(generate(s)[0]))
-        for s in _training_specs(category, seed, count, width, points_per_part)
+        label_parts(merge_object(generate(s)[0])) for s in training_specs(category, seed, cfg)
     ]
-    return train_models_from_objects(category, objects, cpd=cpd, d=d)
+    return train_models_from_objects(category, objects, cfg)
 
 
 def draw_test_pair(
-    task: str,
-    family: str,
-    rng: np.random.Generator,
-    points_per_part: int = 400,
+    cfg: ExperimentConfig, rng: np.random.Generator
 ) -> tuple[ParametricObjectSpec, ParametricObjectSpec]:
-    """Sample the two object specs of one trial from the requested family.
+    """Sample the two object specs of one trial from cfg's test family.
 
-    control draws both objects from the same +-10% family the models are
-    trained on. raised_peg widens only the rack's peg height to +-30%,
-    putting the contact far outside anything the training family shows.
+    Both objects come from the family the models are trained on, every
+    parameter within +-cfg.train_width of its default, except the
+    parameters the test family widens, on whichever object has them.
     """
-    cat_a, cat_b = task_categories(task)
-    widths_b: float | dict[str, float] = 0.10
-    if family == "raised_peg":
-        widths_b = {name: 0.10 for name in CATEGORY_DEFAULTS[cat_b]}
-        widths_b["peg_height"] = 0.30
-    spec_a = sample_spec(
-        cat_a, rng, widths=0.10, seed=int(rng.integers(2**31)),
-        points_per_part=points_per_part,
+    wider = TEST_FAMILIES[cfg.test_family]
+    return tuple(
+        sample_spec(
+            category,
+            rng,
+            widths={p: wider.get(p, cfg.train_width) for p in CATEGORY_DEFAULTS[category]},
+            seed=int(rng.integers(2**31)),
+            points_per_part=cfg.points_per_part,
+        )
+        for category in task_categories(cfg.task)
     )
-    spec_b = sample_spec(
-        cat_b, rng, widths=widths_b, seed=int(rng.integers(2**31)),
-        points_per_part=points_per_part,
-    )
-    return spec_a, spec_b
 
 
 def _trial_seed(master_seed: int, trial: int) -> int:
@@ -294,31 +286,19 @@ def _yaw_box_pose(rng: np.random.Generator) -> RigidTransform:
     )
 
 
-def _trial_scene(
+def trial_scene(
     cfg: ExperimentConfig, trial: int
 ) -> tuple[ParametricObjectSpec, ParametricObjectSpec, RigidTransform, RigidTransform]:
     """Trial i's two specs and world poses, keyed to (master_seed, i) alone."""
     rng = np.random.default_rng([cfg.master_seed, 1, trial])
-    spec_a, spec_b = draw_test_pair(cfg.task, cfg.test_family, rng, cfg.points_per_part)
+    spec_a, spec_b = draw_test_pair(cfg, rng)
     return spec_a, spec_b, _yaw_box_pose(rng), _yaw_box_pose(rng)
-
-
-def _task_demo(task: str) -> Demonstration:
-    """The task's one demonstration, shared by every experiment seed."""
-    pp = DEMO_POINTS_PER_PART.get(task, 400)
-    cat_a, cat_b = task_categories(task)
-    scene = generate_demo_scene(
-        task,
-        spec_a=default_spec(cat_a, seed=11, points_per_part=pp),
-        spec_b=default_spec(cat_b, seed=12, points_per_part=pp),
-    )
-    return scene.demo
 
 
 def _run_trial(
     cfg: ExperimentConfig, trial: int, contexts: Mapping[str, DemoContext]
 ) -> list[TrialRecord]:
-    spec_a, spec_b, init_a, pose_b = _trial_scene(cfg, trial)
+    spec_a, spec_b, init_a, pose_b = trial_scene(cfg, trial)
     obj_a, _, _ = generate(spec_a)
     obj_b, sdf_b, _ = generate(spec_b)
     novel_a = obj_a.transformed(init_a)
@@ -359,7 +339,7 @@ def _run_trial(
 
 
 def _demo_context(cfg: ExperimentConfig, method: str, models_a, models_b) -> DemoContext:
-    demo = _task_demo(cfg.task)
+    demo = generate_demo_scene(cfg.task).demo
     if method == METHOD_WHOLE:
         demo = Demonstration(
             merge_object(demo.object_a), merge_object(demo.object_b), demo.t_ab
@@ -376,23 +356,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Failures inside a trial are recorded on that trial and never abort the
     batch.
     """
-    cat_a, cat_b = task_categories(cfg.task)
     contexts: dict[str, DemoContext] = {}
-    settings = dict(
-        count=cfg.train_instances,
-        width=cfg.train_width,
-        points_per_part=cfg.train_points_per_part,
-        cpd=cfg.cpd,
-        d=cfg.latent_dim,
-    )
     for method in cfg.methods:
         # Both here and in _run_trial the function is picked by name at call
         # time, not from a module-level {method: fn} table: a table would keep
         # the functions it was built with and hide the calls from tracing
         # that patches these module attributes.
         train = train_category_models if method == METHOD_PARTS else train_whole_models
-        models_a = train(cat_a, cfg.master_seed + 11, **settings)
-        models_b = train(cat_b, cfg.master_seed + 12, **settings)
+        models_a, models_b = (train(cat, seed, cfg) for cat, seed in training_seeds(cfg))
         contexts[method] = _demo_context(cfg, method, models_a, models_b)
 
     trials: list[TrialRecord] = []

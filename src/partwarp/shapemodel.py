@@ -96,18 +96,21 @@ class CanonicalPartModel:
     cpd_config: CpdConfig
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=np.float64)
-        n = len(self.canonical)
-        if basis.ndim != 2 or basis.shape[0] != 3 * n:
+        for name in ("basis", "latent_mean", "latent_scales", "training_latents",
+                     "training_residuals", "explained_variance"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            # A NaN would pass every comparison below and fail only later,
+            # inside inference.
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        basis = self.basis
+        if basis.ndim != 2 or basis.shape[0] != 3 * len(self.canonical):
             raise ValueError("basis must have shape (3n, d)")
         gram = basis.T @ basis
         if np.abs(gram - np.eye(basis.shape[1])).max() > 1e-8:
             raise ValueError("basis columns must be orthonormal")
-        for name in ("basis", "latent_mean", "latent_scales", "training_latents",
-                     "training_residuals", "explained_variance"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def point_count(self) -> int:
@@ -538,7 +541,7 @@ def model_from_dict(payload: Mapping) -> CanonicalPartModel:
 
 
 def save_model(path, model: CanonicalPartModel) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model)))
+    Path(path).write_text(json.dumps(model_to_dict(model), allow_nan=False))
 
 
 def load_model(source) -> CanonicalPartModel:

@@ -46,6 +46,7 @@ __all__ = [
     "generate_demo_scene",
     "penetration_depth",
     "task_categories",
+    "PENETRATION_TOLERANCE",
 ]
 
 # Shared construction constants. Vessel walls are 4 mm, bowls 5 mm; handles
@@ -72,6 +73,10 @@ HANG_WALL_GAP = 0.005
 HANG_FRACTION = 0.60
 BOWL_REST_GAP = 0.002
 POUR_HEIGHT = 0.006
+
+# Deepest incursion, in metres, that a placement may make into the other
+# object and still count as resting on it rather than sunk into it.
+PENETRATION_TOLERANCE = 1e-3
 
 CATEGORY_PARTS: dict[str, tuple[str, ...]] = {
     "mug": ("cup", "handle"),
@@ -917,17 +922,15 @@ def partial_view(obj: PartDecomposedObject, camera: CameraView) -> PartDecompose
     keep = visible & (depth <= nearest[flat] + camera.depth_band)
 
     kept: dict[str, PointCloud] = {}
-    dropped: list[str] = []
     for name, a, b in zip(parts, stops[:-1], stops[1:]):
         idx = np.nonzero(keep[a:b])[0]
         if len(idx) < 3:
-            dropped.append(name)
             warnings.warn(f"partial view dropped part {name!r}", stacklevel=2)
             continue
         kept[name] = obj.parts[name].subset(idx)
     if not kept:
         raise ValueError("empty view")
-    return PartDecomposedObject(obj.category, kept, tuple(dropped))
+    return PartDecomposedObject(obj.category, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,6 +1034,10 @@ def task_predicate(task: str, feat_a: ObjectFeatures, feat_b: ObjectFeatures) ->
     raise ValueError(f"unknown task {task!r}")
 
 
+# Demonstrations are denser for the bowl task: the bowl-rim contact ring is
+# thin, and a sparse demo leaves too few interaction pairs to align.
+_DEMO_POINTS_PER_PART = {"bowl_on_mug": 700}
+
 # Where a demonstration's placed object starts, before its recorded motion.
 _DEMO_INIT_A = RigidTransform(_rz(0.3), np.array([0.32, -0.14, 0.0]))
 
@@ -1049,16 +1056,12 @@ class DemoScene:
     corr_b: CorrespondenceMap
 
 
-def generate_demo_scene(
-    task: str,
-    spec_a: ParametricObjectSpec | None = None,
-    spec_b: ParametricObjectSpec | None = None,
-) -> DemoScene:
+def generate_demo_scene(task: str) -> DemoScene:
+    """The task's one demonstration: its two default objects at the goal."""
     cat_a, cat_b = task_categories(task)
-    if spec_a is None:
-        spec_a = default_spec(cat_a, seed=11)
-    if spec_b is None:
-        spec_b = default_spec(cat_b, seed=12)
+    pp = _DEMO_POINTS_PER_PART.get(task, 400)
+    spec_a = default_spec(cat_a, seed=11, points_per_part=pp)
+    spec_b = default_spec(cat_b, seed=12, points_per_part=pp)
 
     t_goal = goal_transform(task, spec_a, spec_b)
     obj_a, sdf_a, corr_a = generate(spec_a)
@@ -1067,7 +1070,7 @@ def generate_demo_scene(
     goal_points = t_goal.apply(obj_a.all_points())
     depth = penetration_depth(goal_points, sdf_b)
     depth = max(depth, penetration_depth(obj_b.all_points(), sdf_a.transformed(t_goal)))
-    if depth > 0.001:
+    if depth > PENETRATION_TOLERANCE:
         raise ValueError("infeasible pair")
     if not task_predicate(task, features(spec_a).transformed(t_goal), features(spec_b)):
         raise ValueError("infeasible pair")

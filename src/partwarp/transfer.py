@@ -84,13 +84,11 @@ class PartDecomposedObject:
 
     category: str
     parts: Mapping[str, PointCloud]
-    dropped_parts: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.parts:
             raise ValueError("object needs at least one part")
         object.__setattr__(self, "parts", dict(self.parts))
-        object.__setattr__(self, "dropped_parts", tuple(self.dropped_parts))
 
     def part_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.parts))
@@ -106,7 +104,6 @@ class PartDecomposedObject:
         return PartDecomposedObject(
             self.category,
             {name: cloud.transformed(t) for name, cloud in self.parts.items()},
-            self.dropped_parts,
         )
 
 
@@ -243,7 +240,6 @@ def label_parts(
     return PartDecomposedObject(
         obj.category,
         {name: obj.parts[name].with_labels(labeled[name]) for name in names},
-        obj.dropped_parts,
     )
 
 
@@ -535,22 +531,16 @@ def whole_object_baseline(
 
 
 def object_to_dict(obj: PartDecomposedObject) -> dict:
-    payload = {
+    return {
         "category": obj.category,
         "parts": {name: cloud_to_dict(obj.parts[name]) for name in obj.part_names()},
     }
-    # Written only when non-empty, so objects without dropped parts keep
-    # their existing serialized form byte for byte.
-    if obj.dropped_parts:
-        payload["dropped_parts"] = list(obj.dropped_parts)
-    return payload
 
 
 def object_from_dict(payload: Mapping) -> PartDecomposedObject:
     return PartDecomposedObject(
         payload["category"],
         {name: cloud_from_dict(part) for name, part in payload["parts"].items()},
-        tuple(payload.get("dropped_parts", ())),
     )
 
 

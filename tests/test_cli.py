@@ -1,8 +1,9 @@
 """The command-line front end: a tiny gen/train/transfer/eval round trip on
 every task, the demo context `transfer` caches and when it is recomputed,
-config and flag validation, scene files keeping their dropped parts, the
-settings `eval` passes on to training, `train` writing the models `eval`
-trains, and `eval`'s worker pool reproducing the one-process report."""
+config and flag validation, the scenes `gen` draws, model files `transfer`
+refuses, the settings `eval` passes on to training, `train` writing the
+models `eval` trains, and `eval`'s worker pool reproducing the one-process
+report."""
 
 from __future__ import annotations
 
@@ -14,15 +15,14 @@ import os
 import shutil
 import warnings
 
-import numpy as np
 import pytest
 
 from partwarp import cli, evaluation
 from partwarp.evaluation import METHOD_PARTS, METHOD_WHOLE, ExperimentConfig, report_to_dict
-from partwarp.geom import PointCloud
 from partwarp.registration import CpdConfig
 from partwarp.shapemodel import InferenceConfig, model_to_dict
-from partwarp.transfer import PartDecomposedObject, PipelineConfig, object_to_dict
+from partwarp.synth import CATEGORY_DEFAULTS, generate_demo_scene
+from partwarp.transfer import PipelineConfig, demo_to_dict
 
 TINY = {
     "seed": 0,
@@ -64,6 +64,8 @@ def test_round_trip_exits_zero_and_transfer_is_reproducible(tmp_path, task):
 
     dataset = tmp_path / "dataset"
     manifest = json.loads((dataset / "manifest.json").read_text())
+    demo = json.loads((dataset / manifest["demo"]).read_text())
+    assert demo == json.loads(json.dumps(demo_to_dict(generate_demo_scene(task).demo)))
     name_a, name_b = manifest["heldout"][0]
     transfer = [
         "transfer", *common,
@@ -172,6 +174,24 @@ def test_truncated_context_file_is_recomputed(workspace, processed):
     assert cache.read_bytes() == stored
 
 
+def test_model_file_with_nan_is_refused(workspace):
+    path = sorted((workspace / "models" / "mug").glob("*.json"))[0]
+    payload = json.loads(path.read_text())
+    payload["latent_scales"][0] = float("nan")
+    path.write_text(json.dumps(payload))
+    dataset = workspace / "dataset"
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    name_a, name_b = manifest["heldout"][0]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run(
+            "transfer", "--config", write_config(workspace),
+            "--demo", str(dataset / manifest["demo"]),
+            "--scene-a", str(dataset / name_a),
+            "--scene-b", str(dataset / name_b),
+        ) == 1
+    assert "error: loading models: latent_scales must be finite" in err.getvalue()
+
+
 def test_failed_context_write_still_transfers(workspace, monkeypatch):
     def refuse(src, dst):
         raise OSError("no space left on device")
@@ -226,20 +246,27 @@ def test_eval_rejects_zero_jobs():
     assert "--jobs must be >= 1" in err.getvalue()
 
 
+def test_gen_draws_control_scenes_at_the_training_width(tmp_path):
+    # The control family is the family the models train on, at any width.
+    assert run("gen", "--config", write_config(tmp_path, train_width=0.3, count=4)) == 0
+    dataset = tmp_path / "dataset"
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    spread = 0.0
+    for name in (name for pair in manifest["heldout"] for name in pair):
+        spec = json.loads((dataset / name).read_text())["spec"]
+        defaults = CATEGORY_DEFAULTS[spec["category"]]
+        spread = max(spread, *(
+            abs(value / defaults[key] - 1.0)
+            for key, value in spec["params"].items() if defaults[key]))
+    assert spread > 0.15
+
+
 def test_gen_rejects_raised_peg_off_the_rack_task(tmp_path):
     config = write_config(tmp_path, task="bowl_on_mug", test_family="raised_peg")
     with contextlib.redirect_stderr(io.StringIO()) as err:
         assert run("gen", "--config", config) == 2
     assert "raised_peg" in err.getvalue()
     assert not (tmp_path / "dataset").exists()
-
-
-def test_scene_object_keeps_dropped_parts(tmp_path):
-    obj = PartDecomposedObject(
-        "mug", {"cup": PointCloud(np.eye(3))}, dropped_parts=("handle",))
-    path = tmp_path / "scene.json"
-    path.write_text(json.dumps({"object": object_to_dict(obj)}))
-    assert cli._load_scene_object(path).dropped_parts == ("handle",)
 
 
 OUT_OF_RANGE = {
@@ -298,12 +325,10 @@ def test_train_writes_the_models_eval_trains(tmp_path):
     assert run("train", "--config", config) == 0
     exp = cli.load_run_config(config, []).experiment
     compared = 0
-    for offset, category in ((11, "mug"), (12, "rack")):
+    for category, seed in evaluation.training_seeds(exp):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            models = evaluation.train_category_models(
-                category, exp.master_seed + offset, exp.train_instances, exp.train_width,
-                exp.train_points_per_part, exp.cpd, exp.latent_dim)
+            models = evaluation.train_category_models(category, seed, exp)
         for part, model in models.items():
             written = (tmp_path / "models" / category / f"{part}.json").read_text()
             assert written == json.dumps(model_to_dict(model)), f"{category}/{part}"

@@ -466,6 +466,15 @@ class TestModelSerialization:
                 back.canonical.label(key), model.canonical.label(key)
             )
 
+    @pytest.mark.parametrize("name", ["basis", "latent_scales"])
+    def test_non_finite_model_is_rejected(self, mug_models, name):
+        payload = model_to_dict(mug_models["handle"])
+        values = np.array(payload[name])
+        values.flat[0] = np.nan
+        payload[name] = values.tolist()
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            model_from_dict(payload)
+
     def test_file_round_trip(self, mug_models, tmp_path):
         model = mug_models["cup"]
         save_model(tmp_path / "cup.json", model)
