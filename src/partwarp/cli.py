@@ -154,6 +154,11 @@ def load_run_config(path: str | None, overrides: Sequence[str]) -> RunConfig:
     return config_from_dict(payload)
 
 
+# What a malformed input file or a failed stage raises. A command reports it
+# as "error: <stage>: <message>" and exits 1.
+_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, RuntimeError)
+
+
 def _dump(path: Path, payload: dict, indent: int | None = None) -> None:
     path.write_text(json.dumps(payload, indent=indent, allow_nan=False) + "\n")
 
@@ -216,32 +221,39 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not manifest_path.exists():
         print(f"error: no manifest at {manifest_path}; run gen first", file=sys.stderr)
         return 1
-    manifest = json.loads(manifest_path.read_text())
 
     model_dir = Path(cfg.model_dir)
-    model_dir.mkdir(parents=True, exist_ok=True)
     log: dict[str, dict] = {}
-    for cat in sorted(manifest["train"]):
-        objects = []
-        for name in manifest["train"][cat]:
-            payload = json.loads((dataset / name).read_text())
-            objects.append(label_parts(object_from_dict(payload["object"])))
-        try:
+    stage = "reading dataset"
+    try:
+        train = json.loads(manifest_path.read_text())["train"]
+        if not isinstance(train, dict):
+            raise ValueError("the manifest's train entry must map categories to files")
+        for cat in sorted(train):
+            stage = "reading dataset"
+            objects = []
+            for name in train[cat]:
+                payload = json.loads((dataset / name).read_text())
+                objects.append(label_parts(object_from_dict(payload["object"])))
+            stage = f"training {cat!r}"
             models = train_models_from_objects(cat, objects, exp)
-        except (RuntimeError, ValueError) as exc:
-            print(f"error: training {cat!r} failed: {exc}", file=sys.stderr)
-            return 1
-        (model_dir / cat).mkdir(parents=True, exist_ok=True)
-        for part, model in sorted(models.items()):
-            save_model(model_dir / cat / f"{part}.json", model)
-            log[model.part_category] = {
-                "instances": len(objects),
-                "points": model.point_count,
-                "latent_dim": model.latent_dim,
-                "explained_variance": [float(v) for v in model.explained_variance],
-                "training_residual_rms": [float(v) for v in model.training_residuals],
-            }
-    _dump(model_dir / "training_log.json", dict(sorted(log.items())), indent=2)
+            stage = "writing models"
+            (model_dir / cat).mkdir(parents=True, exist_ok=True)
+            for part, model in sorted(models.items()):
+                save_model(model_dir / cat / f"{part}.json", model)
+                log[model.part_category] = {
+                    "instances": len(objects),
+                    "points": model.point_count,
+                    "latent_dim": model.latent_dim,
+                    "explained_variance": [float(v) for v in model.explained_variance],
+                    "training_residual_rms": [float(v) for v in model.training_residuals],
+                }
+        stage = "writing models"
+        model_dir.mkdir(parents=True, exist_ok=True)
+        _dump(model_dir / "training_log.json", dict(sorted(log.items())), indent=2)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {stage}: {exc}", file=sys.stderr)
+        return 1
     print(f"trained {len(log)} part models into {model_dir}")
     return 0
 
@@ -299,7 +311,7 @@ def _load_context(
         if payload["key"] != key:
             return None
         return context_from_dict(demo, models_a, models_b, payload["context"])
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, IndexError):
+    except (*_INPUT_ERRORS, IndexError):
         return None
 
 
@@ -341,7 +353,7 @@ def cmd_transfer(cfg: RunConfig, args: argparse.Namespace) -> int:
             _store_context(cache, key, ctx)
         stage = "optimizing placement"
         result = transfer_skill(ctx, novel_a, novel_b, exp.pipeline, seed=exp.master_seed)
-    except (OSError, ValueError, KeyError, RuntimeError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {stage}: {exc}", file=sys.stderr)
         return 1
 
@@ -392,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a dataset: training objects, "
                                        "held-out pairs, and one demonstration")
     _add_common(p_gen)
-    p_gen.add_argument("--task", help="task name, overrides the config's task")
-    p_gen.add_argument("--count", type=int, help="held-out pair count, overrides the config")
     p_gen.set_defaults(func=cmd_gen)
 
     p_train = sub.add_parser("train", help="train per-part shape models from the dataset")
@@ -426,16 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    overrides = list(args.set)
-    if getattr(args, "task", None) is not None:
-        overrides.append(f"task={json.dumps(args.task)}")
-    if getattr(args, "count", None) is not None:
-        overrides.append(f"count={args.count}")
     if getattr(args, "jobs", 1) < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
     try:
-        cfg = load_run_config(args.config, overrides)
+        cfg = load_run_config(args.config, args.set)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 2

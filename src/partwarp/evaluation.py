@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -449,14 +450,21 @@ def report_to_csv(report: ExperimentReport) -> str:
     return buf.getvalue()
 
 
+# The thread count sets the order of BLAS reductions, and so the last bits
+# of every fit: a report reproduces byte for byte only at the same setting.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def report_timings(report: ExperimentReport) -> dict:
-    """Wall times, split out so the main report stays byte-reproducible."""
+    """Wall times and the BLAS thread variables as set (None when unset),
+    split out so the main report stays byte-reproducible."""
     return {
         "trials": [
             {"trial": t.trial, "method": t.method, "wall_time": t.wall_time}
             for t in report.trials
         ],
         "total": float(sum(t.wall_time for t in report.trials)),
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARIABLES},
     }
 
 

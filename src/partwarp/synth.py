@@ -9,6 +9,9 @@ each point's surface parameterization, so corresponding points can be
 re-evaluated on any other member of the family. features returns the
 landmarks that task success checks use.
 
+A task (TASKS) names its categories and a skill (hang, rest or pour), whose
+goal and success predicate read the objects' features only.
+
 Signed distances are exact on every sampled boundary point and never
 overestimate the true distance anywhere, so penetration measured through
 them is trustworthy.
@@ -116,10 +119,22 @@ CATEGORY_DEFAULTS: dict[str, dict[str, float]] = {
     },
 }
 
-TASKS: dict[str, tuple[str, str]] = {
-    "mug_on_rack": ("mug", "rack"),
-    "bowl_on_mug": ("bowl", "mug"),
-    "teapot_pour_align": ("teapot", "mug"),
+
+@dataclass(frozen=True)
+class Task:
+    """A task's placed and reference categories, skill and demo density."""
+
+    categories: tuple[str, str]
+    skill: str
+    demo_points_per_part: int = 400
+
+
+TASKS: dict[str, Task] = {
+    "mug_on_rack": Task(("mug", "rack"), "hang"),
+    # The bowl-rim contact ring is thin, and a sparse demo leaves too few
+    # interaction pairs to align.
+    "bowl_on_mug": Task(("bowl", "mug"), "rest", 700),
+    "teapot_pour_align": Task(("teapot", "mug"), "pour"),
 }
 
 _X = np.array([1.0, 0.0, 0.0])
@@ -591,14 +606,12 @@ def _frustum(origin, d, length, r0, r1) -> _Part:
 class ObjectFeatures:
     """Named analytic landmarks of one object, posable like its cloud."""
 
-    category: str
     points: Mapping[str, np.ndarray]
     directions: Mapping[str, np.ndarray]
     scalars: Mapping[str, float]
 
     def transformed(self, t: RigidTransform) -> "ObjectFeatures":
         return ObjectFeatures(
-            self.category,
             {k: t.apply(v) for k, v in self.points.items()},
             {k: t.rotation @ v for k, v in self.directions.items()},
             dict(self.scalars),
@@ -621,13 +634,11 @@ def _geometry(spec: ParametricObjectSpec) -> tuple[dict[str, _Part], ObjectFeatu
             "handle": _arc(loop_center, _X, _Z, _Y, ring, tube, HANDLE_ARC),
         }
         return parts, ObjectFeatures(
-            "mug",
             {"rim_center": np.array([0.0, 0.0, h]), "loop_center": loop_center},
-            {"up": _Z.copy(), "loop_normal": _Y.copy()},
+            {"loop_normal": _Y.copy()},
             {
                 "rim_radius_outer": r,
                 "rim_radius_inner": r - WALL,
-                "height": h,
                 "loop_ring": ring,
                 "loop_tube": tube,
                 "hole": ring - tube,
@@ -665,32 +676,18 @@ def _geometry(spec: ParametricObjectSpec) -> tuple[dict[str, _Part], ObjectFeatu
             ),
         }
         return parts, ObjectFeatures(
-            "rack",
             {"peg_base": p0 + tr * d},
-            {"peg_dir": d, "up": _Z.copy()},
-            {
-                "peg_length": p["peg_length"],
-                "peg_radius": pr,
-                "trunk_radius": tr,
-                "base_radius": p["base_radius"],
-            },
+            {"peg_dir": d},
+            {"peg_length": p["peg_length"], "peg_radius": pr},
         )
     if spec.category == "bowl":
         rho_o = p["bowl_radius"] + BOWL_WALL / 2.0
         rho_i = p["bowl_radius"] - BOWL_WALL / 2.0
         alpha = p["bowl_angle"]
         return {"bowl": _bowl(rho_o, rho_i, alpha)}, ObjectFeatures(
-            "bowl",
-            {
-                "sphere_center": np.array([0.0, 0.0, rho_o]),
-                "rim_center": np.array([0.0, 0.0, rho_o * (1.0 - math.cos(alpha))]),
-            },
-            {"up": _Z.copy()},
-            {
-                "radius_outer": rho_o,
-                "radius_inner": rho_i,
-                "rim_radius": rho_o * math.sin(alpha),
-            },
+            {"sphere_center": np.array([0.0, 0.0, rho_o])},
+            {},
+            {"radius_outer": rho_o},
         )
     if spec.category == "teapot":
         rb, hb, rl = p["body_radius"], p["body_height"], p["lid_radius"]
@@ -721,13 +718,12 @@ def _geometry(spec: ParametricObjectSpec) -> tuple[dict[str, _Part], ObjectFeatu
             ),
         }
         return parts, ObjectFeatures(
-            "teapot",
             {
                 "spout_tip": spout_origin + p["spout_length"] * spout_dir,
                 "rim_center": np.array([0.0, 0.0, hb]),
             },
-            {"spout_dir": spout_dir, "up": _Z.copy()},
-            {"rim_radius_outer": rb, "rim_radius_inner": rb - WALL, "height": hb},
+            {"spout_dir": spout_dir},
+            {"rim_radius_outer": rb},
         )
     raise ValueError(f"unknown category {spec.category!r}")
 
@@ -941,11 +937,90 @@ def partial_view(obj: PartDecomposedObject, camera: CameraView) -> PartDecompose
 def task_categories(task: str) -> tuple[str, str]:
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    return TASKS[task]
+    return TASKS[task].categories
 
 
-def _rz(angle: float) -> np.ndarray:
-    return rotation_about_axis(_Z, angle)
+# Skills: each is a goal construction, the pose of a placed object a (local
+# frame) on a reference b at identity, and a success predicate in the world
+# frame, both over the two objects' features.
+
+
+def _hang_goal(feat_a: ObjectFeatures, feat_b: ObjectFeatures) -> RigidTransform:
+    # The loop hangs on the peg with its normal along the peg's heading.
+    peg_dir = feat_b.directions["peg_dir"]
+    peg_radius = feat_b.scalars["peg_radius"]
+    q = feat_b.points["peg_base"] + HANG_FRACTION * feat_b.scalars["peg_length"] * peg_dir
+    loop = feat_a.points["loop_center"]
+    reach = feat_a.scalars["hole"] - peg_radius - HANG_TUBE_GAP
+    if reach <= 0.0005:
+        raise ValueError("infeasible pair")
+    sin_chi = (peg_radius + HANG_WALL_GAP - RING_STANDOFF) / reach
+    if not 0.0 <= sin_chi <= 0.98:
+        raise ValueError("infeasible pair")
+    chi = math.asin(sin_chi)
+    crossing_local = np.array([loop[0] + reach * sin_chi, 0.0, loop[2] - reach * math.cos(chi)])
+    rot = rotation_about_axis(_Z, math.atan2(peg_dir[1], peg_dir[0]) - math.pi / 2.0)
+    return RigidTransform(rot, q - rot @ crossing_local)
+
+
+def _hangs(feat_a: ObjectFeatures, feat_b: ObjectFeatures) -> bool:
+    center = feat_a.points["loop_center"]
+    normal = feat_a.directions["loop_normal"]
+    q0 = feat_b.points["peg_base"]
+    d = feat_b.directions["peg_dir"]
+    dn = float(d @ normal)
+    if abs(dn) < 1e-9:
+        return False
+    s = float((center - q0) @ normal) / dn
+    if not 0.0 <= s <= feat_b.scalars["peg_length"]:
+        return False
+    crossing = q0 + s * d
+    return float(np.linalg.norm(crossing - center)) < feat_a.scalars["hole"]
+
+
+def _rest_goal(feat_a: ObjectFeatures, feat_b: ObjectFeatures) -> RigidTransform:
+    rho_o = feat_a.scalars["radius_outer"]
+    inner = feat_b.scalars["rim_radius_inner"]
+    if rho_o <= inner + 0.003:
+        raise ValueError("infeasible pair")
+    drop = math.sqrt(rho_o * rho_o - inner * inner)
+    center_z = feat_b.points["rim_center"][2] + drop + BOWL_REST_GAP
+    return RigidTransform(np.eye(3), np.array([0.0, 0.0, center_z - rho_o]))
+
+
+def _rests(feat_a: ObjectFeatures, feat_b: ObjectFeatures) -> bool:
+    center = feat_a.points["sphere_center"]
+    rho_o = feat_a.scalars["radius_outer"]
+    rim = feat_b.points["rim_center"]
+    inner = feat_b.scalars["rim_radius_inner"]
+    if rho_o <= inner + 0.002:
+        return False
+    rest_z = float(rim[2]) + math.sqrt(rho_o * rho_o - inner * inner)
+    lateral = float(np.linalg.norm(center[:2] - rim[:2]))
+    return lateral <= 0.4 * inner and abs(float(center[2]) - rest_z) <= 0.008
+
+
+def _pour_goal(feat_a: ObjectFeatures, feat_b: ObjectFeatures) -> RigidTransform:
+    # Pour over the rim point opposite the mug handle so the spout body
+    # clears the handle on approach.
+    rim = feat_b.points["rim_center"]
+    target = np.array([rim[0] - feat_b.scalars["rim_radius_outer"], rim[1], rim[2] + POUR_HEIGHT])
+    return RigidTransform(np.eye(3), target - feat_a.points["spout_tip"])
+
+
+def _pours(feat_a: ObjectFeatures, feat_b: ObjectFeatures) -> bool:
+    tip = feat_a.points["spout_tip"]
+    rim = feat_b.points["rim_center"]
+    lateral = float(np.linalg.norm(tip[:2] - rim[:2]))
+    lift = float(tip[2] - rim[2])
+    return lateral <= feat_b.scalars["rim_radius_outer"] + 0.003 and 0.001 <= lift <= 0.05
+
+
+_SKILLS = {
+    "hang": (_hang_goal, _hangs),
+    "rest": (_rest_goal, _rests),
+    "pour": (_pour_goal, _pours),
+}
 
 
 def goal_transform(
@@ -955,91 +1030,19 @@ def goal_transform(
     cat_a, cat_b = task_categories(task)
     if (spec_a.category, spec_b.category) != (cat_a, cat_b):
         raise ValueError(f"task {task!r} expects categories {cat_a!r}, {cat_b!r}")
-    feat_a, feat_b = features(spec_a), features(spec_b)
-    pb = spec_b.params
-
-    if task == "mug_on_rack":
-        peg_dir = feat_b.directions["peg_dir"]
-        q = feat_b.points["peg_base"] + HANG_FRACTION * pb["peg_length"] * peg_dir
-        loop = feat_a.points["loop_center"]
-        reach = feat_a.scalars["hole"] - pb["peg_radius"] - HANG_TUBE_GAP
-        if reach <= 0.0005:
-            raise ValueError("infeasible pair")
-        sin_chi = (pb["peg_radius"] + HANG_WALL_GAP - RING_STANDOFF) / reach
-        if not 0.0 <= sin_chi <= 0.98:
-            raise ValueError("infeasible pair")
-        chi = math.asin(sin_chi)
-        crossing_local = np.array(
-            [loop[0] + reach * sin_chi, 0.0, loop[2] - reach * math.cos(chi)]
-        )
-        yaw = pb["peg_angle"] - math.pi / 2.0
-        rot = _rz(yaw)
-        return RigidTransform(rot, q - rot @ crossing_local)
-
-    if task == "bowl_on_mug":
-        rho_o = feat_a.scalars["radius_outer"]
-        inner = feat_b.scalars["rim_radius_inner"]
-        if rho_o <= inner + 0.003:
-            raise ValueError("infeasible pair")
-        drop = math.sqrt(rho_o * rho_o - inner * inner)
-        center_z = pb["cup_height"] + drop + BOWL_REST_GAP
-        return RigidTransform(np.eye(3), np.array([0.0, 0.0, center_z - rho_o]))
-
-    if task == "teapot_pour_align":
-        # Pour over the rim point opposite the mug handle so the spout body
-        # clears the handle on approach.
-        tip_local = feat_a.points["spout_tip"]
-        target = np.array(
-            [-pb["cup_radius"], 0.0, pb["cup_height"] + POUR_HEIGHT]
-        )
-        rot = np.eye(3)
-        return RigidTransform(rot, target - rot @ tip_local)
-
-    raise ValueError(f"unknown task {task!r}")
+    goal, _ = _SKILLS[TASKS[task].skill]
+    return goal(features(spec_a), features(spec_b))
 
 
 def task_predicate(task: str, feat_a: ObjectFeatures, feat_b: ObjectFeatures) -> bool:
     """Geometric success test in the world frame, penetration not included."""
     task_categories(task)
-    if task == "mug_on_rack":
-        center = feat_a.points["loop_center"]
-        normal = feat_a.directions["loop_normal"]
-        hole = feat_a.scalars["hole"]
-        q0 = feat_b.points["peg_base"]
-        d = feat_b.directions["peg_dir"]
-        dn = float(d @ normal)
-        if abs(dn) < 1e-9:
-            return False
-        s = float((center - q0) @ normal) / dn
-        if not 0.0 <= s <= feat_b.scalars["peg_length"]:
-            return False
-        crossing = q0 + s * d
-        return float(np.linalg.norm(crossing - center)) < hole
-    if task == "bowl_on_mug":
-        center = feat_a.points["sphere_center"]
-        rho_o = feat_a.scalars["radius_outer"]
-        rim = feat_b.points["rim_center"]
-        inner = feat_b.scalars["rim_radius_inner"]
-        if rho_o <= inner + 0.002:
-            return False
-        rest_z = float(rim[2]) + math.sqrt(rho_o * rho_o - inner * inner)
-        lateral = float(np.linalg.norm(center[:2] - rim[:2]))
-        return lateral <= 0.4 * inner and abs(float(center[2]) - rest_z) <= 0.008
-    if task == "teapot_pour_align":
-        tip = feat_a.points["spout_tip"]
-        rim = feat_b.points["rim_center"]
-        lateral = float(np.linalg.norm(tip[:2] - rim[:2]))
-        lift = float(tip[2] - rim[2])
-        return lateral <= feat_b.scalars["rim_radius_outer"] + 0.003 and 0.001 <= lift <= 0.05
-    raise ValueError(f"unknown task {task!r}")
+    _, predicate = _SKILLS[TASKS[task].skill]
+    return predicate(feat_a, feat_b)
 
-
-# Demonstrations are denser for the bowl task: the bowl-rim contact ring is
-# thin, and a sparse demo leaves too few interaction pairs to align.
-_DEMO_POINTS_PER_PART = {"bowl_on_mug": 700}
 
 # Where a demonstration's placed object starts, before its recorded motion.
-_DEMO_INIT_A = RigidTransform(_rz(0.3), np.array([0.32, -0.14, 0.0]))
+_DEMO_INIT_A = RigidTransform(rotation_about_axis(_Z, 0.3), np.array([0.32, -0.14, 0.0]))
 
 
 @dataclass(frozen=True)
@@ -1059,7 +1062,7 @@ class DemoScene:
 def generate_demo_scene(task: str) -> DemoScene:
     """The task's one demonstration: its two default objects at the goal."""
     cat_a, cat_b = task_categories(task)
-    pp = _DEMO_POINTS_PER_PART.get(task, 400)
+    pp = TASKS[task].demo_points_per_part
     spec_a = default_spec(cat_a, seed=11, points_per_part=pp)
     spec_b = default_spec(cat_b, seed=12, points_per_part=pp)
 

@@ -1,9 +1,10 @@
 """The command-line front end: a tiny gen/train/transfer/eval round trip on
 every task, the demo context `transfer` caches and when it is recomputed,
 config and flag validation, the scenes `gen` draws, model files `transfer`
-refuses, the settings `eval` passes on to training, `train` writing the
-models `eval` trains, and `eval`'s worker pool reproducing the one-process
-report."""
+refuses, malformed input files `train` and `transfer` report without a
+traceback, the settings `eval` passes on to training, `train` writing the
+models `eval` trains, `eval`'s worker pool reproducing the one-process
+report, and the BLAS thread variables recorded beside it."""
 
 from __future__ import annotations
 
@@ -13,12 +14,23 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import partwarp
 from partwarp import cli, evaluation
-from partwarp.evaluation import METHOD_PARTS, METHOD_WHOLE, ExperimentConfig, report_to_dict
+from partwarp.evaluation import (
+    METHOD_PARTS,
+    METHOD_WHOLE,
+    ExperimentConfig,
+    ExperimentReport,
+    report_to_dict,
+    write_report,
+)
 from partwarp.registration import CpdConfig
 from partwarp.shapemodel import InferenceConfig, model_to_dict
 from partwarp.synth import CATEGORY_DEFAULTS, generate_demo_scene
@@ -206,6 +218,50 @@ def test_failed_context_write_still_transfers(workspace, monkeypatch):
     assert transfer(workspace, "second.json") == first
 
 
+# Each case: the command, the files it reads (the demo marked "DEMO"), and
+# the stage its error names.
+MALFORMED = {
+    "demo_is_a_list": ("transfer", {"demo.json": [], "scene.json": {}}, "loading inputs"),
+    "scene_parts_is_a_list": (
+        "transfer",
+        {"demo.json": "DEMO", "scene.json": {"object": {"category": "mug", "parts": []}}},
+        "loading inputs",
+    ),
+    "manifest_train_is_a_list": ("train", {"manifest.json": {"train": ["mug"]}}, "reading dataset"),
+    "training_file_is_missing": (
+        "train", {"manifest.json": {"train": {"mug": ["absent.json"]}}}, "reading dataset"),
+    "training_file_lacks_its_object": (
+        "train",
+        {"manifest.json": {"train": {"mug": ["mug.json"]}}, "mug.json": {"spec": {}}},
+        "reading dataset",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_file_exits_1_without_a_traceback(tmp_path, case):
+    command, files, stage = MALFORMED[case]
+    dataset = tmp_path / "dataset"
+    dataset.mkdir()
+    for name, payload in files.items():
+        if payload == "DEMO":
+            payload = demo_to_dict(generate_demo_scene("mug_on_rack").demo)
+        (dataset / name).write_text(json.dumps(payload))
+    argv = [command, "--config", write_config(tmp_path)]
+    if command == "transfer":
+        scene = str(dataset / "scene.json")
+        argv += ["--demo", str(dataset / "demo.json"), "--scene-a", scene, "--scene-b", scene]
+    # A separate process, so that an uncaught exception shows as a traceback.
+    src = str(Path(partwarp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "partwarp.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert f"error: {stage}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 UNKNOWN_KEYS = {
     "icp": {"icp": {}},
     # jobs comes from --jobs alone, and the file spells master_seed `seed`.
@@ -352,3 +408,21 @@ def test_worker_pool_gives_the_one_process_report():
             report = evaluation.run_experiment(dataclasses.replace(cfg, jobs=jobs))
         reports.append(json.dumps(report_to_dict(report), sort_keys=True))
     assert reports[0] == reports[1]
+
+
+def test_timings_record_the_blas_thread_variables(tmp_path, monkeypatch):
+    report = ExperimentReport({"task": "mug_on_rack"}, (), {}, {})
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    write_report(report, tmp_path / "unset")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    write_report(report, tmp_path / "set")
+    timings = json.loads((tmp_path / "set" / "timings.json").read_text())
+    assert timings["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+    unset = json.loads((tmp_path / "unset" / "timings.json").read_text())
+    assert unset["blas_threads"]["OPENBLAS_NUM_THREADS"] is None
+    # The thread variables stay out of the reproducible report.
+    report_bytes = (tmp_path / "set" / "report.json").read_bytes()
+    assert report_bytes == (tmp_path / "unset" / "report.json").read_bytes()
+    assert b"blas_threads" not in report_bytes

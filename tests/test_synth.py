@@ -261,6 +261,18 @@ class TestFeaturesAndTasks:
         np.testing.assert_allclose(combined.rotation, goal.rotation, atol=1e-12)
         np.testing.assert_allclose(combined.translation, goal.translation, atol=1e-12)
 
+    @pytest.mark.parametrize("psi", [0.4, -1.1, 2.5])
+    def test_hang_goal_follows_a_yawed_peg(self, psi):
+        # The rack at peg_angle psi is the psi = 0 rack turned by Rz(psi), so
+        # the mug's goal on it is the psi = 0 goal turned the same way.
+        mug, rack = default_spec("mug"), default_spec("rack", peg_angle=psi)
+        turn = RigidTransform(rotation_about_axis(np.array([0.0, 0.0, 1.0]), psi), np.zeros(3))
+        expected = turn.compose(goal_transform("mug_on_rack", mug, default_spec("rack")))
+        goal = goal_transform("mug_on_rack", mug, rack)
+        np.testing.assert_allclose(goal.rotation, expected.rotation, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(goal.translation, expected.translation, rtol=0, atol=1e-12)
+        assert task_predicate("mug_on_rack", features(mug).transformed(goal), features(rack))
+
     def test_small_handle_on_thick_peg_is_infeasible(self):
         mug = default_spec("mug", handle_radius=0.016)
         rack = default_spec("rack", peg_radius=0.0105)
