@@ -224,15 +224,16 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     model_dir = Path(cfg.model_dir)
     log: dict[str, dict] = {}
-    stage = "reading dataset"
+    stage = f"reading dataset: {manifest_path}"
     try:
         train = json.loads(manifest_path.read_text())["train"]
         if not isinstance(train, dict):
             raise ValueError("the manifest's train entry must map categories to files")
         for cat in sorted(train):
-            stage = "reading dataset"
+            stage = f"reading dataset: {manifest_path}"
             objects = []
             for name in train[cat]:
+                stage = f"reading dataset: {dataset / name}"
                 payload = json.loads((dataset / name).read_text())
                 objects.append(label_parts(object_from_dict(payload["object"])))
             stage = f"training {cat!r}"
@@ -330,12 +331,14 @@ def _store_context(path: Path, key: str, ctx: DemoContext) -> None:
 def cmd_transfer(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Apply a demonstration to one novel scene and write the result."""
     exp = cfg.experiment
-    stage = "loading inputs"
+    demo_path = Path(args.demo)
     try:
-        demo_path = Path(args.demo)
+        stage = f"loading inputs: {demo_path}"
         demo_bytes = demo_path.read_bytes()
         demo = load_demo(demo_bytes)
+        stage = f"loading inputs: {args.scene_a}"
         novel_a = _load_scene_object(Path(args.scene_a))
+        stage = f"loading inputs: {args.scene_b}"
         novel_b = _load_scene_object(Path(args.scene_b))
         stage = "loading models"
         model_dir = Path(cfg.model_dir)

@@ -2,11 +2,12 @@
 
 sqdist is the one pairwise-distance kernel: every nearest-neighbour query
 in the library is a min over a dense (n, m) block of it, with no spatial
-index, and ChamferQuery is its prepared mode for a fit's objective loop.
+index, and ChamferQuery is its prepared mode for a loop over one fixed
+query set: a fit's objective, or coherent point drift's E-step.
 label_classes is the one rule that pairs the label classes of two clouds.
 
 Everything here except a ChamferQuery, which keeps its (5, m) reference
-and (n, m) distance buffers from one match to the next, is immutable after
+and (n, m) distance buffers from one call to the next, is immutable after
 construction and safe to share between threads. Coordinates are float64
 world units (meters in the synthetic scenes). The labeled Chamfer distance
 is one-sided: it measures how well the second cloud explains the first,
@@ -214,11 +215,11 @@ class ChamferQuery:
 
     The prepared mode of sqdist for a loop that matches one query set
     against many reference sets of one size, such as a fit's objective. The
-    query side is folded once into the (n, 5) matrix [-2 q, 1, |q|^2], so a
-    call to match is one GEMM with [r; |r|^2; 1] into an (n, m) block, an
-    argmin along its contiguous rows, a clamp of the mins at 0, and their
-    mean. The (5, m) and (n, m) buffers are kept for the next call with the
-    same reference size.
+    query side is folded once into the (n, 5) matrix [-2 q, 1, |q|^2], so
+    block is one GEMM with [r; |r|^2; 1] into an (n, m) block of squared
+    distances, and match adds an argmin along its contiguous rows, a clamp
+    of the mins at 0, and their mean. The (5, m) and (n, m) buffers are kept
+    for the next call with the same reference size.
 
     The mean is that of sqdist(q, r).min(axis=1), but summed in a different
     order, so the two differ by a few ulps of |q_i|^2 + |r_j|^2; where two
@@ -242,8 +243,12 @@ class ChamferQuery:
         self._ref = np.empty((5, 0))
         self._block = np.empty((self._n, 0))
 
-    def match(self, ref: np.ndarray) -> tuple[float, np.ndarray]:
-        """Mean min squared distance into ref, and each query's nearest index."""
+    def block(self, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (n, m) squared distances into ref, and ref's (m,) squared row norms.
+
+        Both are the query's buffers, overwritten by the next call. The
+        block is not clamped: a coincident pair may read a few ulps below 0.
+        """
         m = ref.shape[0]
         if m == 0:
             raise ValueError("empty cloud")
@@ -254,8 +259,13 @@ class ChamferQuery:
         self._ref[:3] = ref.T
         np.einsum("ij,ij->i", ref, ref, out=self._ref[3])
         np.matmul(self._folded, self._ref, out=self._block)
-        nearest = self._block.argmin(axis=1)
-        mins = np.maximum(self._block[self._rows, nearest], 0.0)
+        return self._block, self._ref[3]
+
+    def match(self, ref: np.ndarray) -> tuple[float, np.ndarray]:
+        """Mean min squared distance into ref, and each query's nearest index."""
+        d2, _ = self.block(ref)
+        nearest = d2.argmin(axis=1)
+        mins = np.maximum(d2[self._rows, nearest], 0.0)
         return float(mins.sum()) / self._n, nearest
 
 

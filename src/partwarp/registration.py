@@ -6,7 +6,11 @@ mixture whose centroids are the source points, regularized by a
 motion-coherence kernel so nearby source points move together. Its M-step is
 solved in the leading eigenbasis of the kernel's Gram matrix, the paper's
 low-rank "fast" CPD, so each iteration solves a small system instead of a
-dense one over all source points. The rigid path is the SVD
+dense one over all source points. Its E-step runs in place in one (n, m)
+buffer that geom.ChamferQuery fills with one GEMM per iteration, and
+Gaussians too small to matter are made exact zeros before exp sees them,
+which keeps exp and every later pass over the block off float64's slow
+subnormal paths. The rigid path is the SVD
 orthogonal-Procrustes solve (kabsch), which also gives a defined result on a
 point or a line: the least-squares transform with the smallest rotation.
 """
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .geom import PointCloud, RigidTransform, rotation_about_axis, sqdist
+from .geom import ChamferQuery, PointCloud, RigidTransform, rotation_about_axis, sqdist
 
 __all__ = [
     "CpdConfig",
@@ -31,6 +35,19 @@ __all__ = [
 # moves by at most about 1e-6 of its largest displacement from the full
 # solve's (2e-4 at a cutoff of 1e-10).
 _GRAM_EIG_CUTOFF = 1e-12
+
+# E-step exponents -d^2 / (2 sigma^2) at or below this floor give a Gaussian
+# of exactly 0 instead of going through exp. Late in a fit sigma^2 is small
+# and most of the (n, m) block lies below -708. There numpy's exp leaves its
+# fast path: about 1 ns an element in range, 19 ns below -746 and 142 ns in
+# the subnormal band between. Every later pass over a subnormal Gaussian
+# (the responsibilities, their sums, P^T X) then costs about 15 ns an
+# element against 0.3-0.5 ns. exp(-690) is 2e-300: no sum of the E-step can
+# resolve it (the outlier term c is about 2e-18 at the default weight and
+# the smallest sigma^2), and it sits far enough above the smallest normal
+# double, 2e-308, that a Gaussian times 1 / (rowsum + c) and times a
+# coordinate stays normal.
+_EXP_FLOOR = -690.0
 
 
 @dataclass(frozen=True)
@@ -98,6 +115,14 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
     M-step solves the (K, K) system
     (U^T diag(P1) U + lam sigma^2 I) y = U^T (P^T X - diag(P1) S),
     the low-rank Gram approximation of Myronenko & Song's fast CPD.
+
+    The E-step keeps one (n, m) block, filled by a ChamferQuery prepared on
+    the fixed target: the squared distances are scaled in place to the
+    exponents -d^2 / (2 sigma^2), exponents at or below _EXP_FLOOR give
+    exact zeros, exp runs in place on the rest, and scaling each row by
+    1 / (rowsum + c) turns the Gaussians into the responsibilities P, from
+    which P1 and P^T X are both reduced. The row norms of the warped points
+    that the next block needs also give sigma^2's diag(P1) term.
     """
     if len(source) == 0 or len(target) == 0:
         raise ValueError("empty cloud")
@@ -118,12 +143,16 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
     eigval, eigvec = np.linalg.eigh(np.exp(-sqdist(s, s) / (2.0 * cfg.beta**2)))
     keep = eigval > _GRAM_EIG_CUTOFF * eigval[-1]
     u = eigvec[:, keep] * np.sqrt(eigval[keep])  # (m, K)
+    ut = np.ascontiguousarray(u.T)
+    k = u.shape[1]
+    weighted = np.empty_like(ut)  # U^T diag(P1)
 
-    y = np.zeros((u.shape[1], 3))
-    warped = s.copy()
-    d2 = sqdist(x, warped)
-    sigma2 = d2.sum() / (3.0 * m * n)
-    sigma2 = max(sigma2, 1e-12)
+    query = ChamferQuery(x)
+    xnorm = np.einsum("ij,ij->i", x, x)
+    y = np.zeros((k, 3))
+    block, _ = query.block(s)
+    above = np.empty(block.shape, dtype=bool)
+    sigma2 = max(float(block.sum()) / (3.0 * m * n), 1e-12)
 
     history: list[float] = []
     best_obj = np.inf
@@ -134,9 +163,15 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
     # One extra scoring pass past the budget scores the final M-step, so that
     # best-so-far sees it; that pass stops before the convergence test.
     for iteration in range(cfg.max_iterations + 1):
-        d2 = sqdist(x, warped)
-        gauss = np.exp(-d2 / (2.0 * sigma2))
-        rowsum = gauss.sum(axis=1)
+        # Gaussians: exp of the exponents -d^2 / (2 sigma^2), clipped into
+        # [floor, 0] so that exp stays on its fast path, then exactly 0
+        # wherever the exponent was at or below the floor.
+        block *= -0.5 / sigma2
+        np.greater(block, _EXP_FLOOR, out=above)
+        np.clip(block, _EXP_FLOOR, 0.0, out=block)
+        np.exp(block, out=block)
+        block *= above
+        rowsum = block.sum(axis=1)
 
         # Negative log-likelihood of the mixture plus the coherence penalty,
         # evaluated at the current parameters. EM never increases this.
@@ -155,24 +190,25 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
 
         c = (2.0 * np.pi * sigma2) ** 1.5 * outlier / max(1.0 - outlier, 1e-12) * m / n
         inv = 1.0 / (rowsum + c)
-        p = gauss * inv[:, None]  # (n, m) responsibilities
+        block *= inv[:, None]  # (n, m) responsibilities
         pt1 = rowsum * inv
-        p1 = p.sum(axis=0)
+        p1 = block.sum(axis=0)
         np_total = p1.sum()
         if np_total < 1e-12:
             break  # every point explained by the outlier component
-        px = p.T @ x
-        lhs = (u.T * p1) @ u + cfg.lam * sigma2 * np.eye(u.shape[1])
+        px = block.T @ x
+        np.multiply(ut, p1, out=weighted)
+        lhs = weighted @ u
+        lhs.flat[:: k + 1] += cfg.lam * sigma2
         try:
-            y = np.linalg.solve(lhs, u.T @ (px - p1[:, None] * s))
+            y = np.linalg.solve(lhs, ut @ (px - p1[:, None] * s))
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("coherent registration failed: singular system") from exc
         warped = s + u @ y
 
+        block, wnorm = query.block(warped)
         sigma2 = (
-            np.einsum("i,ij,ij->", pt1, x, x)
-            - 2.0 * np.einsum("ij,ij->", px, warped)
-            + np.einsum("i,ij,ij->", p1, warped, warped)
+            pt1 @ xnorm - 2.0 * np.einsum("ij,ij->", px, warped) + p1 @ wnorm
         ) / (3.0 * np_total)
         sigma2 = max(float(sigma2), 1e-12)
 

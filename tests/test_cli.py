@@ -1,10 +1,10 @@
 """The command-line front end: a tiny gen/train/transfer/eval round trip on
 every task, the demo context `transfer` caches and when it is recomputed,
 config and flag validation, the scenes `gen` draws, model files `transfer`
-refuses, malformed input files `train` and `transfer` report without a
-traceback, the settings `eval` passes on to training, `train` writing the
-models `eval` trains, `eval`'s worker pool reproducing the one-process
-report, and the BLAS thread variables recorded beside it."""
+refuses, malformed input files `train` and `transfer` report by path and
+without a traceback, the settings `eval` passes on to training, `train`
+writing the models `eval` trains, `eval`'s worker pool reproducing the
+one-process report, and the BLAS thread variables recorded beside it."""
 
 from __future__ import annotations
 
@@ -260,6 +260,31 @@ def test_malformed_input_file_exits_1_without_a_traceback(tmp_path, case):
     assert proc.returncode == 1, proc.stderr
     assert f"error: {stage}: " in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("culprit", ["demo", "scene_a", "scene_b", "training_file"])
+def test_malformed_input_error_names_its_file(tmp_path, capsys, culprit):
+    dataset = tmp_path / "dataset"
+    dataset.mkdir()
+    demo = demo_to_dict(generate_demo_scene("mug_on_rack").demo)
+    malformed = {"object": {"category": "mug", "parts": []}}
+    if culprit == "training_file":
+        files = {"manifest.json": {"train": {"mug": ["mug.json"]}}, "mug.json": {"spec": {}}}
+        argv = ["train"]
+    else:
+        files = {"demo.json": demo, "scene_a.json": {"object": demo["object_a"]},
+                 "scene_b.json": {"object": demo["object_b"]}}
+        files[f"{culprit}.json"] = [] if culprit == "demo" else malformed
+        argv = ["transfer", "--demo", str(dataset / "demo.json"),
+                "--scene-a", str(dataset / "scene_a.json"),
+                "--scene-b", str(dataset / "scene_b.json")]
+    for name, payload in files.items():
+        (dataset / name).write_text(json.dumps(payload))
+    assert run(*argv, "--config", write_config(tmp_path)) == 1
+    err = capsys.readouterr().err
+    culprit_file = "mug.json" if culprit == "training_file" else f"{culprit}.json"
+    assert f": {dataset / culprit_file}: " in err, err
+    assert [name for name in files if str(dataset / name) in err] == [culprit_file], err
 
 
 UNKNOWN_KEYS = {

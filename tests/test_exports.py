@@ -56,6 +56,23 @@ def test_package_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_every_module_loads_no_scipy():
+    # The runtime dependency is numpy alone: no module may import scipy, even
+    # where nothing would call it.
+    script = textwrap.dedent("""
+        import importlib, pkgutil, sys
+        import partwarp
+        names = sorted(m.name for m in pkgutil.iter_modules(partwarp.__path__))
+        for name in names:
+            importlib.import_module(f"partwarp.{name}")
+        print(" ".join(names))
+        assert "scipy" not in sys.modules, "scipy was imported"
+    """)
+    proc = _run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) >= set(MODULES)
+
+
 def test_cli_module_runs_without_a_reimport_warning():
     # runpy warns when the module it is asked to run as __main__ was already
     # imported by its package's __init__.

@@ -280,7 +280,11 @@ class TestChamferQuery:
                 r = rng.normal(size=(m, 3)) * scale
                 d2 = sqdist(q, r)
                 want = float(d2.min(axis=1).mean())
-                got, nearest = ChamferQuery(q).match(r)
+                prepared = ChamferQuery(q)
+                block, norms = prepared.block(r)
+                assert np.abs(block - d2).max() <= self.tolerance(q, r)
+                np.testing.assert_array_equal(norms, np.einsum("ij,ij->i", r, r))
+                got, nearest = prepared.match(r)
                 assert isinstance(got, float)
                 assert got >= 0.0
                 assert abs(got - want) <= self.tolerance(q, r)

@@ -257,6 +257,16 @@ class TestCpd:
             assert len(field.objective_history) == len(dense.objective_history)
             assert field.converged == dense.converged
 
+    @pytest.mark.parametrize("category", ["mug", "rack"])
+    def test_e_step_stays_out_of_float64_underflow(self, category):
+        # Late in a fit most exponents -d^2 / (2 sigma^2) lie far below
+        # -708. Passed to exp, they leave its fast path and leave subnormal
+        # Gaussians that slow every later pass; they must reach the sums as
+        # exact zeros instead.
+        with np.errstate(under="raise"):
+            for source, target in bench_sized_pairs(category):
+                cpd_nonrigid(source, target)
+
     def test_degenerate_sources_give_a_finite_field(self, rng):
         target = PointCloud(rng.normal(size=(30, 3)))
         direction = np.array([0.3, -0.5, 0.8])
