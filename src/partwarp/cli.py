@@ -25,6 +25,10 @@ included, is the ``evaluation.ExperimentConfig`` field of the same name,
 which validates the whole experiment once, when the file is loaded. The
 ``pipeline`` section takes ``delta_scale`` and the ``inference`` section.
 
+Every file a command writes follows geom.to_json's rule: records are their
+fields in declaration order, mappings are sorted by key, arrays are lists.
+The payloads built here around them keep the order they are written in.
+
 Exit codes: 0 on success, 1 on a runtime failure, 2 on a usage or config
 error.
 """
@@ -51,10 +55,10 @@ from .evaluation import (
     trial_scene,
     write_report,
 )
-from .geom import transform_to_dict
+from .geom import to_json
 from .registration import CpdConfig
 from .shapemodel import CanonicalPartModel, InferenceConfig, load_model, save_model
-from .synth import generate, generate_demo_scene, spec_to_dict
+from .synth import generate, generate_demo_scene
 from .transfer import (
     DemoContext,
     Demonstration,
@@ -62,11 +66,9 @@ from .transfer import (
     PipelineConfig,
     context_from_dict,
     context_to_dict,
-    demo_to_dict,
     label_parts,
     load_demo,
     object_from_dict,
-    object_to_dict,
     process_demonstration,
     result_to_dict,
     transfer_skill,
@@ -187,26 +189,28 @@ def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
         for i, spec in enumerate(training_specs(cat, seed, exp)):
             obj, _, _ = generate(spec)
             name = f"train_{cat}_{i:02d}.json"
-            _dump(dataset / name, {"spec": spec_to_dict(spec), "object": object_to_dict(obj)})
+            _dump(dataset / name, {"spec": to_json(spec), "object": to_json(obj)})
             names.append(name)
         manifest["train"][cat] = names
 
     for i in range(cfg.count):
-        # The written pairs are the scenes trial i of this experiment sees.
+        # Pair i is the scene that trial i of `eval` sees. `transfer` fits it
+        # under `seed`, not under trial i's seed, so its placement need not
+        # equal the one `eval` reports.
         spec_a, spec_b, pose_a, pose_b = trial_scene(exp, i)
         pair = []
         for side, spec, pose in (("a", spec_a, pose_a), ("b", spec_b, pose_b)):
             obj, _, _ = generate(spec)
             name = f"heldout_{i:02d}_{side}.json"
             _dump(dataset / name, {
-                "spec": spec_to_dict(spec),
-                "pose": transform_to_dict(pose),
-                "object": object_to_dict(obj.transformed(pose)),
+                "spec": to_json(spec),
+                "pose": to_json(pose),
+                "object": to_json(obj.transformed(pose)),
             })
             pair.append(name)
         manifest["heldout"].append(pair)
 
-    _dump(dataset / "demo.json", demo_to_dict(generate_demo_scene(exp.task).demo))
+    _dump(dataset / "demo.json", to_json(generate_demo_scene(exp.task).demo))
     _dump(dataset / "manifest.json", manifest, indent=2)
     print(f"wrote {exp.train_instances * 2} training instances, "
           f"{cfg.count} held-out pairs, 1 demo to {dataset}")
@@ -260,8 +264,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _load_scene_object(path: Path) -> PartDecomposedObject:
-    payload = json.loads(path.read_text())
-    return object_from_dict(payload.get("object", payload))
+    return object_from_dict(json.loads(path.read_text())["object"])
 
 
 def _load_models(
@@ -273,9 +276,12 @@ def _load_models(
         name = f"{obj.category}/{part}.json"
         path = model_dir / name
         if not path.exists():
-            raise FileNotFoundError(f"missing model file {path}")
+            raise FileNotFoundError(f"{path}: missing model file")
         files[name] = path.read_bytes()
-        models[part] = load_model(files[name])
+        try:
+            models[part] = load_model(files[name])
+        except _INPUT_ERRORS as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return models
 
 
@@ -361,10 +367,7 @@ def cmd_transfer(cfg: RunConfig, args: argparse.Namespace) -> int:
         return 1
 
     payload = result_to_dict(result)
-    payload["relation_set"] = {
-        "relations": [list(rel) for rel in ctx.relations.relations],
-        "score": ctx.relations.score,
-    }
+    payload["relation_set"] = to_json(ctx.relations)
     out = Path(args.out) if args.out else Path(cfg.output_dir) / "transfer_result.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     _dump(out, payload, indent=2)

@@ -16,13 +16,13 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geom import PointCloud, RigidTransform, rotation_about_axis, transform_to_dict
+from .geom import PointCloud, RigidTransform, rotation_about_axis, to_json
 from .shapemodel import CanonicalPartModel, CpdConfig, train_part_model
 from .synth import (
     CATEGORY_DEFAULTS,
@@ -35,7 +35,6 @@ from .synth import (
     generate_demo_scene,
     penetration_depth,
     sample_spec,
-    spec_to_dict,
     task_categories,
     task_predicate,
 )
@@ -391,46 +390,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         rates[method] = p
         errors[method] = float(np.sqrt(p * (1.0 - p) / len(flags)))
 
+    # Worker count changes how trials are scheduled, never what they compute,
+    # so it stays out of the reproducible report like wall time does.
+    config = to_json(cfg)
+    del config["jobs"]
     return ExperimentReport(
-        config=_config_snapshot(cfg),
+        config=config,
         trials=tuple(trials),
         success_rates=rates,
         standard_errors=errors,
     )
 
 
-def _config_snapshot(cfg: ExperimentConfig) -> dict:
-    payload = asdict(cfg)
-    payload["methods"] = list(cfg.methods)
-    # Worker count changes how trials are scheduled, never what they compute,
-    # so it stays out of the reproducible report like wall time does.
-    del payload["jobs"]
-    return payload
-
-
-def _trial_payload(t: TrialRecord) -> dict:
-    return {
-        "task": t.task,
-        "trial": t.trial,
-        "method": t.method,
-        "spec_a": spec_to_dict(t.spec_a),
-        "spec_b": spec_to_dict(t.spec_b),
-        "t_predicted": None if t.t_predicted is None else transform_to_dict(t.t_predicted),
-        "success": t.success,
-        "penetration_depth": t.penetration_depth,
-        "task_predicate": t.task_predicate,
-        "seed": t.seed,
-        "note": t.note,
-    }
-
-
 def report_to_dict(report: ExperimentReport) -> dict:
-    """Deterministic report payload; wall-clock timings live elsewhere."""
+    """Deterministic report payload; every wall-clock time, a trial's too, lives elsewhere."""
     return {
         "config": report.config,
         "success_rates": dict(report.success_rates),
         "standard_errors": dict(report.standard_errors),
-        "trials": [_trial_payload(t) for t in report.trials],
+        "trials": [
+            {k: v for k, v in to_json(t).items() if k != "wall_time"} for t in report.trials
+        ],
     }
 
 

@@ -12,11 +12,16 @@ construction and safe to share between threads. Coordinates are float64
 world units (meters in the synthetic scenes). The labeled Chamfer distance
 is one-sided: it measures how well the second cloud explains the first,
 summed per binary label class.
+
+to_json is the one encoder of every file partwarp writes: records become
+their fields in declaration order, mappings are sorted by key, and arrays
+become lists. Each reader (*_from_dict) is written out by hand, since it
+checks files that may come from elsewhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Mapping
 
 import numpy as np
@@ -34,9 +39,8 @@ __all__ = [
     "labeled_chamfer",
     "adjacency_label_values",
     "z_label_values",
-    "cloud_to_dict",
+    "to_json",
     "cloud_from_dict",
-    "transform_to_dict",
     "transform_from_dict",
 ]
 
@@ -335,23 +339,40 @@ def z_label_values(part: PointCloud) -> np.ndarray:
     return (z < z.mean()).astype(np.int64)
 
 
-def cloud_to_dict(cloud: PointCloud) -> dict:
-    out: dict = {"points": cloud.points.tolist()}
-    if cloud.labels:
-        out["labels"] = {k: cloud.labels[k].tolist() for k in sorted(cloud.labels)}
-    return out
+def to_json(value):
+    """value as plain Python values for json.dumps, by the rule of every partwarp file.
+
+    A dataclass record becomes a dict of its fields in declaration order; a
+    Mapping becomes a dict sorted by key; tuples, lists and arrays become
+    lists. A RigidTransform becomes its rotation's 9 entries, row by row,
+    and its translation; a PointCloud without labels, its points alone.
+    Anything else passes through unchanged. A caller that needs another
+    layout builds its payload around these values.
+    """
+    # Scalars are most of the calls; the checks below would cost each ~1 us.
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, RigidTransform):
+        return {
+            "rotation": value.rotation.reshape(9).tolist(),
+            "translation": value.translation.tolist(),
+        }
+    if isinstance(value, PointCloud) and not value.labels:
+        return {"points": value.points.tolist()}
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Mapping):
+        return {k: to_json(value[k]) for k in sorted(value)}
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    return value
 
 
 def cloud_from_dict(payload: Mapping) -> PointCloud:
     labels = payload.get("labels")
     return PointCloud(np.asarray(payload["points"], dtype=np.float64), labels)
-
-
-def transform_to_dict(t: RigidTransform) -> dict:
-    return {
-        "rotation": [float(v) for v in t.rotation.reshape(9)],
-        "translation": [float(v) for v in t.translation],
-    }
 
 
 def transform_from_dict(payload: Mapping) -> RigidTransform:

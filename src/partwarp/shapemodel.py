@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -32,13 +32,12 @@ from .geom import (
     PointCloud,
     RigidTransform,
     cloud_from_dict,
-    cloud_to_dict,
     label_classes,
     rotation_about_axis,
     sqdist,
     symmetric_chamfer,
+    to_json,
     transform_from_dict,
-    transform_to_dict,
     z_label_values,
 )
 from .registration import CpdConfig, cpd_nonrigid
@@ -53,9 +52,7 @@ __all__ = [
     "reconstruct",
     "infer",
     "warp_point_indices",
-    "inference_to_dict",
     "inference_from_dict",
-    "model_to_dict",
     "model_from_dict",
     "save_model",
     "load_model",
@@ -490,17 +487,6 @@ def warp_point_indices(
     return sqdist(pts, fit.pose.apply(recon.points)).argmin(axis=1)
 
 
-def inference_to_dict(fit: InferenceResult) -> dict:
-    return {
-        "latent": fit.latent.tolist(),
-        "pose": transform_to_dict(fit.pose),
-        "objective": fit.objective,
-        "converged": fit.converged,
-        "evaluations": fit.evaluations,
-        "start": fit.start,
-    }
-
-
 def inference_from_dict(payload: Mapping) -> InferenceResult:
     return InferenceResult(
         latent=np.asarray(payload["latent"], dtype=np.float64),
@@ -510,20 +496,6 @@ def inference_from_dict(payload: Mapping) -> InferenceResult:
         evaluations=int(payload["evaluations"]),
         start=int(payload["start"]),
     )
-
-
-def model_to_dict(model: CanonicalPartModel) -> dict:
-    return {
-        "part_category": model.part_category,
-        "canonical": cloud_to_dict(model.canonical),
-        "basis": model.basis.tolist(),
-        "latent_mean": model.latent_mean.tolist(),
-        "latent_scales": model.latent_scales.tolist(),
-        "training_latents": model.training_latents.tolist(),
-        "training_residuals": model.training_residuals.tolist(),
-        "explained_variance": model.explained_variance.tolist(),
-        "cpd_config": asdict(model.cpd_config),
-    }
 
 
 def model_from_dict(payload: Mapping) -> CanonicalPartModel:
@@ -541,7 +513,7 @@ def model_from_dict(payload: Mapping) -> CanonicalPartModel:
 
 
 def save_model(path, model: CanonicalPartModel) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), allow_nan=False))
+    Path(path).write_text(json.dumps(to_json(model), allow_nan=False))
 
 
 def load_model(source) -> CanonicalPartModel:

@@ -329,16 +329,6 @@ def sample_spec(
     )
 
 
-def spec_to_dict(spec: ParametricObjectSpec) -> dict:
-    return {
-        "category": spec.category,
-        "params": {k: spec.params[k] for k in sorted(spec.params)},
-        "seed": spec.seed,
-        "points_per_part": spec.points_per_part,
-        "noise": spec.noise,
-    }
-
-
 def spec_from_dict(payload: Mapping) -> ParametricObjectSpec:
     return ParametricObjectSpec(
         payload["category"],

@@ -27,11 +27,10 @@ from .geom import (
     RigidTransform,
     adjacency_label_values,
     cloud_from_dict,
-    cloud_to_dict,
     rotation_geodesic,
     sqdist,
+    to_json,
     transform_from_dict,
-    transform_to_dict,
     z_label_values,
 )
 from .registration import kabsch
@@ -42,7 +41,6 @@ from .shapemodel import (
     InferenceResult,
     infer,
     inference_from_dict,
-    inference_to_dict,
     reconstruct,
     warp_point_indices,
 )
@@ -67,9 +65,7 @@ __all__ = [
     "transfer_skill",
     "whole_object_baseline",
     "scene_extent",
-    "object_to_dict",
     "object_from_dict",
-    "demo_to_dict",
     "demo_from_dict",
     "load_demo",
     "context_to_dict",
@@ -530,26 +526,11 @@ def whole_object_baseline(
     return transfer_skill(ctx, merge_object(novel_a), merge_object(novel_b), cfg, seed)
 
 
-def object_to_dict(obj: PartDecomposedObject) -> dict:
-    return {
-        "category": obj.category,
-        "parts": {name: cloud_to_dict(obj.parts[name]) for name in obj.part_names()},
-    }
-
-
 def object_from_dict(payload: Mapping) -> PartDecomposedObject:
     return PartDecomposedObject(
         payload["category"],
         {name: cloud_from_dict(part) for name, part in payload["parts"].items()},
     )
-
-
-def demo_to_dict(demo: Demonstration) -> dict:
-    return {
-        "object_a": object_to_dict(demo.object_a),
-        "object_b": object_to_dict(demo.object_b),
-        "t_ab": transform_to_dict(demo.t_ab),
-    }
 
 
 def demo_from_dict(payload: Mapping) -> Demonstration:
@@ -566,30 +547,18 @@ def load_demo(source) -> Demonstration:
     return demo_from_dict(json.loads(raw))
 
 
-_INTERACTION_ARRAYS = ("pairs", "displacements_n", "offsets_m", "offsets_n", "source_indices")
-
-
 def context_to_dict(ctx: DemoContext) -> dict:
     """Everything process_demonstration derived, without the demo or its models.
 
     Arrays go through tolist, so every float survives a JSON round trip
-    exactly and context_from_dict rebuilds an equal context.
+    exactly and context_from_dict rebuilds an equal context. The
+    interactions, keyed by part pairs, are a list in key order.
     """
     return {
-        "fits_a": {name: inference_to_dict(ctx.fits_a[name]) for name in sorted(ctx.fits_a)},
-        "fits_b": {name: inference_to_dict(ctx.fits_b[name]) for name in sorted(ctx.fits_b)},
-        "interactions": [
-            {
-                "part_m": ips.part_m,
-                "part_n": ips.part_n,
-                **{name: getattr(ips, name).tolist() for name in _INTERACTION_ARRAYS},
-            }
-            for _rel, ips in sorted(ctx.interactions.items())
-        ],
-        "relations": {
-            "relations": [list(rel) for rel in ctx.relations.relations],
-            "score": ctx.relations.score,
-        },
+        "fits_a": to_json(ctx.fits_a),
+        "fits_b": to_json(ctx.fits_b),
+        "interactions": [to_json(ips) for _rel, ips in sorted(ctx.interactions.items())],
+        "relations": to_json(ctx.relations),
     }
 
 
@@ -617,12 +586,11 @@ def context_from_dict(
 
 def result_to_dict(result: TransferResult) -> dict:
     return {
-        "t_final": transform_to_dict(result.t_final),
-        "relations": [list(rel) for rel in result.relations],
+        "t_final": to_json(result.t_final),
+        "relations": to_json(result.relations),
         "per_relation_transforms": {
-            f"{m}|{n}": transform_to_dict(t)
-            for (m, n), t in sorted(result.per_relation_transforms.items())
+            f"{m}|{n}": to_json(t) for (m, n), t in sorted(result.per_relation_transforms.items())
         },
         "objective": result.objective,
-        "diagnostics": {k: result.diagnostics[k] for k in sorted(result.diagnostics)},
+        "diagnostics": to_json(result.diagnostics),
     }

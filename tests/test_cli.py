@@ -1,10 +1,11 @@
 """The command-line front end: a tiny gen/train/transfer/eval round trip on
 every task, the demo context `transfer` caches and when it is recomputed,
 config and flag validation, the scenes `gen` draws, model files `transfer`
-refuses, malformed input files `train` and `transfer` report by path and
-without a traceback, the settings `eval` passes on to training, `train`
-writing the models `eval` trains, `eval`'s worker pool reproducing the
-one-process report, and the BLAS thread variables recorded beside it."""
+refuses, the top-level key order of every file the CLI writes, malformed
+input files `train` and `transfer` report by path and without a traceback,
+the settings `eval` passes on to training, `train` writing the models `eval`
+trains, `eval`'s worker pool reproducing the one-process report, and the
+BLAS thread variables recorded beside it."""
 
 from __future__ import annotations
 
@@ -28,13 +29,15 @@ from partwarp.evaluation import (
     METHOD_WHOLE,
     ExperimentConfig,
     ExperimentReport,
+    TrialRecord,
     report_to_dict,
     write_report,
 )
+from partwarp.geom import to_json
 from partwarp.registration import CpdConfig
-from partwarp.shapemodel import InferenceConfig, model_to_dict
+from partwarp.shapemodel import CanonicalPartModel, InferenceConfig
 from partwarp.synth import CATEGORY_DEFAULTS, generate_demo_scene
-from partwarp.transfer import PipelineConfig, demo_to_dict
+from partwarp.transfer import PipelineConfig
 
 TINY = {
     "seed": 0,
@@ -77,7 +80,7 @@ def test_round_trip_exits_zero_and_transfer_is_reproducible(tmp_path, task):
     dataset = tmp_path / "dataset"
     manifest = json.loads((dataset / "manifest.json").read_text())
     demo = json.loads((dataset / manifest["demo"]).read_text())
-    assert demo == json.loads(json.dumps(demo_to_dict(generate_demo_scene(task).demo)))
+    assert demo == json.loads(json.dumps(to_json(generate_demo_scene(task).demo)))
     name_a, name_b = manifest["heldout"][0]
     transfer = [
         "transfer", *common,
@@ -201,7 +204,7 @@ def test_model_file_with_nan_is_refused(workspace):
             "--scene-a", str(dataset / name_a),
             "--scene-b", str(dataset / name_b),
         ) == 1
-    assert "error: loading models: latent_scales must be finite" in err.getvalue()
+    assert f"error: loading models: {path}: latent_scales must be finite" in err.getvalue()
 
 
 def test_failed_context_write_still_transfers(workspace, monkeypatch):
@@ -218,6 +221,33 @@ def test_failed_context_write_still_transfers(workspace, monkeypatch):
     assert transfer(workspace, "second.json") == first
 
 
+def test_every_written_file_keeps_its_top_level_key_order(workspace):
+    # Records are laid out by to_json (fields in declaration order); the
+    # wrappers around them keep the order the CLI writes them in.
+    dataset = workspace / "dataset"
+    manifest = json.loads((dataset / "manifest.json").read_text())
+
+    def keys(path) -> list[str]:
+        return list(json.loads(Path(path).read_text()))
+
+    assert keys(dataset / manifest["train"]["mug"][0]) == ["spec", "object"]
+    for name in manifest["heldout"][0]:
+        assert keys(dataset / name) == ["spec", "pose", "object"]
+    model_files = sorted((workspace / "models").glob("*/*.json"))
+    assert model_files
+    model_fields = [f.name for f in dataclasses.fields(CanonicalPartModel)]
+    for path in model_files:
+        assert keys(path) == model_fields, path
+    transfer(workspace, "result.json")
+    assert keys(workspace / "result.json") == [
+        "t_final", "relations", "per_relation_transforms", "objective", "diagnostics",
+        "relation_set"]
+    assert run("eval", "--config", write_config(workspace)) == 0
+    report = json.loads((workspace / "out" / "report.json").read_text())
+    trial_fields = [f.name for f in dataclasses.fields(TrialRecord) if f.name != "wall_time"]
+    assert [list(trial) for trial in report["trials"]] == [trial_fields] * len(report["trials"])
+
+
 # Each case: the command, the files it reads (the demo marked "DEMO"), and
 # the stage its error names.
 MALFORMED = {
@@ -225,6 +255,13 @@ MALFORMED = {
     "scene_parts_is_a_list": (
         "transfer",
         {"demo.json": "DEMO", "scene.json": {"object": {"category": "mug", "parts": []}}},
+        "loading inputs",
+    ),
+    # A scene file holds its object under "object"; a bare object is refused.
+    "scene_is_a_bare_object": (
+        "transfer",
+        {"demo.json": "DEMO", "scene.json": {"category": "mug", "parts": {"cup": {
+            "points": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0]]}}}},
         "loading inputs",
     ),
     "manifest_train_is_a_list": ("train", {"manifest.json": {"train": ["mug"]}}, "reading dataset"),
@@ -245,7 +282,7 @@ def test_malformed_input_file_exits_1_without_a_traceback(tmp_path, case):
     dataset.mkdir()
     for name, payload in files.items():
         if payload == "DEMO":
-            payload = demo_to_dict(generate_demo_scene("mug_on_rack").demo)
+            payload = to_json(generate_demo_scene("mug_on_rack").demo)
         (dataset / name).write_text(json.dumps(payload))
     argv = [command, "--config", write_config(tmp_path)]
     if command == "transfer":
@@ -262,19 +299,28 @@ def test_malformed_input_file_exits_1_without_a_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("culprit", ["demo", "scene_a", "scene_b", "training_file"])
+@pytest.mark.parametrize("culprit", ["demo", "scene_a", "scene_b", "training_file", "model_file"])
 def test_malformed_input_error_names_its_file(tmp_path, capsys, culprit):
     dataset = tmp_path / "dataset"
     dataset.mkdir()
-    demo = demo_to_dict(generate_demo_scene("mug_on_rack").demo)
+    demo = to_json(generate_demo_scene("mug_on_rack").demo)
     malformed = {"object": {"category": "mug", "parts": []}}
     if culprit == "training_file":
         files = {"manifest.json": {"train": {"mug": ["mug.json"]}}, "mug.json": {"spec": {}}}
+        culprit_path = dataset / "mug.json"
         argv = ["train"]
     else:
         files = {"demo.json": demo, "scene_a.json": {"object": demo["object_a"]},
                  "scene_b.json": {"object": demo["object_b"]}}
-        files[f"{culprit}.json"] = [] if culprit == "demo" else malformed
+        if culprit == "model_file":
+            # The first model file transfer reads: object a's first part.
+            mug = demo["object_a"]
+            culprit_path = tmp_path / "models" / mug["category"] / f"{min(mug['parts'])}.json"
+            culprit_path.parent.mkdir(parents=True)
+            culprit_path.write_text("[]")
+        else:
+            files[f"{culprit}.json"] = [] if culprit == "demo" else malformed
+            culprit_path = dataset / f"{culprit}.json"
         argv = ["transfer", "--demo", str(dataset / "demo.json"),
                 "--scene-a", str(dataset / "scene_a.json"),
                 "--scene-b", str(dataset / "scene_b.json")]
@@ -282,9 +328,9 @@ def test_malformed_input_error_names_its_file(tmp_path, capsys, culprit):
         (dataset / name).write_text(json.dumps(payload))
     assert run(*argv, "--config", write_config(tmp_path)) == 1
     err = capsys.readouterr().err
-    culprit_file = "mug.json" if culprit == "training_file" else f"{culprit}.json"
-    assert f": {dataset / culprit_file}: " in err, err
-    assert [name for name in files if str(dataset / name) in err] == [culprit_file], err
+    assert f": {culprit_path}: " in err, err
+    named = [p for p in [*(dataset / name for name in files), culprit_path] if str(p) in err]
+    assert set(named) == {culprit_path}, err
 
 
 UNKNOWN_KEYS = {
@@ -412,7 +458,7 @@ def test_train_writes_the_models_eval_trains(tmp_path):
             models = evaluation.train_category_models(category, seed, exp)
         for part, model in models.items():
             written = (tmp_path / "models" / category / f"{part}.json").read_text()
-            assert written == json.dumps(model_to_dict(model)), f"{category}/{part}"
+            assert written == json.dumps(to_json(model)), f"{category}/{part}"
             compared += 1
     assert compared == 5
 

@@ -1,4 +1,7 @@
-"""Point-cloud primitives: transforms, squared distances, Chamfer distances."""
+"""Point-cloud primitives: transforms, squared distances, Chamfer distances,
+and the one JSON encoder."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,14 +14,13 @@ from partwarp.geom import (
     adjacency_label_values,
     chamfer,
     cloud_from_dict,
-    cloud_to_dict,
     labeled_chamfer,
     rotation_about_axis,
     rotation_geodesic,
     sqdist,
     symmetric_chamfer,
+    to_json,
     transform_from_dict,
-    transform_to_dict,
     z_label_values,
 )
 
@@ -347,7 +349,7 @@ class TestLabelGenerators:
 class TestSerialization:
     def test_cloud_round_trip_is_exact(self, rng):
         cloud = random_labeled_cloud(rng, 17, keys=("z", "adj:peg"))
-        back = cloud_from_dict(cloud_to_dict(cloud))
+        back = cloud_from_dict(to_json(cloud))
         np.testing.assert_array_equal(back.points, cloud.points)
         assert back.label_keys() == cloud.label_keys()
         for key in cloud.label_keys():
@@ -355,6 +357,47 @@ class TestSerialization:
 
     def test_transform_round_trip_is_exact(self, rng):
         t = ps.random_transform(rng)
-        back = transform_from_dict(transform_to_dict(t))
+        back = transform_from_dict(to_json(t))
         np.testing.assert_array_equal(back.rotation, t.rotation)
         np.testing.assert_array_equal(back.translation, t.translation)
+
+
+class TestToJson:
+    def test_record_keeps_its_field_order(self):
+        @dataclass(frozen=True)
+        class Record:
+            zeta: int
+            alpha: str
+            mid: float
+
+        assert list(to_json(Record(1, "a", 0.5))) == ["zeta", "alpha", "mid"]
+
+    def test_mapping_is_sorted_by_key_at_every_depth(self):
+        value = to_json({"b": 1, "a": {"y": 2, "x": 3}})
+        assert list(value) == ["a", "b"]
+        assert list(value["a"]) == ["x", "y"]
+
+    def test_tuples_and_arrays_become_lists(self):
+        value = to_json((("cup", "peg"), np.array([[1.5, 2.0]]), np.array([3], dtype=np.int64)))
+        assert value == [["cup", "peg"], [[1.5, 2.0]], [3]]
+        assert type(value[1][0][0]) is float and type(value[2][0]) is int
+
+    def test_transform_is_nine_rotation_entries_row_by_row_and_a_translation(self, rng):
+        t = ps.random_transform(rng)
+        value = to_json(t)
+        assert list(value) == ["rotation", "translation"]
+        assert value["rotation"] == [float(v) for v in t.rotation.ravel()]
+        assert value["translation"] == [float(v) for v in t.translation]
+        assert all(type(v) is float for v in value["rotation"] + value["translation"])
+
+    def test_unlabeled_cloud_is_its_points_alone(self, rng):
+        cloud = PointCloud(rng.normal(size=(4, 3)))
+        assert to_json(cloud) == {"points": cloud.points.tolist()}
+        labeled = random_labeled_cloud(rng, 4, keys=("z", "adj:peg"))
+        value = to_json(labeled)
+        assert list(value) == ["points", "labels"]
+        assert list(value["labels"]) == ["adj:peg", "z"]
+
+    def test_none_and_scalars_pass_through(self):
+        assert to_json(None) is None
+        assert to_json([None, "note", 2, 0.25, True]) == [None, "note", 2, 0.25, True]

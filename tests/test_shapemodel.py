@@ -13,6 +13,7 @@ from partwarp.geom import (
     rotation_about_axis,
     rotation_geodesic,
     symmetric_chamfer,
+    to_json,
     z_label_values,
 )
 from partwarp.registration import CpdConfig, cpd_nonrigid
@@ -22,7 +23,6 @@ from partwarp.shapemodel import (
     infer,
     load_model,
     model_from_dict,
-    model_to_dict,
     reconstruct,
     save_model,
     select_canonical,
@@ -455,7 +455,7 @@ class TestWarpPointIndices:
 class TestModelSerialization:
     def test_dict_round_trip_is_exact(self, mug_models):
         model = mug_models["handle"]
-        back = model_from_dict(model_to_dict(model))
+        back = model_from_dict(to_json(model))
         np.testing.assert_array_equal(back.canonical.points, model.canonical.points)
         np.testing.assert_array_equal(back.basis, model.basis)
         np.testing.assert_array_equal(back.training_latents, model.training_latents)
@@ -468,7 +468,7 @@ class TestModelSerialization:
 
     @pytest.mark.parametrize("name", ["basis", "latent_scales"])
     def test_non_finite_model_is_rejected(self, mug_models, name):
-        payload = model_to_dict(mug_models["handle"])
+        payload = to_json(mug_models["handle"])
         values = np.array(payload[name])
         values.flat[0] = np.nan
         payload[name] = values.tolist()

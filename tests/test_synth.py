@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from partwarp.geom import PointCloud, RigidTransform, rotation_about_axis, symmetric_chamfer
+from partwarp.geom import (
+    PointCloud,
+    RigidTransform,
+    rotation_about_axis,
+    symmetric_chamfer,
+    to_json,
+)
 from partwarp.synth import (
     CameraView,
     ParametricObjectSpec,
@@ -18,7 +24,6 @@ from partwarp.synth import (
     penetration_depth,
     sample_spec,
     spec_from_dict,
-    spec_to_dict,
     task_categories,
     task_predicate,
 )
@@ -94,7 +99,7 @@ class TestSpecs:
     def test_spec_dict_round_trip(self):
         spec = sample_spec("teapot", np.random.default_rng(2), widths=0.15,
                            seed=8, points_per_part=123, noise=0.0005)
-        again = spec_from_dict(spec_to_dict(spec))
+        again = spec_from_dict(to_json(spec))
         assert again == spec
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import propsuites as ps
-from partwarp.geom import PointCloud, RigidTransform, rotation_geodesic
+from partwarp.geom import PointCloud, RigidTransform, rotation_geodesic, to_json
 from partwarp.evaluation import ExperimentConfig, train_category_models
 from partwarp.registration import CpdConfig
 from partwarp.shapemodel import InferenceConfig
@@ -36,10 +36,8 @@ from partwarp.transfer import (
     label_parts,
     merge_object,
     demo_from_dict,
-    demo_to_dict,
     load_demo,
     object_from_dict,
-    object_to_dict,
     optimize_placement,
     process_demonstration,
     result_to_dict,
@@ -434,7 +432,7 @@ class TestSerialization:
     def test_object_round_trip(self):
         obj, _, _ = generate(default_spec("mug", seed=9, points_per_part=40))
         labeled = label_parts(obj)
-        again = object_from_dict(object_to_dict(labeled))
+        again = object_from_dict(to_json(labeled))
         assert again.category == labeled.category
         assert again.part_names() == labeled.part_names()
         for name in labeled.part_names():
@@ -446,12 +444,12 @@ class TestSerialization:
         obj_a = PartDecomposedObject("toy", {"p": PointCloud(rng.normal(size=(6, 3)))})
         obj_b = PartDecomposedObject("toy", {"q": PointCloud(rng.normal(size=(6, 3)))})
         demo = Demonstration(obj_a, obj_b, ps.random_transform(rng))
-        again = demo_from_dict(demo_to_dict(demo))
+        again = demo_from_dict(to_json(demo))
         np.testing.assert_array_equal(again.t_ab.rotation, demo.t_ab.rotation)
         np.testing.assert_array_equal(
             again.object_a.parts["p"].points, obj_a.parts["p"].points)
         path = tmp_path / "demo.json"
-        path.write_text(json.dumps(demo_to_dict(demo)))
+        path.write_text(json.dumps(to_json(demo)))
         loaded = load_demo(path)
         np.testing.assert_array_equal(loaded.t_ab.translation, demo.t_ab.translation)
         np.testing.assert_array_equal(
