@@ -338,8 +338,9 @@ def _run_trial(
     return records
 
 
-def _demo_context(cfg: ExperimentConfig, method: str, models_a, models_b) -> DemoContext:
-    demo = generate_demo_scene(cfg.task).demo
+def _demo_context(
+    cfg: ExperimentConfig, method: str, demo: Demonstration, models_a, models_b
+) -> DemoContext:
     if method == METHOD_WHOLE:
         demo = Demonstration(
             merge_object(demo.object_a), merge_object(demo.object_b), demo.t_ab
@@ -356,6 +357,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Failures inside a trial are recorded on that trial and never abort the
     batch.
     """
+    # The demo depends on the task alone, so both methods share one draw.
+    demo = generate_demo_scene(cfg.task).demo
     contexts: dict[str, DemoContext] = {}
     for method in cfg.methods:
         # Both here and in _run_trial the function is picked by name at call
@@ -364,7 +367,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         # that patches these module attributes.
         train = train_category_models if method == METHOD_PARTS else train_whole_models
         models_a, models_b = (train(cat, seed, cfg) for cat, seed in training_seeds(cfg))
-        contexts[method] = _demo_context(cfg, method, models_a, models_b)
+        contexts[method] = _demo_context(cfg, method, demo, models_a, models_b)
 
     trials: list[TrialRecord] = []
     if cfg.jobs > 1 and cfg.n_trials > 1:

@@ -4,6 +4,13 @@ sqdist is the one pairwise-distance kernel: every nearest-neighbour query
 in the library is a min over a dense (n, m) block of it, with no spatial
 index, and ChamferQuery is its prepared mode for a loop over one fixed
 query set: a fit's objective, or coherent point drift's E-step.
+The proximity searches between parts (transfer's contact_pairs and
+label_parts) first cull with near_box, a padded bounding-box test, and
+then walk sqdist_rows, which builds the block in row chunks of at most
+CHUNK_ELEMENTS entries. 2**22 float64 entries are 32 MiB, so a chunk and
+the one temporary sqdist makes stay near 64 MiB at any cloud size, while
+every block at the default sizes (at most 1.3 million pairs, the merged
+teapot against the merged mug) is still one chunk and one GEMM.
 label_classes is the one rule that pairs the label classes of two clouds.
 
 Everything here except a ChamferQuery, which keeps its (5, m) reference
@@ -22,7 +29,7 @@ checks files that may come from elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -32,6 +39,9 @@ __all__ = [
     "rotation_about_axis",
     "rotation_geodesic",
     "sqdist",
+    "CHUNK_ELEMENTS",
+    "near_box",
+    "sqdist_rows",
     "ChamferQuery",
     "chamfer",
     "symmetric_chamfer",
@@ -63,7 +73,7 @@ def _as_label(values, n: int) -> np.ndarray:
     if arr.shape != (n,):
         raise ValueError("label array length must match point count")
     arr = arr.astype(np.int64)
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if arr.size and (arr.min() < 0 or arr.max() > 1):
         raise ValueError("label values must be 0 or 1")
     arr.flags.writeable = False
     return arr
@@ -212,6 +222,38 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d2 -= (2.0 * a) @ b.T
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+CHUNK_ELEMENTS = 1 << 22
+
+
+def near_box(points: np.ndarray, other: np.ndarray, radius: float) -> np.ndarray:
+    """Increasing indices of the points inside other's bounding box padded by radius.
+
+    A point left out is farther than radius from every point of other
+    along some axis, so sqdist never puts it within radius of one. The pad
+    is a hair wider than radius, by 1e-6 of it plus 1e-7 of the largest
+    coordinate, which covers sqdist's rounding residue of a few ulps of
+    the squared norms. An empty other keeps no point.
+    """
+    if len(points) == 0 or len(other) == 0:
+        return np.empty(0, dtype=np.int64)
+    lo, hi = other.min(axis=0), other.max(axis=0)
+    scale = max(np.abs(lo).max(), np.abs(hi).max(), np.abs(points).max())
+    pad = radius * (1.0 + 1e-6) + 1e-7 * scale
+    return np.flatnonzero(((points >= lo - pad) & (points <= hi + pad)).all(axis=1))
+
+
+def sqdist_rows(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """sqdist(a, b) in row chunks: (first row, block) pairs of at most CHUNK_ELEMENTS.
+
+    A block with every row of a is the very sqdist(a, b). Across several
+    chunks, BLAS may round a few entries near a chunk's edge differently,
+    by an ulp of the squared norms.
+    """
+    step = max(1, CHUNK_ELEMENTS // max(len(b), 1))
+    for start in range(0, len(a), step):
+        yield start, sqdist(a[start:start + step], b)
 
 
 class ChamferQuery:

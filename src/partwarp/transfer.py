@@ -27,8 +27,9 @@ from .geom import (
     RigidTransform,
     adjacency_label_values,
     cloud_from_dict,
+    near_box,
     rotation_geodesic,
-    sqdist,
+    sqdist_rows,
     to_json,
     transform_from_dict,
     z_label_values,
@@ -220,6 +221,12 @@ def label_parts(
     height key; each adjacent pair receives mutual adj:<other> keys.
     Training and transfer both label with the defaults, so a model's
     label keys always match the keys of the clouds it is fitted to.
+
+    A box pre-test skips a pair outright when no point of the first part
+    lies inside the second's bounding box padded by the threshold
+    (geom.near_box): such parts cannot be adjacent. A kept pair's distances
+    are reduced chunk by chunk (geom.sqdist_rows), so memory stays bounded
+    at any number of points per part.
     """
     names = obj.part_names()
     threshold = adjacency_scale * obj.extent()
@@ -227,12 +234,19 @@ def label_parts(
     for name in names:
         labeled[name][Z_KEY] = z_label_values(obj.parts[name])
     for a, b in itertools.combinations(names, 2):
-        # One block per pair: its min is the gap, its row and column mins
-        # are each side's nearest squared distances into the other.
-        d2 = sqdist(obj.parts[a].points, obj.parts[b].points)
-        if float(np.sqrt(d2.min())) < threshold:
-            labeled[a][f"adj:{b}"] = adjacency_label_values(d2.min(axis=1), ratio)
-            labeled[b][f"adj:{a}"] = adjacency_label_values(d2.min(axis=0), ratio)
+        pts_a, pts_b = obj.parts[a].points, obj.parts[b].points
+        if near_box(pts_a, pts_b, threshold).size == 0:
+            continue
+        # Each side's nearest squared distances into the other: row minima
+        # per chunk and running column minima. The gap is their minimum.
+        near_a = np.empty(len(pts_a))
+        near_b = np.full(len(pts_b), np.inf)
+        for start, d2 in sqdist_rows(pts_a, pts_b):
+            near_a[start:start + len(d2)] = d2.min(axis=1)
+            np.minimum(near_b, d2.min(axis=0), out=near_b)
+        if float(np.sqrt(near_a.min())) < threshold:
+            labeled[a][f"adj:{b}"] = adjacency_label_values(near_a, ratio)
+            labeled[b][f"adj:{a}"] = adjacency_label_values(near_b, ratio)
     return PartDecomposedObject(
         obj.category,
         {name: obj.parts[name].with_labels(labeled[name]) for name in names},
@@ -283,18 +297,34 @@ def contact_pairs(
     For every cross-object part pair (m, n), all point pairs closer than
     delta in the goal configuration are found and the k_max closest kept,
     as index arrays (ii into part m of object a, jj into part n of object
-    b); part pairs with fewer than three hits carry no interaction and are
-    left out. This needs the demo's geometry only, no models or fits.
+    b), ordered by distance, then ii, then jj; part pairs with fewer than
+    three hits carry no interaction and are left out. This needs the
+    demo's geometry only, no models or fits.
+
+    Only points inside the other part's bounding box padded by delta
+    (geom.near_box) can pair, so only their distances are computed, in
+    bounded row chunks (geom.sqdist_rows). BLAS may round an entry of such
+    a smaller block an ulp of the squared norms away from the same entry
+    of the whole part pair's block, so the result equals the whole-block
+    search unless two distances tie, or one meets delta**2, to that ulp.
     """
     out: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
     for m in demo.object_a.part_names():
         goal_m = demo.t_ab.apply(demo.object_a.parts[m].points)
         for n in demo.object_b.part_names():
-            d2 = sqdist(goal_m, demo.object_b.parts[n].points)
-            ii, jj = np.nonzero(d2 <= delta * delta)
-            if ii.size < 3:
+            pts_n = demo.object_b.parts[n].points
+            ia = near_box(goal_m, pts_n, delta)
+            jb = near_box(pts_n, goal_m[ia], delta)
+            # ia and jb increase, so hits map back to full indices in
+            # row-major order.
+            hits = []
+            for start, block in sqdist_rows(goal_m[ia], pts_n[jb]):
+                i, j = np.nonzero(block <= delta * delta)
+                hits.append((ia[start + i], jb[j], block[i, j]))
+            if sum(len(h[0]) for h in hits) < 3:
                 continue
-            order = np.lexsort((jj, ii, d2[ii, jj]))[:k_max]
+            ii, jj, d2 = (np.concatenate(col) for col in zip(*hits))
+            order = np.lexsort((jj, ii, d2))[:k_max]
             out[(m, n)] = (ii[order], jj[order])
     if not out:
         raise ValueError("no interaction found in demonstration")

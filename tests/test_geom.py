@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import propsuites as ps
+import partwarp.geom as geom
 from partwarp.geom import (
     ChamferQuery,
     PointCloud,
@@ -15,9 +16,11 @@ from partwarp.geom import (
     chamfer,
     cloud_from_dict,
     labeled_chamfer,
+    near_box,
     rotation_about_axis,
     rotation_geodesic,
     sqdist,
+    sqdist_rows,
     symmetric_chamfer,
     to_json,
     transform_from_dict,
@@ -61,6 +64,8 @@ class TestPointCloud:
             PointCloud(np.zeros((3, 3)), {"z": [0, 1]})
         with pytest.raises(ValueError, match="0 or 1"):
             PointCloud(np.zeros((2, 3)), {"z": [0, 2]})
+        with pytest.raises(ValueError, match="0 or 1"):
+            PointCloud(np.zeros((2, 3)), {"z": [-1, 1]})
 
     def test_label_access_and_keys(self, rng):
         cloud = random_labeled_cloud(rng, 10, keys=("z", "adj:x"))
@@ -265,6 +270,58 @@ class TestSqdist:
         d2 = sqdist(pts, pts)
         np.testing.assert_array_equal(np.diag(d2), 0.0)
         assert d2[0, 1] == 5.25
+
+
+class TestNearBox:
+    def test_keeps_every_point_within_radius_of_the_other(self, rng):
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(20):
+                a = rng.normal(size=(60, 3)) * scale
+                b = rng.normal(size=(50, 3)) * scale + rng.normal(size=3) * 3 * scale
+                radius = rng.uniform(0.0, 2.0) * scale
+                kept = near_box(a, b, radius)
+                assert np.all(np.diff(kept) > 0)
+                close = np.flatnonzero((sqdist(a, b) <= radius * radius).any(axis=1))
+                assert set(close.tolist()) <= set(kept.tolist())
+
+    def test_drops_points_apart_on_one_axis(self):
+        b = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        a = np.array([[0.5, 0.5, 1.3], [0.5, 0.5, 1.1], [0.5, 0.5, -0.05], [2.0, 2.0, 2.0]])
+        np.testing.assert_array_equal(near_box(a, b, 0.2), [1, 2])
+        assert near_box(a, b, 0.2).dtype == np.int64
+
+    def test_empty_sides_keep_nothing(self):
+        pts = np.zeros((4, 3))
+        assert near_box(pts, np.empty((0, 3)), 1.0).size == 0
+        assert near_box(np.empty((0, 3)), pts, 1.0).size == 0
+
+    def test_pad_covers_rounding_at_zero_radius(self):
+        # Far from the origin, sqdist's cancellation can read a pair a hair
+        # apart as 0; the pad keeps the point such a pair needs.
+        far = np.array([[1e3, 1e3, 1e3]])
+        other = far + np.array([[1e-12, 0.0, 0.0]])
+        assert sqdist(far, other)[0, 0] == 0.0
+        np.testing.assert_array_equal(near_box(far, other, 0.0), [0])
+
+
+class TestSqdistRows:
+    def test_chunks_tile_the_block(self, rng, monkeypatch):
+        a = rng.normal(size=(53, 3))
+        b = rng.normal(size=(17, 3))
+        full = sqdist(a, b)
+        for budget in (1, 16, 17, 100, 53 * 17, 10**6):
+            monkeypatch.setattr(geom, "CHUNK_ELEMENTS", budget)
+            chunks = list(sqdist_rows(a, b))
+            rows = max(1, budget // 17)
+            assert [start for start, _ in chunks] == list(range(0, 53, rows))
+            assert all(block.size <= max(budget, 17) for _, block in chunks)
+            tiled = np.concatenate([block for _, block in chunks])
+            np.testing.assert_allclose(tiled, full, rtol=0, atol=1e-14)
+        # One chunk is the very block.
+        np.testing.assert_array_equal(tiled, full)
+
+    def test_empty_query_yields_nothing(self):
+        assert list(sqdist_rows(np.empty((0, 3)), np.zeros((4, 3)))) == []
 
 
 class TestChamferQuery:

@@ -5,14 +5,21 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import partwarp
+import partwarp.geom as geom
 import propsuites as ps
-from partwarp.geom import PointCloud, RigidTransform, rotation_geodesic, to_json
+from partwarp.geom import PointCloud, RigidTransform, rotation_geodesic, sqdist, to_json
 from partwarp.evaluation import ExperimentConfig, train_category_models
 from partwarp.registration import CpdConfig
 from partwarp.shapemodel import InferenceConfig
@@ -140,6 +147,18 @@ class TestLabeling:
                 np.testing.assert_array_equal(labeled.parts[part].label(f"adj:{other}"), expected)
         assert adjacent > 0
 
+    @pytest.mark.parametrize("category", ["mug", "rack", "teapot"])
+    def test_chunked_labels_equal_one_block(self, category, monkeypatch):
+        obj, _, _ = generate(default_spec(category, seed=3))
+        whole = label_parts(obj)
+        monkeypatch.setattr(geom, "CHUNK_ELEMENTS", 4096)
+        chunked = label_parts(obj)
+        for name in obj.part_names():
+            assert chunked.parts[name].label_keys() == whole.parts[name].label_keys()
+            for key in whole.parts[name].label_keys():
+                np.testing.assert_array_equal(
+                    chunked.parts[name].label(key), whole.parts[name].label(key))
+
     def test_merge_object(self):
         obj, _, _ = generate(default_spec("rack", seed=2, points_per_part=50))
         merged = merge_object(obj)
@@ -162,7 +181,81 @@ def cheap_teapot_ctx():
             generate_demo_scene("teapot_pour_align").demo, teapot, mug, cfg)
 
 
+def full_block_contacts(demo, delta, k_max):
+    """contact_pairs' result from one sqdist block per part pair, no culling."""
+    out = {}
+    for m in demo.object_a.part_names():
+        goal_m = demo.t_ab.apply(demo.object_a.parts[m].points)
+        for n in demo.object_b.part_names():
+            d2 = sqdist(goal_m, demo.object_b.parts[n].points)
+            ii, jj = np.nonzero(d2 <= delta * delta)
+            if ii.size >= 3:
+                order = np.lexsort((jj, ii, d2[ii, jj]))[:k_max]
+                out[(m, n)] = (ii[order], jj[order])
+    return out
+
+
+def assert_same_contacts(got, want):
+    assert list(got) == list(want)
+    for rel in want:
+        for g, w in zip(got[rel], want[rel]):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
+def two_part_demo(points_a, points_b):
+    return Demonstration(
+        PartDecomposedObject("toy", {"p": PointCloud(points_a)}),
+        PartDecomposedObject("toy", {"q": PointCloud(points_b)}),
+        RigidTransform.identity(),
+    )
+
+
 class TestExtraction:
+    @pytest.mark.parametrize("merged", [False, True], ids=["parts", "merged"])
+    @pytest.mark.parametrize("task", ["mug_on_rack", "bowl_on_mug", "teapot_pour_align"])
+    def test_contacts_equal_a_full_block_search(self, task, merged):
+        demo = generate_demo_scene(task).demo
+        if merged:
+            demo = Demonstration(
+                merge_object(demo.object_a), merge_object(demo.object_b), demo.t_ab)
+        delta = PipelineConfig().delta_scale * scene_extent(demo)
+        for scale in (1.0, 1.5, 2.0):
+            for k_max in (32, 10**6):
+                want = full_block_contacts(demo, scale * delta, k_max)
+                assert want
+                assert_same_contacts(contact_pairs(demo, scale * delta, k_max=k_max), want)
+
+    @staticmethod
+    def facing_cubes(rng, axis, gap):
+        # Two 10 mm cubes of random points, the second shifted along one
+        # axis so that the boxes are `gap` apart, with five points of each
+        # facing the other across the gap.
+        shift = np.zeros(3)
+        shift[axis] = 0.01 + gap
+        a = rng.uniform(0.0, 0.01, size=(40, 3))
+        b = rng.uniform(0.0, 0.01, size=(40, 3)) + shift
+        a[:5] = rng.uniform(0.004, 0.006, size=(5, 3))
+        a[:5, axis] = 0.01
+        b[:5] = a[:5]
+        b[:5, axis] = 0.01 + gap
+        return two_part_demo(a, b)
+
+    def test_disjoint_boxes_closer_than_delta_are_kept(self, rng):
+        demo = self.facing_cubes(rng, axis=0, gap=0.002)
+        want = full_block_contacts(demo, 0.003, 32)
+        assert ("p", "q") in want
+        assert_same_contacts(contact_pairs(demo, 0.003), want)
+
+    def test_parts_apart_on_one_axis_have_no_contact(self, rng):
+        demo = self.facing_cubes(rng, axis=2, gap=0.005)
+        assert full_block_contacts(demo, 0.003, 32) == {}
+        with pytest.raises(ValueError, match="no interaction found"):
+            contact_pairs(demo, 0.003)
+        want = full_block_contacts(demo, 0.006, 32)
+        assert ("p", "q") in want
+        assert_same_contacts(contact_pairs(demo, 0.006), full_block_contacts(demo, 0.006, 32))
+
     def test_demo_interactions_are_bounded_and_consistent(self, mug_ctx):
         k_max = 32  # contact_pairs' default cut
         assert ("handle", "peg") in mug_ctx.interactions
@@ -203,6 +296,40 @@ class TestExtraction:
         assert set(ctx.interactions) == {("spout", "cup")}
         assert set(ctx.fits_a) == {"spout"}
         assert set(ctx.fits_b) == {"cup"}
+
+
+class TestLargeClouds:
+    def test_searches_stay_within_a_memory_bound(self):
+        # 20,000 points per part: one full (n, m) block of a part pair would
+        # be 3.2 GB, past the child's 1.5 GiB address-space limit, so a
+        # search that builds one fails with MemoryError. Chunked, label_parts
+        # on the mug and contact_pairs on the mug hung on the rack peak
+        # near 170 MB.
+        script = textwrap.dedent("""
+            import resource
+            limit = 1536 << 20
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            from partwarp.synth import default_spec, generate, goal_transform
+            from partwarp.transfer import (
+                Demonstration, PipelineConfig, contact_pairs, label_parts, scene_extent)
+            spec_a = default_spec("mug", seed=11, points_per_part=20000)
+            spec_b = default_spec("rack", seed=12, points_per_part=20000)
+            mug, rack = generate(spec_a)[0], generate(spec_b)[0]
+            labeled = label_parts(mug)
+            assert labeled.parts["cup"].label_keys() == ("adj:handle", "z")
+            demo = Demonstration(mug, rack, goal_transform("mug_on_rack", spec_a, spec_b))
+            pairs = contact_pairs(demo, PipelineConfig().delta_scale * scene_extent(demo))
+            assert ("handle", "peg") in pairs
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >> 10)
+        """)
+        src = str(Path(partwarp.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stdout.split()[-1])
+        assert peak_mb < 400
 
 
 class TestTransferPoints:
