@@ -3,7 +3,9 @@
 sqdist is the one pairwise-distance kernel: every nearest-neighbour query
 in the library is a min over a dense (n, m) block of it, with no spatial
 index, and ChamferQuery is its prepared mode for a loop over one fixed
-query set: a fit's objective, or coherent point drift's E-step.
+query set: a fit's objective, or coherent point drift's E-step. A fit
+folds its posed reconstruction once per evaluation (ChamferQuery.fold)
+and matches each label class's query against its columns of that fold.
 The proximity searches between parts (transfer's contact_pairs and
 label_parts) first cull with near_box, a padded bounding-box test, and
 then walk sqdist_rows, which builds the block in row chunks of at most
@@ -260,12 +262,16 @@ class ChamferQuery:
     """One-sided Chamfer from a fixed query set into reference sets that change.
 
     The prepared mode of sqdist for a loop that matches one query set
-    against many reference sets of one size, such as a fit's objective. The
-    query side is folded once into the (n, 5) matrix [-2 q, 1, |q|^2], so
-    block is one GEMM with [r; |r|^2; 1] into an (n, m) block of squared
-    distances, and match adds an argmin along its contiguous rows, a clamp
-    of the mins at 0, and their mean. The (5, m) and (n, m) buffers are kept
-    for the next call with the same reference size.
+    against many reference sets, such as a fit's objective or coherent
+    point drift's E-step. The query side is folded once into the (n, 5)
+    matrix [-2 q, 1, |q|^2] and a reference side into the (5, m) matrix
+    [r^T; |r|^2; 1] (fold), so an (n, m) block of squared distances is one
+    GEMM of the two. block folds a reference set and returns the block;
+    match_columns takes some columns of a reference set folded once by the
+    caller, so that several queries can share one fold, and adds an argmin
+    along the block's contiguous rows, a clamp of the mins at 0, and their
+    mean. The (5, m) and (n, m) buffers are kept for the next call with the
+    same reference size.
 
     The mean is that of sqdist(q, r).min(axis=1), but summed in a different
     order, so the two differ by a few ulps of |q_i|^2 + |r_j|^2; where two
@@ -281,13 +287,27 @@ class ChamferQuery:
         if q.shape[0] == 0:
             raise ValueError("empty cloud")
         self._n = q.shape[0]
-        self._rows = np.arange(self._n)
         self._folded = np.empty((self._n, 5))
         self._folded[:, :3] = -2.0 * q
         self._folded[:, 3] = 1.0
         self._folded[:, 4] = np.einsum("ij,ij->i", q, q)
-        self._ref = np.empty((5, 0))
-        self._block = np.empty((self._n, 0))
+        self._resize(0)
+
+    @staticmethod
+    def fold(ref: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (5, m) reference side [ref^T; |ref|^2; 1], written into out if given."""
+        if out is None:
+            out = np.empty((5, ref.shape[0]))
+        out[:3] = ref.T
+        np.einsum("ij,ij->i", ref, ref, out=out[3])
+        out[4] = 1.0
+        return out
+
+    def _resize(self, m: int) -> None:
+        self._ref = np.empty((5, m))
+        self._block = np.empty((self._n, m))
+        # Flat offset of each row of the block, for reading one entry per row.
+        self._row_starts = np.arange(self._n) * m
 
     def block(self, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (n, m) squared distances into ref, and ref's (m,) squared row norms.
@@ -299,20 +319,32 @@ class ChamferQuery:
         if m == 0:
             raise ValueError("empty cloud")
         if m != self._ref.shape[1]:
-            self._ref = np.empty((5, m))
-            self._ref[4] = 1.0
-            self._block = np.empty((self._n, m))
-        self._ref[:3] = ref.T
-        np.einsum("ij,ij->i", ref, ref, out=self._ref[3])
+            self._resize(m)
+        self.fold(ref, out=self._ref)
         np.matmul(self._folded, self._ref, out=self._block)
         return self._block, self._ref[3]
 
-    def match(self, ref: np.ndarray) -> tuple[float, np.ndarray]:
-        """Mean min squared distance into ref, and each query's nearest index."""
-        d2, _ = self.block(ref)
-        nearest = d2.argmin(axis=1)
-        mins = np.maximum(d2[self._rows, nearest], 0.0)
-        return float(mins.sum()) / self._n, nearest
+    def match_columns(self, folded: np.ndarray, columns: np.ndarray, out: np.ndarray) -> float:
+        """Mean min squared distance into the given columns of a folded reference set.
+
+        folded is fold's (5, M) matrix of a whole reference set, and columns
+        indexes the points of it to match against; each query point's
+        nearest point, as an index into the whole set, is written to out,
+        an (n,) integer array.
+        """
+        m = len(columns)
+        if m == 0:
+            raise ValueError("empty cloud")
+        if m != self._ref.shape[1]:
+            self._resize(m)
+        folded.take(columns, axis=1, out=self._ref)
+        np.matmul(self._folded, self._ref, out=self._block)
+        nearest = self._block.argmin(axis=1)
+        columns.take(nearest, out=out)
+        nearest += self._row_starts
+        mins = self._block.take(nearest)
+        np.maximum(mins, 0.0, out=mins)
+        return float(mins.sum()) / self._n
 
 
 def chamfer(x: PointCloud, y: PointCloud) -> float:

@@ -11,9 +11,12 @@ label-aware one-sided Chamfer distance from the observation into the posed
 reconstruction plus a whitened quadratic latent penalty. The reconstruction
 is linear in the latent, so each start alternates, as ICP does, between
 matching every observed point to its nearest same-class reconstruction
-point (geom.ChamferQuery, prepared once per fit) and a damped Gauss-Newton
-step on those correspondences (Levenberg-Marquardt), whose normal
-equations are accumulated per canonical point.
+point and a damped Gauss-Newton step on those correspondences
+(Levenberg-Marquardt), whose normal equations are accumulated per
+canonical point in one bincount. Each label class's observed points are
+one geom.ChamferQuery, prepared once per fit; an evaluation folds the
+posed reconstruction once and every class matches against its own columns
+of that fold.
 """
 
 from __future__ import annotations
@@ -318,12 +321,14 @@ def infer(
     returned pose moves with the scene.
 
     Each start runs a Levenberg-Marquardt loop on the nearest-neighbour
-    correspondences, as in ICP: an evaluation matches every observed point
-    to its nearest same-class point of the posed reconstruction (one
-    geom.ChamferQuery per (key, class) term, prepared once per fit), and
-    each iteration solves one damped normal-equation step in latent,
-    body-frame rotation and body-frame translation with the whitened prior
-    as extra rows. A step is kept only if the re-matched objective falls.
+    correspondences, as in ICP: an evaluation folds the posed
+    reconstruction once (geom.ChamferQuery.fold) and matches every observed
+    point to its nearest same-class point of it (one geom.ChamferQuery per
+    (key, class) term, prepared once per fit, reading its class's columns
+    of the fold), and each iteration solves one damped normal-equation step
+    in latent, body-frame rotation and body-frame translation with the
+    whitened prior as extra rows. A step is kept only if the re-matched
+    objective falls.
     The Chamfer terms match labeled_chamfer to a few ulps, not bit for bit.
     """
     if len(observed) == 0:
@@ -345,19 +350,30 @@ def infer(
         return cloud.label(key)
 
     x = observed.points
-    terms = []
-    term_points = []
-    for key in keys:
-        for mx, my in label_classes(label_of(observed, key), label_of(canon, key)):
-            terms.append((ChamferQuery(x[mx]), np.flatnonzero(my)))
-            term_points.append(x[mx])
-    # Every observed point of every term, in term order, weighted as its
-    # term's mean weighs it; the weighted coordinates are kept as rows.
-    w_all = np.concatenate([np.full(len(p), 1.0 / len(p)) for p in term_points])
-    wx_rows = (w_all[:, None] * np.concatenate(term_points)).T.copy()
-
     d = model.latent_dim
     n = model.point_count
+    term_points = []
+    term_columns = []
+    for key in keys:
+        for mx, my in label_classes(label_of(observed, key), label_of(canon, key)):
+            term_points.append(x[mx])
+            term_columns.append(np.flatnonzero(my))
+    # Every observed point of every term, in term order, weighted as its
+    # term's mean weighs it. Row 0 of a (4, N) bins array holds each point's
+    # matched canonical index and rows 1-3 the same shifted by n, 2n and 3n,
+    # so one bincount of weights over bins sums the match weights and the
+    # weighted coordinates per canonical point. A start keeps two: one for
+    # the point it stands at and one for a trial step.
+    w_all = np.concatenate([np.full(len(p), 1.0 / len(p)) for p in term_points])
+    weights = np.concatenate([w_all, (w_all[:, None] * np.concatenate(term_points)).T.ravel()])
+    bin_shift = (n * np.arange(1, 4))[:, None]
+    terms = []
+    stop = 0
+    for points, columns in zip(term_points, term_columns):
+        start, stop = stop, stop + len(points)
+        terms.append((ChamferQuery(points), columns, slice(start, stop)))
+    folded = np.empty((5, n))
+
     canon_pts = canon.points
     basis = model.basis
     mean = model.latent_mean
@@ -375,28 +391,33 @@ def infer(
     jac[:, :, d + 3:] = np.eye(3)
     jac_rows = jac.reshape(3 * n, d + 6)
 
-    def evaluate(v, rot, t):
-        """Objective, body-frame reconstruction and each observed point's match."""
-        shape = canon_pts + (basis @ v).reshape(n, 3)
-        y = shape @ rot.T + t
-        total = float(np.sum(prior * (v - mean) ** 2))
-        nearest = []
-        for query, my in terms:
-            value, idx = query.match(y[my])
-            total += value
-            nearest.append(my[idx])
-        return total, shape, np.concatenate(nearest)
+    def evaluate(v, rot, t, bins):
+        """Objective and body-frame reconstruction; each observed point's match goes to bins[0].
 
-    def normal_equations(v, rot, t, shape, nearest):
+        The posed reconstruction is folded once, and every term matches
+        against its own columns of that fold.
+        """
+        shape = canon_pts + (basis @ v).reshape(n, 3)
+        ChamferQuery.fold(shape @ rot.T + t, out=folded)
+        total = float(np.sum(prior * (v - mean) ** 2))
+        matches = bins[0]
+        for query, columns, span in terms:
+            total += query.match_columns(folded, columns, matches[span])
+        return total, shape
+
+    def normal_equations(v, rot, t, shape, bins):
         """Gauss-Newton (A, g) of the matched objective, accumulated per canonical point.
 
-        With c_j the summed weight of the observed points x_i matched to j
-        and X_j their weighted sum, the body-frame residual sum is
+        bins is the one evaluate filled at (v, rot, t). With c_j the summed
+        weight of the observed points x_i matched to j and X_j their
+        weighted sum, the body-frame residual sum is
         c_j s_j - R^T (X_j - c_j t), so A = sum_j c_j J_j^T J_j and
         g = sum_j J_j^T (c_j (s_j + R^T t) - R^T X_j), plus the prior's rows.
         """
-        weight = np.bincount(nearest, w_all, minlength=n)
-        pulled = np.stack([np.bincount(nearest, row, minlength=n) for row in wx_rows], axis=1)
+        np.add(bins[0], bin_shift, out=bins[1:])
+        sums = np.bincount(bins.ravel(), weights, minlength=4 * n).reshape(4, n)
+        weight = sums[0]
+        pulled = np.ascontiguousarray(sums[1:].T)
         sx, sy, sz = shape.T
         jac[:, 0, d + 1], jac[:, 0, d + 2] = sz, -sy
         jac[:, 1, d], jac[:, 1, d + 2] = -sz, sx
@@ -409,14 +430,15 @@ def infer(
 
     def descend(v, rot, t):
         """One start's Levenberg-Marquardt loop; returns its end and evaluation count."""
-        f, shape, nearest = evaluate(v, rot, t)
+        bins, trial_bins = np.empty((2, 4, len(w_all)), dtype=np.intp)
+        f, shape = evaluate(v, rot, t, bins)
         evals = 1
         damping = _DAMPING_START
         converged = False
         a = None
         while evals < cfg.max_evals:
             if a is None:
-                a, g = normal_equations(v, rot, t, shape, nearest)
+                a, g = normal_equations(v, rot, t, shape, bins)
                 scale = np.where(a[diag, diag] > 0.0, a[diag, diag], 1.0)
             damped = a.copy()
             damped[diag, diag] += damping * scale
@@ -431,11 +453,12 @@ def infer(
             angle = float(np.linalg.norm(step[d:d + 3]))
             rot_t = rot @ rotation_about_axis(step[d:d + 3], angle) if angle > 0.0 else rot
             t_t = t + rot @ step[d + 3:]
-            f_t, shape_t, nearest_t = evaluate(v_t, rot_t, t_t)
+            f_t, shape_t = evaluate(v_t, rot_t, t_t, trial_bins)
             evals += 1
             if f_t < f:
                 converged = f - f_t < cfg.step_tolerance * f
-                v, rot, t, shape, nearest = v_t, rot_t, t_t, shape_t, nearest_t
+                v, rot, t, shape = v_t, rot_t, t_t, shape_t
+                bins, trial_bins = trial_bins, bins
                 f = f_t
                 a = None
                 damping = max(damping * _DAMPING_DOWN, _DAMPING_MIN)

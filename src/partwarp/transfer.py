@@ -212,7 +212,10 @@ def scene_extent(demo: Demonstration) -> float:
 
 
 def label_parts(
-    obj: PartDecomposedObject, ratio: float = 0.4, adjacency_scale: float = 0.02
+    obj: PartDecomposedObject,
+    ratio: float = 0.4,
+    adjacency_scale: float = 0.02,
+    parts: Collection[str] | None = None,
 ) -> PartDecomposedObject:
     """Attach height labels and relational labels between adjacent parts.
 
@@ -222,6 +225,12 @@ def label_parts(
     Training and transfer both label with the defaults, so a model's
     label keys always match the keys of the clouds it is fitted to.
 
+    parts, if given, names the parts whose labels the caller reads, such as
+    the parts a fit will fit: each of them gets exactly the labels of the
+    full call, and every other part the height key only. Pairs of two
+    unnamed parts are skipped, and in a pair with one named part only that
+    side's nearest distances are reduced.
+
     A box pre-test skips a pair outright when no point of the first part
     lies inside the second's bounding box padded by the threshold
     (geom.near_box): such parts cannot be adjacent. A kept pair's distances
@@ -229,24 +238,34 @@ def label_parts(
     at any number of points per part.
     """
     names = obj.part_names()
+    wanted = set(names) if parts is None else set(parts)
     threshold = adjacency_scale * obj.extent()
     labeled: dict[str, dict[str, np.ndarray]] = {name: {} for name in names}
     for name in names:
         labeled[name][Z_KEY] = z_label_values(obj.parts[name])
     for a, b in itertools.combinations(names, 2):
+        want_a, want_b = a in wanted, b in wanted
+        if not (want_a or want_b):
+            continue
         pts_a, pts_b = obj.parts[a].points, obj.parts[b].points
         if near_box(pts_a, pts_b, threshold).size == 0:
             continue
-        # Each side's nearest squared distances into the other: row minima
-        # per chunk and running column minima. The gap is their minimum.
-        near_a = np.empty(len(pts_a))
-        near_b = np.full(len(pts_b), np.inf)
+        # Each wanted side's nearest squared distances into the other: row
+        # minima per chunk for a, running column minima for b. Either side's
+        # minimum is the block's, the gap.
+        near_a = np.empty(len(pts_a)) if want_a else None
+        near_b = np.full(len(pts_b), np.inf) if want_b else None
         for start, d2 in sqdist_rows(pts_a, pts_b):
-            near_a[start:start + len(d2)] = d2.min(axis=1)
-            np.minimum(near_b, d2.min(axis=0), out=near_b)
-        if float(np.sqrt(near_a.min())) < threshold:
-            labeled[a][f"adj:{b}"] = adjacency_label_values(near_a, ratio)
-            labeled[b][f"adj:{a}"] = adjacency_label_values(near_b, ratio)
+            if want_a:
+                near_a[start:start + len(d2)] = d2.min(axis=1)
+            if want_b:
+                np.minimum(near_b, d2.min(axis=0), out=near_b)
+        gap2 = near_a.min() if want_a else near_b.min()
+        if float(np.sqrt(gap2)) < threshold:
+            if want_a:
+                labeled[a][f"adj:{b}"] = adjacency_label_values(near_a, ratio)
+            if want_b:
+                labeled[b][f"adj:{a}"] = adjacency_label_values(near_b, ratio)
     return PartDecomposedObject(
         obj.category,
         {name: obj.parts[name].with_labels(labeled[name]) for name in names},
@@ -272,8 +291,12 @@ def fit_parts(
     cfg: InferenceConfig = InferenceConfig(),
     seed: int = 0,
 ) -> dict[str, InferenceResult]:
-    """Label an object with label_parts, then fit each named part with its model."""
-    obj = label_parts(obj)
+    """Label the named parts of an object with label_parts, then fit each with its model.
+
+    Only the named parts' labels are computed (label_parts' parts), since a
+    fit reads its own part's labels alone.
+    """
+    obj = label_parts(obj, parts=parts)
     out: dict[str, InferenceResult] = {}
     for name in sorted(parts):
         if name not in obj.parts:

@@ -324,6 +324,16 @@ class TestSqdistRows:
         assert list(sqdist_rows(np.empty((0, 3)), np.zeros((4, 3)))) == []
 
 
+def match(q, ref, columns=None, prepared=None):
+    """match_columns from q into ref (or some of its columns), with a fresh output array."""
+    if prepared is None:
+        prepared = ChamferQuery(q)
+    if columns is None:
+        columns = np.arange(len(ref))
+    nearest = np.empty(len(q), dtype=np.intp)
+    return prepared.match_columns(ChamferQuery.fold(ref), columns, nearest), nearest
+
+
 class TestChamferQuery:
     @staticmethod
     def tolerance(q, r):
@@ -343,7 +353,9 @@ class TestChamferQuery:
                 block, norms = prepared.block(r)
                 assert np.abs(block - d2).max() <= self.tolerance(q, r)
                 np.testing.assert_array_equal(norms, np.einsum("ij,ij->i", r, r))
-                got, nearest = prepared.match(r)
+                np.testing.assert_array_equal(
+                    ChamferQuery.fold(r), np.vstack([r.T, norms, np.ones(m)]))
+                got, nearest = match(q, r, prepared=prepared)
                 assert isinstance(got, float)
                 assert got >= 0.0
                 assert abs(got - want) <= self.tolerance(q, r)
@@ -357,10 +369,23 @@ class TestChamferQuery:
                 assert unique.mean() > 0.9
                 np.testing.assert_array_equal(nearest[unique], d2.argmin(axis=1)[unique])
 
+    def test_columns_match_their_own_subset(self, rng):
+        # Matching some columns of a fold is matching the subset itself, to
+        # the bit, with indices into the whole reference set.
+        q = rng.normal(size=(37, 3))
+        r = rng.normal(size=(221, 3))
+        for columns in (np.arange(221), np.flatnonzero(rng.random(221) < 0.3), np.array([5])):
+            got, nearest = match(q, r, columns)
+            want, want_nearest = match(q, r[columns])
+            assert got == want
+            np.testing.assert_array_equal(nearest, columns[want_nearest])
+            d2 = sqdist(q, r[columns])
+            assert abs(got - float(d2.min(axis=1).mean())) <= self.tolerance(q, r)
+
     def test_coincident_sets_never_go_negative(self, rng):
         for scale in (1e-3, 1.0, 30.0):
             pts = rng.normal(size=(37, 3)) * scale + 10.0 * scale
-            got, _ = ChamferQuery(pts).match(pts)
+            got, _ = match(pts, pts)
             assert 0.0 <= got <= self.tolerance(pts, pts)
 
     def test_reused_buffers_leak_no_state(self, rng):
@@ -369,14 +394,15 @@ class TestChamferQuery:
         b = rng.normal(size=(221, 3)) + 0.5
         small = rng.normal(size=(1, 3))
         prepared = ChamferQuery(q)
-        first, first_nearest = prepared.match(a)
-        assert prepared.match(b)[0] != first
-        again, again_nearest = prepared.match(a)
+        first, first_nearest = match(q, a, prepared=prepared)
+        assert match(q, b, prepared=prepared)[0] != first
+        again, again_nearest = match(q, a, prepared=prepared)
         assert again == first
         np.testing.assert_array_equal(again_nearest, first_nearest)
-        prepared.match(small)
-        assert prepared.match(a)[0] == first
-        fresh, fresh_nearest = ChamferQuery(q).match(a)
+        match(q, small, prepared=prepared)
+        prepared.block(b)
+        assert match(q, a, prepared=prepared)[0] == first
+        fresh, fresh_nearest = match(q, a)
         assert fresh == first
         np.testing.assert_array_equal(fresh_nearest, first_nearest)
 
@@ -384,7 +410,9 @@ class TestChamferQuery:
         with pytest.raises(ValueError, match="empty cloud"):
             ChamferQuery(np.zeros((0, 3)))
         with pytest.raises(ValueError, match="empty cloud"):
-            ChamferQuery(rng.normal(size=(4, 3))).match(np.zeros((0, 3)))
+            match(rng.normal(size=(4, 3)), np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="empty cloud"):
+            ChamferQuery(rng.normal(size=(4, 3))).block(np.zeros((0, 3)))
 
 
 class TestLabelGenerators:

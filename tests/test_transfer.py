@@ -18,9 +18,10 @@ import pytest
 
 import partwarp
 import partwarp.geom as geom
+import partwarp.transfer as transfer_module
 import propsuites as ps
 from partwarp.geom import PointCloud, RigidTransform, rotation_geodesic, sqdist, to_json
-from partwarp.evaluation import ExperimentConfig, train_category_models
+from partwarp.evaluation import ExperimentConfig, train_category_models, trial_scene
 from partwarp.registration import CpdConfig
 from partwarp.shapemodel import InferenceConfig
 from partwarp.synth import (
@@ -158,6 +159,51 @@ class TestLabeling:
             for key in whole.parts[name].label_keys():
                 np.testing.assert_array_equal(
                     chunked.parts[name].label(key), whole.parts[name].label(key))
+
+    @pytest.mark.parametrize("task", ["mug_on_rack", "bowl_on_mug", "teapot_pour_align"])
+    def test_labeling_a_subset_matches_the_full_call(self, task):
+        demo = generate_demo_scene(task).demo
+        spec_a, spec_b, pose_a, pose_b = trial_scene(ExperimentConfig(task=task), 0)
+        trial = (generate(spec_a)[0].transformed(pose_a), generate(spec_b)[0].transformed(pose_b))
+        for obj in (demo.object_a, demo.object_b, *trial):
+            full = label_parts(obj)
+            names = obj.part_names()
+            subsets = [None] + [
+                set(p) for r in range(1, len(names) + 1) for p in itertools.combinations(names, r)]
+            for parts in subsets:
+                labeled = label_parts(obj, parts=parts)
+                for name in names:
+                    got = labeled.parts[name]
+                    if parts is None or name in parts:
+                        want = full.parts[name]
+                        assert got.label_keys() == want.label_keys()
+                        for key in want.label_keys():
+                            np.testing.assert_array_equal(got.label(key), want.label(key))
+                    else:
+                        assert got.label_keys() == ("z",)
+                        np.testing.assert_array_equal(got.label("z"), full.parts[name].label("z"))
+
+    def test_fit_parts_computes_no_distances_for_pairs_it_does_not_fit(
+            self, mug_ctx, rack_models, monkeypatch):
+        rack = mug_ctx.demo.object_b
+        names = {id(cloud.points): name for name, cloud in rack.parts.items()}
+        seen = []
+        real = transfer_module.sqdist_rows
+
+        def recording(a, b):
+            seen.append((names.get(id(a)), names.get(id(b))))
+            return real(a, b)
+
+        monkeypatch.setattr(transfer_module, "sqdist_rows", recording)
+        # The full labeling does reduce the base-trunk block.
+        label_parts(rack)
+        assert ("base", "trunk") in seen
+        seen.clear()
+        cfg = InferenceConfig(restarts=1, yaw_init_count=1, max_evals=5)
+        fits = fit_parts(rack, rack_models, ["peg"], cfg)
+        assert set(fits) == {"peg"}
+        assert seen
+        assert all("peg" in pair for pair in seen)
 
     def test_merge_object(self):
         obj, _, _ = generate(default_spec("rack", seed=2, points_per_part=50))
