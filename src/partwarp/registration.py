@@ -6,13 +6,16 @@ mixture whose centroids are the source points, regularized by a
 motion-coherence kernel so nearby source points move together. Its M-step is
 solved in the leading eigenbasis of the kernel's Gram matrix, the paper's
 low-rank "fast" CPD, so each iteration solves a small system instead of a
-dense one over all source points. Its E-step runs in place in one (n, m)
-buffer that geom.ChamferQuery fills with one GEMM per iteration, and
-Gaussians too small to matter are made exact zeros before exp sees them,
-which keeps exp and every later pass over the block off float64's slow
-subnormal paths. The rigid path is the SVD
-orthogonal-Procrustes solve (kabsch), which also gives a defined result on a
-point or a line: the least-squares transform with the smallest rotation.
+dense one over all source points. Its E-step runs in one (n, m) buffer that
+geom.ChamferQuery fills with one GEMM per iteration. Exponents are raised to
+a floor before exp and exp of the floor is taken off after, so Gaussians too
+small to matter are exact zeros, which keeps exp and every later pass over
+the block off float64's slow subnormal paths. The responsibilities are never
+formed: a second GEMM, of the block's transpose with the row weights and the
+weighted target points, gives both sums the M-step reads. The rigid path is
+the SVD orthogonal-Procrustes solve (kabsch), which also gives a defined
+result on a point or a line: the least-squares transform with the smallest
+rotation.
 """
 
 from __future__ import annotations
@@ -31,23 +34,27 @@ __all__ = [
 
 # Eigenpairs of the coherence Gram below this fraction of its largest
 # eigenvalue are dropped. The Gaussian kernel's spectrum decays fast: at the
-# default beta, 45-70 pairs survive on clouds of 80-880 points, and a field
+# default beta, 31-68 pairs survive on the three tasks' training clouds of
+# 80-880 points (training seed 0, benchmark and default sizing), and a field
 # moves by at most about 1e-6 of its largest displacement from the full
 # solve's (2e-4 at a cutoff of 1e-10).
 _GRAM_EIG_CUTOFF = 1e-12
 
-# E-step exponents -d^2 / (2 sigma^2) at or below this floor give a Gaussian
-# of exactly 0 instead of going through exp. Late in a fit sigma^2 is small
-# and most of the (n, m) block lies below -708. There numpy's exp leaves its
-# fast path: about 1 ns an element in range, 19 ns below -746 and 142 ns in
-# the subnormal band between. Every later pass over a subnormal Gaussian
-# (the responsibilities, their sums, P^T X) then costs about 15 ns an
-# element against 0.3-0.5 ns. exp(-690) is 2e-300: no sum of the E-step can
-# resolve it (the outlier term c is about 2e-18 at the default weight and
-# the smallest sigma^2), and it sits far enough above the smallest normal
-# double, 2e-308, that a Gaussian times 1 / (rowsum + c) and times a
-# coordinate stays normal.
-_EXP_FLOOR = -690.0
+# E-step exponents -d^2 / (2 sigma^2) are raised to this floor before exp,
+# and exp of the floor is subtracted after, so an exponent at or below it
+# gives a Gaussian of exactly 0. Late in a fit sigma^2 is small and most of
+# the (n, m) block lies below -708. There numpy's exp leaves its fast path:
+# about 1 ns an element in range, 19 ns below -746 and 142 ns in the
+# subnormal band between. Every later pass over a subnormal Gaussian (the
+# row sums, the GEMM for P1 and P^T X) then costs about 15 ns an element
+# against 0.3-0.5 ns. exp(-650) is 5e-283: no sum of the E-step can resolve
+# it (the outlier term c is about 2e-18 at the default weight and the
+# smallest sigma^2). A Gaussian above the floor is at least one ulp of
+# exp(-650), 1e-298, far enough above the smallest normal double, 2e-308,
+# that it stays normal times 1 / (rowsum + c) and times a coordinate. At a
+# floor of -690 that ulp would itself be subnormal.
+_EXP_FLOOR = -650.0
+_EXP_FLOOR_GAUSSIAN = float(np.exp(_EXP_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -116,13 +123,14 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
     (U^T diag(P1) U + lam sigma^2 I) y = U^T (P^T X - diag(P1) S),
     the low-rank Gram approximation of Myronenko & Song's fast CPD.
 
-    The E-step keeps one (n, m) block, filled by a ChamferQuery prepared on
-    the fixed target: the squared distances are scaled in place to the
-    exponents -d^2 / (2 sigma^2), exponents at or below _EXP_FLOOR give
-    exact zeros, exp runs in place on the rest, and scaling each row by
-    1 / (rowsum + c) turns the Gaussians into the responsibilities P, from
-    which P1 and P^T X are both reduced. The row norms of the warped points
-    that the next block needs also give sigma^2's diag(P1) term.
+    The E-step keeps one (n, m) block G, filled by a ChamferQuery prepared
+    on the fixed target: the squared distances are scaled in place to the
+    exponents -d^2 / (2 sigma^2), raised to _EXP_FLOOR, passed through exp
+    and lowered by exp(_EXP_FLOOR), which leaves exact zeros at the floor.
+    The responsibilities are P = diag(inv) G with inv = 1 / (rowsum + c),
+    and one GEMM G^T [inv, diag(inv) X] gives P1 and P^T X together without
+    forming P. The row norms of the warped points that the next block needs
+    also give sigma^2's diag(P1) term.
     """
     if len(source) == 0 or len(target) == 0:
         raise ValueError("empty cloud")
@@ -149,9 +157,11 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
 
     query = ChamferQuery(x)
     xnorm = np.einsum("ij,ij->i", x, x)
+    rhs = np.empty((n, 4))  # [inv, inv * x] per target point
+    reduced = np.empty((m, 4))  # [P1, P^T X] per source point
+    p1, px = reduced[:, 0], reduced[:, 1:]
     y = np.zeros((k, 3))
     block, _ = query.block(s)
-    above = np.empty(block.shape, dtype=bool)
     sigma2 = max(float(block.sum()) / (3.0 * m * n), 1e-12)
 
     history: list[float] = []
@@ -163,14 +173,13 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
     # One extra scoring pass past the budget scores the final M-step, so that
     # best-so-far sees it; that pass stops before the convergence test.
     for iteration in range(cfg.max_iterations + 1):
-        # Gaussians: exp of the exponents -d^2 / (2 sigma^2), clipped into
-        # [floor, 0] so that exp stays on its fast path, then exactly 0
-        # wherever the exponent was at or below the floor.
+        # Gaussians: exp of the exponents -d^2 / (2 sigma^2), raised to the
+        # floor so that exp stays on its fast path; taking exp(floor) off
+        # leaves exactly 0 wherever the exponent was at or below the floor.
         block *= -0.5 / sigma2
-        np.greater(block, _EXP_FLOOR, out=above)
-        np.clip(block, _EXP_FLOOR, 0.0, out=block)
+        np.maximum(block, _EXP_FLOOR, out=block)
         np.exp(block, out=block)
-        block *= above
+        block -= _EXP_FLOOR_GAUSSIAN
         rowsum = block.sum(axis=1)
 
         # Negative log-likelihood of the mixture plus the coherence penalty,
@@ -188,15 +197,17 @@ def cpd_nonrigid(source: PointCloud, target: PointCloud, cfg: CpdConfig = CpdCon
             converged = True
             break
 
+        # The responsibilities are P = diag(inv) G; P1 = G^T inv and
+        # P^T X = G^T diag(inv) X come from one GEMM, and P is never formed.
         c = (2.0 * np.pi * sigma2) ** 1.5 * outlier / max(1.0 - outlier, 1e-12) * m / n
         inv = 1.0 / (rowsum + c)
-        block *= inv[:, None]  # (n, m) responsibilities
+        rhs[:, 0] = inv
+        np.multiply(x, inv[:, None], out=rhs[:, 1:])
+        np.matmul(block.T, rhs, out=reduced)
         pt1 = rowsum * inv
-        p1 = block.sum(axis=0)
         np_total = p1.sum()
         if np_total < 1e-12:
             break  # every point explained by the outlier component
-        px = block.T @ x
         np.multiply(ut, p1, out=weighted)
         lhs = weighted @ u
         lhs.flat[:: k + 1] += cfg.lam * sigma2

@@ -225,11 +225,12 @@ def train_part_model(
             warnings.warn(f"dropping degenerate label key {key!r}")
     canonical = PointCloud(canon_points, canon_labels or None)
 
-    # The canonical's own field is zero: registered onto itself, CPD only
-    # collapses sigma^2 to its floor.
+    # The canonical's own field is zero, and so is that of any instance with
+    # the same points: registered onto itself, CPD only collapses sigma^2 to
+    # its floor, and its rounding would leave a field of noise.
     fields = np.zeros((k, 3 * n))
     for j, inst in enumerate(instances):
-        if j == canon_idx:
+        if np.array_equal(inst.points, canon_points):
             continue
         try:
             field = cpd_nonrigid(canonical, inst, cpd)

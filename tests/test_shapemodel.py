@@ -121,6 +121,18 @@ class TestTrainPartModel:
             reconstruct(model, np.zeros(1)).points, model.canonical.points, atol=1e-12
         )
 
+    def test_copies_of_the_canonical_give_exactly_zero_scales(self):
+        # A copy of the canonical's points takes the canonical's zero field.
+        # Registered onto the canonical instead, CPD's rounding left latent
+        # scales of up to 1e-10 on some of these clouds.
+        rng = np.random.default_rng(0)
+        for size in range(40, 90):
+            cloud = PointCloud(rng.normal(size=(size, 3)) * 0.05)
+            with pytest.warns(UserWarning, match="5..10"):
+                model = train_part_model([cloud] * 3, d=1)
+            assert not model.latent_scales.any(), size
+            assert not model.training_latents.any(), size
+
     def test_instance_count_warning_bounds(self, rng):
         clouds = [PointCloud(rng.normal(size=(30, 3)) * 0.05 + rng.normal(size=3) * 0.01)
                   for _ in range(11)]
