@@ -18,16 +18,18 @@ and the partwarp source; when the key differs, or the file is missing or
 unreadable, the demo is processed again and the file replaced. Its bytes
 are a function of those inputs, so the rule above holds for it too.
 
-The file is flat. ``dataset_dir``, ``model_dir``, ``output_dir`` and
+The config file is flat. ``dataset_dir``, ``model_dir``, ``output_dir`` and
 ``count`` belong to the CLI alone; ``seed`` is the experiment's
 ``master_seed``; every other key, the ``cpd`` and ``pipeline`` sections
 included, is the ``evaluation.ExperimentConfig`` field of the same name,
 which validates the whole experiment once, when the file is loaded. The
 ``pipeline`` section takes ``delta_scale`` and the ``inference`` section.
+A key that is not a field, or a value of the wrong type, is a config error
+that names its dotted key, such as ``pipeline.inference.foo``.
 
-Every file a command writes follows geom.to_json's rule: records are their
-fields in declaration order, mappings are sorted by key, arrays are lists.
-The payloads built here around them keep the order they are written in.
+Every file a command writes is laid out by geom.to_json, and every record
+it reads back goes through geom.from_json, which also refuses a key that
+is not a field. The payloads built here keep the order they are written in.
 
 Exit codes: 0 on success, 1 on a runtime failure, 2 on a usage or config
 error.
@@ -55,15 +57,13 @@ from .evaluation import (
     trial_scene,
     write_report,
 )
-from .geom import to_json
-from .registration import CpdConfig
-from .shapemodel import CanonicalPartModel, InferenceConfig, load_model, save_model
+from .geom import from_json, to_json
+from .shapemodel import CanonicalPartModel, load_model, save_model
 from .synth import generate, generate_demo_scene
 from .transfer import (
     DemoContext,
     Demonstration,
     PartDecomposedObject,
-    PipelineConfig,
     context_from_dict,
     context_to_dict,
     label_parts,
@@ -93,39 +93,24 @@ class RunConfig:
 
 
 _RUN_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "experiment")
-# The file spells master_seed as `seed`, and only --jobs sets jobs: the worker
-# count changes how trials are scheduled, never what they compute.
-_FILE_KEYS = (
-    {*_RUN_KEYS, "seed"}
-    | {f.name for f in dataclasses.fields(ExperimentConfig)}
-) - {"master_seed", "jobs"}
-
-
-def _build(cls, payload: Mapping, section: str):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ValueError(f"unknown config key {section}.{unknown[0]}")
-    return cls(**payload)
 
 
 def config_from_dict(payload: Mapping) -> RunConfig:
-    """Map the flat config file onto RunConfig: unknown keys are errors."""
+    """Map the flat config file onto RunConfig: unknown keys and mistyped values are errors."""
     data = dict(payload)
-    unknown = sorted(set(data) - _FILE_KEYS)
+    # The file spells master_seed as `seed`, and only --jobs sets jobs: the
+    # worker count changes how trials are scheduled, never what they compute.
+    unknown = sorted(data.keys() & {"master_seed", "jobs"})
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]}")
     run = {name: data.pop(name) for name in _RUN_KEYS if name in data}
     if "seed" in data:
         data["master_seed"] = data.pop("seed")
-    if "methods" in data:
-        data["methods"] = tuple(data["methods"])
-    cpd = _build(CpdConfig, data.pop("cpd", {}), "cpd")
-    pipe = dict(data.pop("pipeline", {}))
-    inference = _build(InferenceConfig, pipe.pop("inference", {}), "pipeline.inference")
-    pipeline = _build(PipelineConfig, {**pipe, "inference": inference}, "pipeline")
-    experiment = ExperimentConfig(**data, cpd=cpd, pipeline=pipeline)
-    return RunConfig(**run, experiment=experiment)
+    # The experiment's keys sit beside the run's at the top of the file, so
+    # it is read from there: an error names pipeline.delta_scale, not
+    # experiment.pipeline.delta_scale.
+    experiment = from_json(ExperimentConfig, data, key="config key")
+    return dataclasses.replace(from_json(RunConfig, run, key="config key"), experiment=experiment)
 
 
 def _apply_override(payload: dict, assignment: str) -> None:
@@ -230,9 +215,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     log: dict[str, dict] = {}
     stage = f"reading dataset: {manifest_path}"
     try:
-        train = json.loads(manifest_path.read_text())["train"]
-        if not isinstance(train, dict):
-            raise ValueError("the manifest's train entry must map categories to files")
+        manifest = json.loads(manifest_path.read_text())
+        train = from_json(Mapping[str, tuple[str, ...]], manifest["train"], path="train")
         for cat in sorted(train):
             stage = f"reading dataset: {manifest_path}"
             objects = []

@@ -125,6 +125,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         task_categories(self.task)
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if self.n_trials < 0:
             raise ValueError("n_trials must be >= 0")
         if self.test_family not in TEST_FAMILIES:

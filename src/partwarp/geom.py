@@ -22,14 +22,24 @@ world units (meters in the synthetic scenes). The labeled Chamfer distance
 is one-sided: it measures how well the second cloud explains the first,
 summed per binary label class.
 
-to_json is the one encoder of every file partwarp writes: records become
-their fields in declaration order, mappings are sorted by key, and arrays
-become lists. Each reader (*_from_dict) is written out by hand, since it
-checks files that may come from elsewhere.
+Every file partwarp writes is encoded by to_json and read back by its
+inverse, from_json, in one layout. A record is an object of its fields in
+declaration order (an unlabeled PointCloud, its points alone), a mapping
+an object sorted by key with a tuple key such as a (part, part) relation
+written "m|n", tuples and arrays are lists, and a RigidTransform's
+rotation is its 9 entries, row by row. from_json reads by the records'
+field annotations: a missing field takes its default, a key that is not a
+field or a scalar of the wrong type is an error that names its dotted
+path, and each record's __post_init__ checks the rest.
 """
 
 from __future__ import annotations
 
+import collections.abc
+import functools
+import reprlib
+import types
+import typing
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterator, Mapping
 
@@ -52,7 +62,7 @@ __all__ = [
     "adjacency_label_values",
     "z_label_values",
     "to_json",
-    "cloud_from_dict",
+    "from_json",
     "transform_from_dict",
 ]
 
@@ -414,12 +424,8 @@ def z_label_values(part: PointCloud) -> np.ndarray:
 
 
 def to_json(value):
-    """value as plain Python values for json.dumps, by the rule of every partwarp file.
+    """value as plain Python values for json.dumps, in the layout above.
 
-    A dataclass record becomes a dict of its fields in declaration order; a
-    Mapping becomes a dict sorted by key; tuples, lists and arrays become
-    lists. A RigidTransform becomes its rotation's 9 entries, row by row,
-    and its translation; a PointCloud without labels, its points alone.
     Anything else passes through unchanged. A caller that needs another
     layout builds its payload around these values.
     """
@@ -438,17 +444,90 @@ def to_json(value):
     if is_dataclass(value):
         return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, Mapping):
-        return {k: to_json(value[k]) for k in sorted(value)}
+        return {_json_key(k): to_json(value[k]) for k in sorted(value)}
     if isinstance(value, (tuple, list)):
         return [to_json(v) for v in value]
     return value
 
 
-def cloud_from_dict(payload: Mapping) -> PointCloud:
-    labels = payload.get("labels")
-    return PointCloud(np.asarray(payload["points"], dtype=np.float64), labels)
+def _json_key(key):
+    if not isinstance(key, tuple):
+        return key
+    if any("|" in part for part in key):
+        raise ValueError(f"key {key!r} has an element containing '|'")
+    return "|".join(key)
+
+
+@functools.cache
+def _field_hints(cls) -> dict[str, object]:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.init}
+
+
+# What a scalar annotation takes from a file. bool, a subclass of int, is
+# refused where a number is due.
+_SCALARS = {bool: (bool, "true or false"), int: (int, "an integer"),
+            float: ((int, float), "a number"), str: (str, "a string")}
+
+
+def _wrong(key: str, path: str, expected: str, value) -> ValueError:
+    name = f"{key} {path}" if path else "value"
+    return ValueError(f"{name} must be {expected}, got {reprlib.repr(value)}")
+
+
+def from_json(hint, value, key: str = "key", path: str = ""):
+    """The value of type hint that to_json wrote as value.
+
+    hint is a record class, a scalar type, np.ndarray, or a Mapping, tuple
+    or X | None of them. path is value's dotted key in its file and key the
+    word for a key in error messages, such as "config key".
+    """
+    if hint in _SCALARS:
+        kinds, expected = _SCALARS[hint]
+        if not isinstance(value, kinds) or (hint is not bool and isinstance(value, bool)):
+            raise _wrong(key, path, expected, value)
+        return value
+    if hint is np.ndarray:
+        if not isinstance(value, list):
+            raise _wrong(key, path, "a list", value)
+        # A record that holds integers (labels, indices) converts them itself.
+        return np.asarray(value, dtype=np.float64)
+    prefix = f"{path}." if path else ""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return None if value is None else from_json(args[0], value, key, path)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise _wrong(key, path, "a list", value)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(args) != len(value):
+            raise _wrong(key, path, f"a list of {len(args)}", value)
+        return tuple(
+            from_json(h, v, key, f"{prefix}{i}") for i, (h, v) in enumerate(zip(args, value)))
+    # JSON objects are dicts.
+    if not isinstance(value, dict):
+        raise _wrong(key, path, "an object", value)
+    if origin is collections.abc.Mapping:
+        # A tuple key such as (part, part) is written "m|n".
+        arity = len(typing.get_args(args[0]))
+        out = {}
+        for name, item in value.items():
+            if arity and len(name.split("|")) != arity:
+                raise ValueError(f"{key} {prefix}{name} must join {arity} names with '|'")
+            out[tuple(name.split("|")) if arity else name] = from_json(
+                args[1], item, key, prefix + name)
+        return out
+    hints = _field_hints(hint)
+    unknown = sorted(value.keys() - hints.keys())
+    if unknown:
+        raise ValueError(f"unknown {key} {prefix}{unknown[0]}")
+    items = {k: from_json(hints[k], v, key, prefix + k) for k, v in value.items()}
+    if hint is RigidTransform and "rotation" in items:
+        items["rotation"] = items["rotation"].reshape(3, 3)
+    # A missing field takes its default; the record's __post_init__ checks the rest.
+    return hint(**items)
 
 
 def transform_from_dict(payload: Mapping) -> RigidTransform:
-    rot = np.asarray(payload["rotation"], dtype=np.float64).reshape(3, 3)
-    return RigidTransform(rot, np.asarray(payload["translation"], dtype=np.float64))
+    return from_json(RigidTransform, payload)

@@ -26,7 +26,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,13 +34,12 @@ from .geom import (
     ChamferQuery,
     PointCloud,
     RigidTransform,
-    cloud_from_dict,
+    from_json,
     label_classes,
     rotation_about_axis,
     sqdist,
     symmetric_chamfer,
     to_json,
-    transform_from_dict,
     z_label_values,
 )
 from .registration import CpdConfig, cpd_nonrigid
@@ -55,8 +54,6 @@ __all__ = [
     "reconstruct",
     "infer",
     "warp_point_indices",
-    "inference_from_dict",
-    "model_from_dict",
     "save_model",
     "load_model",
 ]
@@ -511,31 +508,6 @@ def warp_point_indices(
     return sqdist(pts, fit.pose.apply(recon.points)).argmin(axis=1)
 
 
-def inference_from_dict(payload: Mapping) -> InferenceResult:
-    return InferenceResult(
-        latent=np.asarray(payload["latent"], dtype=np.float64),
-        pose=transform_from_dict(payload["pose"]),
-        objective=float(payload["objective"]),
-        converged=bool(payload["converged"]),
-        evaluations=int(payload["evaluations"]),
-        start=int(payload["start"]),
-    )
-
-
-def model_from_dict(payload: Mapping) -> CanonicalPartModel:
-    return CanonicalPartModel(
-        part_category=payload["part_category"],
-        canonical=cloud_from_dict(payload["canonical"]),
-        basis=np.asarray(payload["basis"], dtype=np.float64),
-        latent_mean=np.asarray(payload["latent_mean"], dtype=np.float64),
-        latent_scales=np.asarray(payload["latent_scales"], dtype=np.float64),
-        training_latents=np.asarray(payload["training_latents"], dtype=np.float64),
-        training_residuals=np.asarray(payload["training_residuals"], dtype=np.float64),
-        explained_variance=np.asarray(payload["explained_variance"], dtype=np.float64),
-        cpd_config=CpdConfig(**payload["cpd_config"]),
-    )
-
-
 def save_model(path, model: CanonicalPartModel) -> None:
     Path(path).write_text(json.dumps(to_json(model), allow_nan=False))
 
@@ -543,4 +515,4 @@ def save_model(path, model: CanonicalPartModel) -> None:
 def load_model(source) -> CanonicalPartModel:
     """Model from a file path, or from the bytes of a model file already read."""
     raw = source if isinstance(source, bytes) else Path(source).read_bytes()
-    return model_from_dict(json.loads(raw))
+    return from_json(CanonicalPartModel, json.loads(raw))

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .geom import PointCloud, RigidTransform, rotation_about_axis
+from .geom import PointCloud, RigidTransform, from_json, rotation_about_axis
 from .transfer import Demonstration, PartDecomposedObject
 
 __all__ = [
@@ -330,13 +330,7 @@ def sample_spec(
 
 
 def spec_from_dict(payload: Mapping) -> ParametricObjectSpec:
-    return ParametricObjectSpec(
-        payload["category"],
-        payload["params"],
-        int(payload.get("seed", 0)),
-        int(payload.get("points_per_part", 400)),
-        float(payload.get("noise", 0.0)),
-    )
+    return from_json(ParametricObjectSpec, payload)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
@@ -26,12 +27,11 @@ from .geom import (
     PointCloud,
     RigidTransform,
     adjacency_label_values,
-    cloud_from_dict,
+    from_json,
     near_box,
     rotation_geodesic,
     sqdist_rows,
     to_json,
-    transform_from_dict,
     z_label_values,
 )
 from .registration import kabsch
@@ -41,7 +41,6 @@ from .shapemodel import (
     InferenceConfig,
     InferenceResult,
     infer,
-    inference_from_dict,
     reconstruct,
     warp_point_indices,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "whole_object_baseline",
     "scene_extent",
     "object_from_dict",
-    "demo_from_dict",
     "load_demo",
     "context_to_dict",
     "context_from_dict",
@@ -580,39 +578,30 @@ def whole_object_baseline(
 
 
 def object_from_dict(payload: Mapping) -> PartDecomposedObject:
-    return PartDecomposedObject(
-        payload["category"],
-        {name: cloud_from_dict(part) for name, part in payload["parts"].items()},
-    )
-
-
-def demo_from_dict(payload: Mapping) -> Demonstration:
-    return Demonstration(
-        object_from_dict(payload["object_a"]),
-        object_from_dict(payload["object_b"]),
-        transform_from_dict(payload["t_ab"]),
-    )
+    return from_json(PartDecomposedObject, payload)
 
 
 def load_demo(source) -> Demonstration:
     """Demonstration from a file path, or from the bytes of a demo file already read."""
     raw = source if isinstance(source, bytes) else Path(source).read_bytes()
-    return demo_from_dict(json.loads(raw))
+    return from_json(Demonstration, json.loads(raw))
+
+
+# What process_demonstration derives, and all that context_to_dict writes:
+# DemoContext's fields after the demo and its models.
+_DERIVED = {
+    name: hint for name, hint in typing.get_type_hints(DemoContext).items()
+    if name not in ("demo", "models_a", "models_b")
+}
 
 
 def context_to_dict(ctx: DemoContext) -> dict:
     """Everything process_demonstration derived, without the demo or its models.
 
     Arrays go through tolist, so every float survives a JSON round trip
-    exactly and context_from_dict rebuilds an equal context. The
-    interactions, keyed by part pairs, are a list in key order.
+    exactly and context_from_dict rebuilds an equal context.
     """
-    return {
-        "fits_a": to_json(ctx.fits_a),
-        "fits_b": to_json(ctx.fits_b),
-        "interactions": [to_json(ips) for _rel, ips in sorted(ctx.interactions.items())],
-        "relations": to_json(ctx.relations),
-    }
+    return {name: to_json(getattr(ctx, name)) for name in _DERIVED}
 
 
 def context_from_dict(
@@ -622,28 +611,18 @@ def context_from_dict(
     payload: Mapping,
 ) -> DemoContext:
     """Inverse of context_to_dict for the demonstration and models it was derived from."""
-    interactions = [InteractionPointSet(**entry) for entry in payload["interactions"]]
-    relations = payload["relations"]
-    return DemoContext(
-        demo=demo,
-        models_a=models_a,
-        models_b=models_b,
-        fits_a={name: inference_from_dict(fit) for name, fit in payload["fits_a"].items()},
-        fits_b={name: inference_from_dict(fit) for name, fit in payload["fits_b"].items()},
-        interactions={(ips.part_m, ips.part_n): ips for ips in interactions},
-        relations=RelationSet(
-            tuple(tuple(rel) for rel in relations["relations"]), float(relations["score"])
-        ),
-    )
+    derived = {name: from_json(hint, payload[name], path=name) for name, hint in _DERIVED.items()}
+    for (m, n), ips in derived["interactions"].items():
+        if (m, n) != (ips.part_m, ips.part_n):
+            raise ValueError(f"interactions.{m}|{n} holds the pair {ips.part_m}|{ips.part_n}")
+    return DemoContext(demo, models_a, models_b, **derived)
 
 
 def result_to_dict(result: TransferResult) -> dict:
     return {
         "t_final": to_json(result.t_final),
         "relations": to_json(result.relations),
-        "per_relation_transforms": {
-            f"{m}|{n}": to_json(t) for (m, n), t in sorted(result.per_relation_transforms.items())
-        },
+        "per_relation_transforms": to_json(result.per_relation_transforms),
         "objective": result.objective,
         "diagnostics": to_json(result.diagnostics),
     }

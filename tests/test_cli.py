@@ -58,6 +58,15 @@ def run(*argv: str) -> int:
         return cli.main(list(argv))
 
 
+def run_script(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a separate process, so that an uncaught exception shows as a traceback."""
+    src = str(Path(partwarp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "partwarp.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def write_config(tmp_path, **extra) -> str:
     config = {
         **TINY,
@@ -189,10 +198,11 @@ def test_truncated_context_file_is_recomputed(workspace, processed):
     assert cache.read_bytes() == stored
 
 
-def test_model_file_with_nan_is_refused(workspace):
+def refused_model_file(workspace, edit) -> tuple[Path, str]:
+    """Edit the payload of a model file `transfer` reads; (its path, transfer's stderr)."""
     path = sorted((workspace / "models" / "mug").glob("*.json"))[0]
     payload = json.loads(path.read_text())
-    payload["latent_scales"][0] = float("nan")
+    edit(payload)
     path.write_text(json.dumps(payload))
     dataset = workspace / "dataset"
     manifest = json.loads((dataset / "manifest.json").read_text())
@@ -204,7 +214,21 @@ def test_model_file_with_nan_is_refused(workspace):
             "--scene-a", str(dataset / name_a),
             "--scene-b", str(dataset / name_b),
         ) == 1
-    assert f"error: loading models: {path}: latent_scales must be finite" in err.getvalue()
+    return path, err.getvalue()
+
+
+def test_model_file_with_nan_is_refused(workspace):
+    def edit(payload):
+        payload["latent_scales"][0] = float("nan")
+
+    path, err = refused_model_file(workspace, edit)
+    assert f"error: loading models: {path}: latent_scales must be finite" in err
+
+
+def test_model_file_with_an_unknown_key_is_refused(workspace):
+    # Every file partwarp reads is refused for a key its record does not have.
+    path, err = refused_model_file(workspace, lambda payload: payload.update(dropped_parts=[]))
+    assert f"error: loading models: {path}: unknown key dropped_parts" in err
 
 
 def test_failed_context_write_still_transfers(workspace, monkeypatch):
@@ -288,12 +312,7 @@ def test_malformed_input_file_exits_1_without_a_traceback(tmp_path, case):
     if command == "transfer":
         scene = str(dataset / "scene.json")
         argv += ["--demo", str(dataset / "demo.json"), "--scene-a", scene, "--scene-b", scene]
-    # A separate process, so that an uncaught exception shows as a traceback.
-    src = str(Path(partwarp.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-m", "partwarp.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_script(*argv)
     assert proc.returncode == 1, proc.stderr
     assert f"error: {stage}: " in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -356,6 +375,31 @@ def test_unknown_config_key_exits_2(tmp_path, key):
     assert f"unknown config key {key}" in err.getvalue()
 
 
+# Each case: an override and the dotted key its error names. The file's
+# `seed` is the experiment's master_seed.
+WRONG_VALUES = {
+    'seed="abc"': ('seed="abc"', "master_seed"),
+    "seed=1.5": ("seed=1.5", "master_seed"),
+    "seed=-1": ("seed=-1", "master_seed"),
+    "count=1.5": ("count=1.5", "count"),
+    "points_per_part=50.5": ("points_per_part=50.5", "points_per_part"),
+    "pipeline.inference.restarts=true": (
+        "pipeline.inference.restarts=true", "pipeline.inference.restarts"),
+    "pipeline.delta_scale=false": ("pipeline.delta_scale=false", "pipeline.delta_scale"),
+    "task=3": ("task=3", "task"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_VALUES))
+def test_config_value_of_the_wrong_type_exits_2_without_a_traceback(tmp_path, case):
+    override, key = WRONG_VALUES[case]
+    proc = run_script("gen", "--config", write_config(tmp_path), "--set", override)
+    assert proc.returncode == 2, proc.stderr
+    assert "error: bad config: " in proc.stderr
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", [
     ["gen"], ["train"], ["transfer", "--demo", "d", "--scene-a", "a", "--scene-b", "b"]],
     ids=["gen", "train", "transfer"])
@@ -402,6 +446,7 @@ OUT_OF_RANGE = {
     "train_points_per_part": ({"train_points_per_part": 0}, "points per part"),
     "penetration_tolerance": ({"penetration_tolerance": -1e-3}, "penetration_tolerance"),
     "latent_dim": ({"latent_dim": 0}, "latent_dim"),
+    "master_seed": ({"master_seed": -1}, "master_seed"),
     # Values the config once accepted but generation or training could not use.
     "points_per_part=9": ({"points_per_part": 9}, "points per part"),
     "train_points_per_part=9": ({"train_points_per_part": 9}, "points per part"),

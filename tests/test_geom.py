@@ -1,7 +1,9 @@
 """Point-cloud primitives: transforms, squared distances, Chamfer distances,
-and the one JSON encoder."""
+and the one JSON encoder and its inverse."""
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from partwarp.geom import (
     RigidTransform,
     adjacency_label_values,
     chamfer,
-    cloud_from_dict,
+    from_json,
     labeled_chamfer,
     near_box,
     rotation_about_axis,
@@ -434,7 +436,7 @@ class TestLabelGenerators:
 class TestSerialization:
     def test_cloud_round_trip_is_exact(self, rng):
         cloud = random_labeled_cloud(rng, 17, keys=("z", "adj:peg"))
-        back = cloud_from_dict(to_json(cloud))
+        back = from_json(PointCloud, to_json(cloud))
         np.testing.assert_array_equal(back.points, cloud.points)
         assert back.label_keys() == cloud.label_keys()
         for key in cloud.label_keys():
@@ -486,3 +488,75 @@ class TestToJson:
     def test_none_and_scalars_pass_through(self):
         assert to_json(None) is None
         assert to_json([None, "note", 2, 0.25, True]) == [None, "note", 2, 0.25, True]
+
+
+@dataclass(frozen=True)
+class Inner:
+    count: int
+    scale: float = 1.0
+
+
+@dataclass(frozen=True)
+class Outer:
+    name: str
+    inner: Inner
+    flag: bool = False
+    pairs: Mapping[tuple[str, str], float] = field(default_factory=dict)
+    tags: tuple[str, ...] = ()
+    note: str | None = None
+
+
+class TestFromJson:
+    def test_inverts_to_json_through_a_file(self):
+        value = Outer("a", Inner(3, 0.5), True, {("cup", "peg"): 1.5}, ("x", "y"), "n")
+        assert from_json(Outer, json.loads(json.dumps(to_json(value)))) == value
+
+    def test_missing_field_takes_its_default(self):
+        assert from_json(Outer, {"name": "a", "inner": {"count": 1}}) == Outer("a", Inner(1))
+
+    def test_unknown_key_names_its_dotted_path(self):
+        with pytest.raises(ValueError, match="unknown key inner.foo"):
+            from_json(Outer, {"name": "a", "inner": {"count": 1, "foo": 2}})
+        with pytest.raises(ValueError, match="unknown config key inner.foo"):
+            from_json(Outer, {"name": "a", "inner": {"count": 1, "foo": 2}}, key="config key")
+
+    def test_missing_field_without_a_default_is_refused(self):
+        with pytest.raises(TypeError, match="'count'"):
+            from_json(Outer, {"name": "a", "inner": {}})
+
+    @pytest.mark.parametrize("path, value", [
+        ("inner.count", {"name": "a", "inner": {"count": True}}),
+        ("inner.count", {"name": "a", "inner": {"count": 1.5}}),
+        ("inner.scale", {"name": "a", "inner": {"count": 1, "scale": False}}),
+        ("inner.scale", {"name": "a", "inner": {"count": 1, "scale": "1"}}),
+        ("name", {"name": 1, "inner": {"count": 1}}),
+        ("flag", {"name": "a", "inner": {"count": 1}, "flag": 0}),
+        ("tags.1", {"name": "a", "inner": {"count": 1}, "tags": ["x", 2]}),
+        ("inner", {"name": "a", "inner": [1]}),
+    ])
+    def test_scalar_of_the_wrong_type_names_its_path(self, path, value):
+        with pytest.raises(ValueError, match=f"key {path} must be"):
+            from_json(Outer, value)
+
+    def test_float_takes_an_integer(self):
+        assert from_json(Outer, {"name": "a", "inner": {"count": 1, "scale": 2}}).inner.scale == 2
+
+    def test_record_checks_its_values(self):
+        with pytest.raises(ValueError, match="rotation is not orthonormal"):
+            from_json(RigidTransform, {"rotation": [2.0] + [0.0] * 8, "translation": [0, 0, 0]})
+
+    def test_tuple_key_is_joined_in_key_order(self):
+        # Sorted as tuples: "cup" sorts before "cup_x", though "|" sorts after "_".
+        value = to_json({("cup_x", "a"): 2.0, ("cup", "peg"): 1.0})
+        assert list(value) == ["cup|peg", "cup_x|a"]
+        assert from_json(Mapping[tuple[str, str], float], value) == {
+            ("cup", "peg"): 1.0, ("cup_x", "a"): 2.0}
+
+    def test_tuple_key_element_with_a_bar_is_refused(self):
+        with pytest.raises(ValueError, match=r"\('a\|b', 'c'\)"):
+            to_json({("a|b", "c"): 1.0})
+
+    def test_key_of_another_arity_is_refused(self):
+        payload = {"name": "a", "inner": {"count": 1}, "pairs": {"a|b|c": 1.0}}
+        with pytest.raises(ValueError, match=r"key pairs\.a\|b\|c must join 2 names"):
+            from_json(Outer, payload)

@@ -9,6 +9,7 @@ from partwarp.geom import (
     PointCloud,
     RigidTransform,
     chamfer,
+    from_json,
     labeled_chamfer,
     rotation_about_axis,
     rotation_geodesic,
@@ -22,7 +23,6 @@ from partwarp.shapemodel import (
     InferenceConfig,
     infer,
     load_model,
-    model_from_dict,
     reconstruct,
     save_model,
     select_canonical,
@@ -467,7 +467,7 @@ class TestWarpPointIndices:
 class TestModelSerialization:
     def test_dict_round_trip_is_exact(self, mug_models):
         model = mug_models["handle"]
-        back = model_from_dict(to_json(model))
+        back = from_json(CanonicalPartModel, to_json(model))
         np.testing.assert_array_equal(back.canonical.points, model.canonical.points)
         np.testing.assert_array_equal(back.basis, model.basis)
         np.testing.assert_array_equal(back.training_latents, model.training_latents)
@@ -485,7 +485,7 @@ class TestModelSerialization:
         values.flat[0] = np.nan
         payload[name] = values.tolist()
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            model_from_dict(payload)
+            from_json(CanonicalPartModel, payload)
 
     def test_file_round_trip(self, mug_models, tmp_path):
         model = mug_models["cup"]

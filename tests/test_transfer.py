@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -20,7 +21,7 @@ import partwarp
 import partwarp.geom as geom
 import partwarp.transfer as transfer_module
 import propsuites as ps
-from partwarp.geom import PointCloud, RigidTransform, rotation_geodesic, sqdist, to_json
+from partwarp.geom import PointCloud, RigidTransform, from_json, rotation_geodesic, sqdist, to_json
 from partwarp.evaluation import ExperimentConfig, train_category_models, trial_scene
 from partwarp.registration import CpdConfig
 from partwarp.shapemodel import InferenceConfig
@@ -43,7 +44,6 @@ from partwarp.transfer import (
     fit_parts,
     label_parts,
     merge_object,
-    demo_from_dict,
     load_demo,
     object_from_dict,
     optimize_placement,
@@ -617,7 +617,7 @@ class TestSerialization:
         obj_a = PartDecomposedObject("toy", {"p": PointCloud(rng.normal(size=(6, 3)))})
         obj_b = PartDecomposedObject("toy", {"q": PointCloud(rng.normal(size=(6, 3)))})
         demo = Demonstration(obj_a, obj_b, ps.random_transform(rng))
-        again = demo_from_dict(to_json(demo))
+        again = from_json(Demonstration, to_json(demo))
         np.testing.assert_array_equal(again.t_ab.rotation, demo.t_ab.rotation)
         np.testing.assert_array_equal(
             again.object_a.parts["p"].points, obj_a.parts["p"].points)
@@ -639,6 +639,17 @@ class TestSerialization:
             for ctx in (mug_ctx, again)
         ]
         assert results[0] == results[1]
+
+    def test_context_interaction_under_another_pair_is_refused(
+            self, mug_ctx, mug_models, rack_models):
+        payload = json.loads(json.dumps(context_to_dict(mug_ctx)))
+        interactions = payload["interactions"]
+        assert len(interactions) >= 2
+        first, second = list(interactions)[:2]
+        interactions[first], interactions[second] = interactions[second], interactions[first]
+        message = re.escape(f"interactions.{first} holds the pair {second}")
+        with pytest.raises(ValueError, match=message):
+            context_from_dict(mug_ctx.demo, mug_models, rack_models, payload)
 
     def test_result_payload_shape(self, mug_ctx, mug_models, rack_models):
         result = optimize_placement(
