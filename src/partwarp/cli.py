@@ -284,7 +284,7 @@ def _context_key(demo_bytes: bytes, model_files: Mapping[str, bytes], exp: Exper
     add("demo", demo_bytes)
     for name in sorted(model_files):
         add(f"model {name}", model_files[name])
-    add("pipeline", json.dumps(dataclasses.asdict(exp.pipeline), sort_keys=True).encode())
+    add("pipeline", json.dumps(to_json(exp.pipeline)).encode())
     add("seed", str(exp.master_seed).encode())
     return h.hexdigest()
 

@@ -23,7 +23,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geom import PointCloud, RigidTransform, rotation_about_axis, to_json
-from .shapemodel import CanonicalPartModel, CpdConfig, train_part_model
+from .registration import CpdConfig
+from .shapemodel import CanonicalPartModel, train_part_model
 from .synth import (
     CATEGORY_DEFAULTS,
     PENETRATION_TOLERANCE,
@@ -43,7 +44,6 @@ from .transfer import (
     Demonstration,
     PartDecomposedObject,
     PipelineConfig,
-    TransferResult,
     label_parts,
     merge_object,
     process_demonstration,
@@ -313,29 +313,24 @@ def _run_trial(
     for method in cfg.methods:
         start = time.perf_counter()
         note = ""
-        result: TransferResult | None = None
+        t_final = None
         try:
             transfer = transfer_skill if method == METHOD_PARTS else whole_object_baseline
-            result = transfer(contexts[method], novel_a, novel_b, cfg.pipeline, seed=seed)
+            t_final = transfer(contexts[method], novel_a, novel_b, cfg.pipeline, seed=seed).t_final
         except Exception as exc:  # noqa: BLE001 - trial failures must not abort the batch
             note = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
 
-        if result is None:
-            records.append(TrialRecord(
-                cfg.task, trial, method, spec_a, spec_b, None,
-                False, None, False, elapsed, seed, note,
-            ))
-            continue
-        placed = novel_a.transformed(result.t_final)
-        feat_a_world = features(spec_a).transformed(result.t_final.compose(init_a))
-        ok, pen, pred = check_success(
-            cfg.task, placed, sdf_b_world, feat_a_world, feat_b_world,
-            cfg.penetration_tolerance,
-        )
+        # (success, penetration, predicate); a transfer that raised is judged a miss.
+        judged = (False, None, False)
+        if t_final is not None:
+            feat_a_world = features(spec_a).transformed(t_final.compose(init_a))
+            judged = check_success(
+                cfg.task, novel_a.transformed(t_final), sdf_b_world, feat_a_world,
+                feat_b_world, cfg.penetration_tolerance,
+            )
         records.append(TrialRecord(
-            cfg.task, trial, method, spec_a, spec_b, result.t_final,
-            ok, pen, pred, elapsed, seed, note,
+            cfg.task, trial, method, spec_a, spec_b, t_final, *judged, elapsed, seed, note,
         ))
     return records
 

@@ -28,9 +28,11 @@ declaration order (an unlabeled PointCloud, its points alone), a mapping
 an object sorted by key with a tuple key such as a (part, part) relation
 written "m|n", tuples and arrays are lists, and a RigidTransform's
 rotation is its 9 entries, row by row. from_json reads by the records'
-field annotations: a missing field takes its default, a key that is not a
-field or a scalar of the wrong type is an error that names its dotted
-path, and each record's __post_init__ checks the rest.
+field annotations: a missing field takes its default, an integer where a
+float is due reads as that float, a key that is not a field or a scalar of
+the wrong type is an error that names its dotted path, and each record's
+__post_init__ checks the rest. An unlabeled PointCloud's labels are the
+empty mapping, never None.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import functools
 import reprlib
 import types
 import typing
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -93,29 +95,26 @@ def _as_label(values, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """An (n, 3) array of points with optional binary label arrays."""
+    """An (n, 3) array of points and its binary label arrays, {} when unlabeled."""
 
     points: np.ndarray
-    labels: Mapping[str, np.ndarray] | None = None
+    labels: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         pts = _as_points(self.points)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if self.labels is not None:
-            fixed = {str(k): _as_label(v, len(pts)) for k, v in self.labels.items()}
-            object.__setattr__(self, "labels", fixed)
+        fixed = {str(k): _as_label(v, len(pts)) for k, v in self.labels.items()}
+        object.__setattr__(self, "labels", fixed)
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     def label_keys(self) -> tuple[str, ...]:
-        if not self.labels:
-            return ()
         return tuple(sorted(self.labels))
 
     def label(self, key: str) -> np.ndarray:
-        if not self.labels or key not in self.labels:
+        if key not in self.labels:
             raise KeyError(f"cloud has no label key {key!r}")
         return self.labels[key]
 
@@ -130,15 +129,10 @@ class PointCloud:
         idx = np.asarray(indices)
         if idx.size == 0:
             idx = idx.astype(np.int64)
-        labels = None
-        if self.labels:
-            labels = {k: v[idx] for k, v in self.labels.items()}
-        return PointCloud(self.points[idx], labels)
+        return PointCloud(self.points[idx], {k: v[idx] for k, v in self.labels.items()})
 
     def with_labels(self, labels: Mapping[str, np.ndarray]) -> "PointCloud":
-        merged = dict(self.labels) if self.labels else {}
-        merged.update(labels)
-        return PointCloud(self.points, merged)
+        return PointCloud(self.points, {**self.labels, **labels})
 
     def transformed(self, t: "RigidTransform") -> "PointCloud":
         return PointCloud(t.apply(self.points), self.labels)
@@ -402,7 +396,7 @@ def labeled_chamfer(x: PointCloud, y: PointCloud, key: str) -> float:
     return total
 
 
-def adjacency_label_values(nearest: np.ndarray, ratio: float = 0.4) -> np.ndarray:
+def adjacency_label_values(nearest: np.ndarray, ratio: float) -> np.ndarray:
     """Binary relational label of a part from its points' nearest squared distances.
 
     nearest[i] is the squared distance from point i of the part to its
@@ -486,7 +480,9 @@ def from_json(hint, value, key: str = "key", path: str = ""):
         kinds, expected = _SCALARS[hint]
         if not isinstance(value, kinds) or (hint is not bool and isinstance(value, bool)):
             raise _wrong(key, path, expected, value)
-        return value
+        # float(1) is 1.0, so a float setting has one encoding; each other
+        # scalar type returns its value as it is.
+        return hint(value)
     if hint is np.ndarray:
         if not isinstance(value, list):
             raise _wrong(key, path, "a list", value)

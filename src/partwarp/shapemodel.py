@@ -211,7 +211,7 @@ def train_part_model(
     n = canon_points.shape[0]
 
     canon_labels: dict[str, np.ndarray] = {}
-    raw = instances[canon_idx].labels or {}
+    raw = instances[canon_idx].labels
     for key in sorted(raw):
         arr = raw[key]
         # Keys whose class split collapses on the canonical instance
@@ -220,7 +220,7 @@ def train_part_model(
             canon_labels[key] = arr
         else:
             warnings.warn(f"dropping degenerate label key {key!r}")
-    canonical = PointCloud(canon_points, canon_labels or None)
+    canonical = PointCloud(canon_points, canon_labels)
 
     # The canonical's own field is zero, and so is that of any instance with
     # the same points: registered onto itself, CPD only collapses sigma^2 to
@@ -280,7 +280,7 @@ def _azimuth_anchor(cloud: PointCloud, keys: Sequence[str]) -> float:
         return 0.0
     vec = np.zeros(2)
     for key in keys:
-        if key == Z_KEY or cloud.labels is None or key not in cloud.labels:
+        if key == Z_KEY or key not in cloud.labels:
             continue
         mask = cloud.label(key) == 1
         if 0 < mask.sum() < len(cloud):
@@ -343,7 +343,7 @@ def infer(
     def label_of(cloud: PointCloud, key: str) -> np.ndarray:
         # The height key is a pure function of the cloud, so it can be
         # filled in on demand; every other key must be present.
-        if key == Z_KEY and (cloud.labels is None or Z_KEY not in cloud.labels):
+        if key == Z_KEY and Z_KEY not in cloud.labels:
             return z_label_values(cloud)
         return cloud.label(key)
 

@@ -731,10 +731,6 @@ class AnalyticSdf:
     def __post_init__(self):
         object.__setattr__(self, "part_fns", dict(self.part_fns))
 
-    def part(self, name: str, points: np.ndarray) -> np.ndarray:
-        local = self.pose.inverse().apply(np.atleast_2d(np.asarray(points, dtype=float)))
-        return self.part_fns[name](local)
-
     def __call__(self, points: np.ndarray) -> np.ndarray:
         local = self.pose.inverse().apply(np.atleast_2d(np.asarray(points, dtype=float)))
         values = [fn(local) for fn in self.part_fns.values()]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -53,6 +53,8 @@ __all__ = [
     "TransferResult",
     "PipelineConfig",
     "DemoContext",
+    "ADJACENCY_SCALE",
+    "LABEL_RATIO",
     "label_parts",
     "fit_parts",
     "merge_object",
@@ -160,12 +162,18 @@ class RelationSet:
 
 @dataclass(frozen=True)
 class TransferResult:
+    """A placement, its fields in the result file's order.
+
+    transferred holds each relation's carried (p_m, p_n), which the file
+    leaves out.
+    """
+
     t_final: RigidTransform
+    relations: tuple[tuple[str, str], ...]
     per_relation_transforms: Mapping[tuple[str, str], RigidTransform]
     objective: float
-    relations: tuple[tuple[str, str], ...]
     diagnostics: Mapping[str, float]
-    transferred: Mapping[tuple[str, str], tuple[np.ndarray, np.ndarray]] | None = None
+    transferred: Mapping[tuple[str, str], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -209,19 +217,22 @@ def scene_extent(demo: Demonstration) -> float:
     return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
 
+# label_parts' two settings. Training and transfer both label with them, so
+# a model's label keys always match the keys of the clouds it is fitted to.
+ADJACENCY_SCALE = 0.02
+LABEL_RATIO = 0.4
+
+
 def label_parts(
-    obj: PartDecomposedObject,
-    ratio: float = 0.4,
-    adjacency_scale: float = 0.02,
-    parts: Collection[str] | None = None,
+    obj: PartDecomposedObject, parts: Collection[str] | None = None
 ) -> PartDecomposedObject:
     """Attach height labels and relational labels between adjacent parts.
 
     Two parts are adjacent when their closest points come within
-    adjacency_scale times the object extent. Every part receives the
-    height key; each adjacent pair receives mutual adj:<other> keys.
-    Training and transfer both label with the defaults, so a model's
-    label keys always match the keys of the clouds it is fitted to.
+    ADJACENCY_SCALE times the object extent. Every part receives the
+    height key; each adjacent pair receives mutual adj:<other> keys, whose
+    points are 1 within LABEL_RATIO times the median nearest distance
+    (geom.adjacency_label_values).
 
     parts, if given, names the parts whose labels the caller reads, such as
     the parts a fit will fit: each of them gets exactly the labels of the
@@ -237,7 +248,7 @@ def label_parts(
     """
     names = obj.part_names()
     wanted = set(names) if parts is None else set(parts)
-    threshold = adjacency_scale * obj.extent()
+    threshold = ADJACENCY_SCALE * obj.extent()
     labeled: dict[str, dict[str, np.ndarray]] = {name: {} for name in names}
     for name in names:
         labeled[name][Z_KEY] = z_label_values(obj.parts[name])
@@ -261,9 +272,9 @@ def label_parts(
         gap2 = near_a.min() if want_a else near_b.min()
         if float(np.sqrt(gap2)) < threshold:
             if want_a:
-                labeled[a][f"adj:{b}"] = adjacency_label_values(near_a, ratio)
+                labeled[a][f"adj:{b}"] = adjacency_label_values(near_a, LABEL_RATIO)
             if want_b:
-                labeled[b][f"adj:{a}"] = adjacency_label_values(near_b, ratio)
+                labeled[b][f"adj:{a}"] = adjacency_label_values(near_b, LABEL_RATIO)
     return PartDecomposedObject(
         obj.category,
         {name: obj.parts[name].with_labels(labeled[name]) for name in names},
@@ -619,10 +630,7 @@ def context_from_dict(
 
 
 def result_to_dict(result: TransferResult) -> dict:
+    """The result file's record: every field of result but transferred."""
     return {
-        "t_final": to_json(result.t_final),
-        "relations": to_json(result.relations),
-        "per_relation_transforms": to_json(result.per_relation_transforms),
-        "objective": result.objective,
-        "diagnostics": to_json(result.diagnostics),
+        f.name: to_json(getattr(result, f.name)) for f in fields(result) if f.name != "transferred"
     }

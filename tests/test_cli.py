@@ -188,6 +188,24 @@ def test_changed_input_reprocesses_the_demo(workspace, processed, change):
     assert len(processed) == 2
 
 
+def test_integer_spelling_of_a_float_setting_is_the_same_config(workspace, processed):
+    # delta_scale=1 reads as 1.0: one context key, so the demo is processed
+    # once, and one report.
+    first = transfer(workspace, "first.json", "pipeline.delta_scale=1")
+    assert transfer(workspace, "second.json", "pipeline.delta_scale=1.0") == first
+    assert len(processed) == 1
+    reports = []
+    for value in ("1", "1.0"):
+        out = workspace / f"out_{value}"
+        assert run(
+            "eval", "--config", write_config(workspace),
+            "--set", f"pipeline.delta_scale={value}", "--set", f"output_dir={out}",
+        ) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert b'"delta_scale": 1.0,' in reports[0]
+
+
 def test_truncated_context_file_is_recomputed(workspace, processed):
     first = transfer(workspace, "first.json")
     cache = workspace / "dataset" / "demo.context.json"

@@ -479,7 +479,9 @@ class TestToJson:
 
     def test_unlabeled_cloud_is_its_points_alone(self, rng):
         cloud = PointCloud(rng.normal(size=(4, 3)))
+        assert cloud.labels == {}
         assert to_json(cloud) == {"points": cloud.points.tolist()}
+        assert from_json(PointCloud, to_json(cloud)).labels == {}
         labeled = random_labeled_cloud(rng, 4, keys=("z", "adj:peg"))
         value = to_json(labeled)
         assert list(value) == ["points", "labels"]
@@ -540,6 +542,9 @@ class TestFromJson:
 
     def test_float_takes_an_integer(self):
         assert from_json(Outer, {"name": "a", "inner": {"count": 1, "scale": 2}}).inner.scale == 2
+        # It reads as that float, so 2 and 2.0 are one setting, written alike.
+        assert type(from_json(Inner, {"count": 1, "scale": 2}).scale) is float
+        assert json.dumps(to_json(from_json(Mapping[str, float], {"x": 3}))) == '{"x": 3.0}'
 
     def test_record_checks_its_values(self):
         with pytest.raises(ValueError, match="rotation is not orthonormal"):

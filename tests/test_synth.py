@@ -129,7 +129,7 @@ class TestGenerate:
         for category in ("mug", "rack", "bowl", "teapot"):
             obj, sdf, _ = generate(default_spec(category, seed=3))
             for name in obj.part_names():
-                values = sdf.part(name, obj.parts[name].points)
+                values = sdf.part_fns[name](obj.parts[name].points)
                 assert np.abs(values).max() < 1e-9
             assert sdf(obj.all_points()).max() < 1e-9
 
@@ -138,7 +138,7 @@ class TestGenerate:
         noisy, sdf, _ = generate(default_spec("mug", seed=6, noise=0.001))
         assert not np.array_equal(clean.parts["cup"].points, noisy.parts["cup"].points)
         for name in noisy.part_names():
-            values = sdf.part(name, noisy.parts[name].points)
+            values = sdf.part_fns[name](noisy.parts[name].points)
             assert np.abs(values).max() < 6 * 0.001
 
     @pytest.mark.parametrize("category", ["mug", "rack", "bowl", "teapot"])
@@ -226,12 +226,12 @@ class TestFeaturesAndTasks:
         for category, vessel in (("mug", "cup"), ("teapot", "body")):
             _, feat, sdf = build(category)
             rim = feat.points["rim_center"] + feat.scalars["rim_radius_outer"] * x
-            np.testing.assert_allclose(sdf.part(vessel, rim), 0.0, atol=1e-9)
+            np.testing.assert_allclose(sdf.part_fns[vessel](rim[None]), 0.0, atol=1e-9)
 
         _, feat, sdf = build("mug")
         on_ring = feat.points["loop_center"] + feat.scalars["loop_ring"] * x
         np.testing.assert_allclose(
-            sdf.part("handle", on_ring), -feat.scalars["loop_tube"], atol=1e-9)
+            sdf.part_fns["handle"](on_ring[None]), -feat.scalars["loop_tube"], atol=1e-9)
 
         _, feat, sdf = build("rack")
         length, radius = feat.scalars["peg_length"], feat.scalars["peg_radius"]
@@ -239,16 +239,17 @@ class TestFeaturesAndTasks:
         s = np.linspace(0.1, 0.9, 9) * length
         s = s[s < length - radius]
         axis = feat.points["peg_base"] + s[:, None] * feat.directions["peg_dir"]
-        np.testing.assert_allclose(sdf.part("peg", axis), -radius, atol=1e-9)
+        np.testing.assert_allclose(sdf.part_fns["peg"](axis), -radius, atol=1e-9)
 
         _, feat, sdf = build("teapot")
-        np.testing.assert_allclose(sdf.part("spout", feat.points["spout_tip"]), 0.0, atol=1e-9)
+        np.testing.assert_allclose(
+            sdf.part_fns["spout"](feat.points["spout_tip"][None]), 0.0, atol=1e-9)
 
         spec, feat, sdf = build("bowl")
         alpha = spec.params["bowl_angle"]
         edge = feat.points["sphere_center"] + feat.scalars["radius_outer"] * np.array(
             [np.sin(alpha), 0.0, -np.cos(alpha)])
-        np.testing.assert_allclose(sdf.part("bowl", edge), 0.0, atol=1e-9)
+        np.testing.assert_allclose(sdf.part_fns["bowl"](edge[None]), 0.0, atol=1e-9)
 
     @pytest.mark.parametrize("task", ["mug_on_rack", "bowl_on_mug", "teapot_pour_align"])
     def test_demo_is_feasible(self, task):

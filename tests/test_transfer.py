@@ -116,24 +116,29 @@ class TestLabeling:
         zc = labeled.parts["cup"].label("z")
         assert set(np.unique(zc)) == {0, 1}
 
-    def test_tiny_adjacency_scale_removes_contacts(self):
+    def test_tiny_adjacency_scale_removes_contacts(self, monkeypatch):
         obj, _, _ = generate(default_spec("mug", seed=7))
-        labeled = label_parts(obj, adjacency_scale=1e-6)
+        monkeypatch.setattr(transfer_module, "ADJACENCY_SCALE", 1e-6)
+        labeled = label_parts(obj)
         assert labeled.parts["cup"].label_keys() == ("z",)
         assert labeled.parts["handle"].label_keys() == ("z",)
 
     @pytest.mark.parametrize("points", [80, 400, 700])
     @pytest.mark.parametrize("category", ["mug", "rack", "teapot"])
-    def test_adjacency_labels_follow_the_per_direction_rule(self, category, points):
+    def test_adjacency_labels_follow_the_per_direction_rule(
+        self, category, points, monkeypatch
+    ):
         # Brute force from explicit differences: a pair is adjacent when its
-        # gap is under adjacency_scale x extent, and each side's point is 1
-        # when its nearest distance into the other side is under ratio x
-        # that side's median nearest distance. At 80 points a touching pair
+        # gap is under ADJACENCY_SCALE x extent, and each side's point is 1
+        # when its nearest distance into the other side is under LABEL_RATIO
+        # x that side's median nearest distance. At 80 points a touching pair
         # can sample a gap of 6% of the extent, so the scale is 0.08; far
         # pairs (rack base-peg, teapot handle-spout) stay non-adjacent.
         obj, _, _ = generate(default_spec(category, seed=3, points_per_part=points))
         ratio, scale = 0.4, 0.08
-        labeled = label_parts(obj, ratio=ratio, adjacency_scale=scale)
+        monkeypatch.setattr(transfer_module, "LABEL_RATIO", ratio)
+        monkeypatch.setattr(transfer_module, "ADJACENCY_SCALE", scale)
+        labeled = label_parts(obj)
         adjacent = 0
         for a, b in itertools.combinations(obj.part_names(), 2):
             pa, pb = obj.parts[a].points, obj.parts[b].points
@@ -541,9 +546,10 @@ class TestPlacement:
         assert lift > 0.01
 
         extent = 0.5 * (novel_a.extent() + novel_b.extent())
+        # generate's signed distances are in the frame the novel objects are in.
         (pm, pn) = result.transferred[("handle", "peg")]
-        assert np.abs(sdf_a.part("handle", pm)).max() < 0.02 * extent
-        assert np.abs(sdf_b.part("peg", pn)).max() < 0.02 * extent
+        assert np.abs(sdf_a.part_fns["handle"](pm)).max() < 0.02 * extent
+        assert np.abs(sdf_b.part_fns["peg"](pn)).max() < 0.02 * extent
 
     def test_deterministic_result_bytes(self, mug_ctx):
         spec_m = default_spec("mug", seed=41)
