@@ -5,7 +5,9 @@ geometry: the placed object must not sink into the other object beyond a
 penetration tolerance, and an analytic per-task predicate (hang, rest,
 pour) must hold. Experiments run both the parts-based method and the
 whole-object baseline on bit-identical trial inputs so that rate
-differences are attributable to the method alone.
+differences are attributable to the method alone. The parts method trains
+only the models of the parts the demonstration's contacts touch, the only
+ones its pipeline reads; the report is the same as with every part's model.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from .transfer import (
     Demonstration,
     PartDecomposedObject,
     PipelineConfig,
+    demo_contacts,
     label_parts,
     merge_object,
     process_demonstration,
@@ -215,15 +218,27 @@ def train_models_from_objects(
     category: str,
     objects: Sequence[PartDecomposedObject],
     cfg: ExperimentConfig = ExperimentConfig(),
+    parts: Collection[str] | None = None,
 ) -> dict[str, CanonicalPartModel]:
     """Per-part models from already-labeled instances of one category.
+
+    parts names the models to train; None trains one for every part any
+    instance has. Every instance must have each of them, or a ValueError
+    names the instance and the part before any model is trained.
+    train_category_models passes its parts on; cli train passes None, since
+    any demo may be transferred with the models it writes.
 
     Every part cloud is centered at its centroid before training, standing
     in for the pose-aligned segments an upstream perception stack would
     give.
     """
+    names = {name for o in objects for name in o.parts} if parts is None else set(parts)
+    for i, o in enumerate(objects):
+        missing = sorted(names - set(o.parts))
+        if missing:
+            raise ValueError(f"training instance {i} of {category!r} has no part {missing[0]!r}")
     models: dict[str, CanonicalPartModel] = {}
-    for part in objects[0].part_names():
+    for part in sorted(names):
         instances = [_centered(o.parts[part]) for o in objects]
         models[part] = train_part_model(
             instances, d=cfg.latent_dim, cpd=cfg.cpd, part_category=f"{category}/{part}"
@@ -232,15 +247,21 @@ def train_models_from_objects(
 
 
 def train_category_models(
-    category: str, seed: int, cfg: ExperimentConfig = ExperimentConfig()
+    category: str,
+    seed: int,
+    cfg: ExperimentConfig = ExperimentConfig(),
+    parts: Collection[str] | None = None,
 ) -> dict[str, CanonicalPartModel]:
     """Per-part canonical models from a family of generated objects.
 
-    Each instance is labeled as a whole object first, so relational labels
-    exist on every part before the parts are split apart for training.
+    parts names the models to train, None every part; run_experiment passes
+    the PSW demo's contact parts. Each instance is labeled as a whole object
+    first (label_parts with the same parts, which gives each named part the
+    labels of a full call), so relational labels exist on every trained
+    part before the parts are split apart for training.
     """
-    objects = [label_parts(generate(s)[0]) for s in training_specs(category, seed, cfg)]
-    return train_models_from_objects(category, objects, cfg)
+    objects = [label_parts(generate(s)[0], parts) for s in training_specs(category, seed, cfg)]
+    return train_models_from_objects(category, objects, cfg, parts)
 
 
 def train_whole_models(
@@ -335,19 +356,14 @@ def _run_trial(
     return records
 
 
-def _demo_context(
-    cfg: ExperimentConfig, method: str, demo: Demonstration, models_a, models_b
-) -> DemoContext:
-    if method == METHOD_WHOLE:
-        demo = Demonstration(
-            merge_object(demo.object_a), merge_object(demo.object_b), demo.t_ab
-        )
-    demo_seed = int(np.random.SeedSequence((cfg.master_seed, 3)).generate_state(1)[0])
-    return process_demonstration(demo, models_a, models_b, cfg.pipeline, seed=demo_seed)
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Train, demonstrate once, then score every method on paired trials.
+    """Find the demo's contacts, train, then score every method on paired trials.
+
+    Each method's demo contacts come first, so a demo without any fails
+    before a model is trained. PSW then trains only the models of the
+    parts its contacts touch, the only ones its pipeline reads, and the
+    report is the same as with every part's model; IW trains its one
+    'whole' model per category.
 
     Per-trial randomness is keyed to (master_seed, trial index) so both
     methods always see bit-identical scenes and reports reproduce exactly.
@@ -356,15 +372,34 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     # The demo depends on the task alone, so both methods share one draw.
     demo = generate_demo_scene(cfg.task).demo
+    demos = {
+        METHOD_PARTS: demo,
+        METHOD_WHOLE: Demonstration(
+            merge_object(demo.object_a), merge_object(demo.object_b), demo.t_ab
+        ),
+    }
+    contacts = {method: demo_contacts(demos[method], cfg.pipeline) for method in cfg.methods}
+    demo_seed = int(np.random.SeedSequence((cfg.master_seed, 3)).generate_state(1)[0])
     contexts: dict[str, DemoContext] = {}
     for method in cfg.methods:
         # Both here and in _run_trial the function is picked by name at call
         # time, not from a module-level {method: fn} table: a table would keep
         # the functions it was built with and hide the calls from tracing
         # that patches these module attributes.
-        train = train_category_models if method == METHOD_PARTS else train_whole_models
-        models_a, models_b = (train(cat, seed, cfg) for cat, seed in training_seeds(cfg))
-        contexts[method] = _demo_context(cfg, method, demo, models_a, models_b)
+        if method == METHOD_PARTS:
+            touched = ({m for m, _ in contacts[method]}, {n for _, n in contacts[method]})
+            models_a, models_b = (
+                train_category_models(cat, seed, cfg, parts)
+                for (cat, seed), parts in zip(training_seeds(cfg), touched)
+            )
+        else:
+            models_a, models_b = (
+                train_whole_models(cat, seed, cfg) for cat, seed in training_seeds(cfg)
+            )
+        contexts[method] = process_demonstration(
+            demos[method], models_a, models_b, cfg.pipeline, seed=demo_seed,
+            contacts=contacts[method],
+        )
 
     trials: list[TrialRecord] = []
     if cfg.jobs > 1 and cfg.n_trials > 1:

@@ -59,6 +59,7 @@ __all__ = [
     "fit_parts",
     "merge_object",
     "contact_pairs",
+    "demo_contacts",
     "extract_interaction_points",
     "transfer_points",
     "select_relevant_relations",
@@ -198,7 +199,8 @@ class DemoContext:
     models_a and models_b are the part models the demo was processed with,
     and every transfer of the context fits the novel objects with them.
     fits_a and fits_b cover only the parts that take part in a contact, the
-    parts that interactions and relations can name.
+    parts that interactions and relations can name; the models may cover
+    only those parts too, as run_experiment trains them.
     """
 
     demo: Demonstration
@@ -361,6 +363,13 @@ def contact_pairs(
     if not out:
         raise ValueError("no interaction found in demonstration")
     return out
+
+
+def demo_contacts(
+    demo: Demonstration, cfg: PipelineConfig = PipelineConfig()
+) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+    """contact_pairs at the pipeline's radius, cfg.delta_scale times scene_extent(demo)."""
+    return contact_pairs(demo, cfg.delta_scale * scene_extent(demo))
 
 
 def extract_interaction_points(
@@ -538,15 +547,23 @@ def process_demonstration(
     models_b: Mapping[str, CanonicalPartModel],
     cfg: PipelineConfig = PipelineConfig(),
     seed: int = 0,
+    contacts: Mapping[tuple[str, str], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> DemoContext:
     """Derive a demonstration's reusable context once.
 
     The steps run in this order: find the contact pairs of the goal
-    configuration (contact_pairs, geometry only); label both objects and fit
+    configuration (demo_contacts, geometry only); label both objects and fit
     only the parts those contacts touch (fit_parts, as transfer_skill does on
     a novel pair); ground the contacts in the fits; select the relations.
+    Only the touched parts' models are read, so models_a and models_b may
+    hold those parts alone.
+
+    contacts, if given, must be demo_contacts(demo, cfg): a caller that
+    needed them before it had models passes them on instead of searching
+    again.
     """
-    contacts = contact_pairs(demo, cfg.delta_scale * scene_extent(demo))
+    if contacts is None:
+        contacts = demo_contacts(demo, cfg)
     fits_a = fit_parts(demo.object_a, models_a, {m for m, _ in contacts}, cfg.inference, seed)
     fits_b = fit_parts(demo.object_b, models_b, {n for _, n in contacts}, cfg.inference, seed)
     interactions = extract_interaction_points(demo, contacts, models_a, models_b, fits_a, fits_b)

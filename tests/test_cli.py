@@ -4,8 +4,10 @@ config and flag validation, the scenes `gen` draws, model files `transfer`
 refuses, the top-level key order of every file the CLI writes, malformed
 input files `train` and `transfer` report by path and without a traceback,
 the settings `eval` passes on to training, `train` writing the models `eval`
-trains, `eval`'s worker pool reproducing the one-process report, and the
-BLAS thread variables recorded beside it."""
+trains and naming a part a training object lacks, `eval` training only the
+part models its demo's contacts read and failing before training on a demo
+without contacts, `eval`'s worker pool reproducing the one-process report,
+and the BLAS thread variables recorded beside it."""
 
 from __future__ import annotations
 
@@ -36,7 +38,13 @@ from partwarp.evaluation import (
 from partwarp.geom import to_json
 from partwarp.registration import CpdConfig
 from partwarp.shapemodel import CanonicalPartModel, InferenceConfig
-from partwarp.synth import CATEGORY_DEFAULTS, generate_demo_scene
+from partwarp.synth import (
+    CATEGORY_DEFAULTS,
+    default_spec,
+    generate,
+    generate_demo_scene,
+    task_categories,
+)
 from partwarp.transfer import PipelineConfig
 
 TINY = {
@@ -49,6 +57,17 @@ TINY = {
     "train_instances": 3,
     "pipeline": {"inference": {"restarts": 1, "yaw_init_count": 4, "max_evals": 60}},
 }
+
+
+# TINY as run_experiment takes it.
+TINY_EXPERIMENT = ExperimentConfig(
+    n_trials=3,
+    points_per_part=80,
+    train_points_per_part=80,
+    train_instances=3,
+    pipeline=PipelineConfig(
+        inference=InferenceConfig(restarts=1, yaw_init_count=4, max_evals=60)),
+)
 
 
 def run(*argv: str) -> int:
@@ -526,20 +545,89 @@ def test_train_writes_the_models_eval_trains(tmp_path):
     assert compared == 5
 
 
-def test_worker_pool_gives_the_one_process_report():
-    cfg = ExperimentConfig(
-        n_trials=3,
-        points_per_part=80,
-        train_points_per_part=80,
-        train_instances=3,
-        pipeline=PipelineConfig(
-            inference=InferenceConfig(restarts=1, yaw_init_count=4, max_evals=60)),
+def test_train_names_the_part_a_training_object_lacks(workspace, capsys):
+    dataset = workspace / "dataset"
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    second = dataset / manifest["train"]["mug"][1]
+    payload = json.loads(second.read_text())
+    del payload["object"]["parts"]["handle"]
+    second.write_text(json.dumps(payload))
+    assert run("train", "--config", write_config(workspace)) == 1
+    err = capsys.readouterr().err
+    assert "error: training 'mug': training instance 1 of 'mug' has no part 'handle'" in err, err
+
+
+def test_training_a_part_no_instance_has_names_it():
+    objects = [generate(default_spec("mug", seed=s, points_per_part=10))[0] for s in range(2)]
+    with pytest.raises(ValueError, match="training instance 0 of 'mug' has no part 'spout'"):
+        evaluation.train_models_from_objects("mug", objects, parts={"cup", "spout"})
+
+
+# The part models each task's demo contacts touch: all that PSW reads.
+CONTACT_PARTS = {
+    "mug_on_rack": {"mug/cup", "mug/handle", "rack/peg"},
+    "bowl_on_mug": {"bowl/bowl", "mug/cup"},
+    "teapot_pour_align": {"teapot/spout", "mug/cup"},
+}
+
+
+def trained_models(monkeypatch, cfg) -> tuple[str, list[str]]:
+    """run_experiment's report as sorted JSON, and the part_category of each model it trains."""
+    seen = []
+    train_part_model = evaluation.train_part_model
+
+    def record(*args, part_category="part", **kwargs):
+        seen.append(part_category)
+        return train_part_model(*args, part_category=part_category, **kwargs)
+
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(evaluation, "train_part_model", record)
+        warnings.simplefilter("ignore", UserWarning)
+        report = evaluation.run_experiment(cfg)
+    return json.dumps(report_to_dict(report), sort_keys=True), seen
+
+
+@pytest.mark.parametrize("task", list(CONTACT_PARTS))
+def test_eval_trains_only_the_part_models_its_demo_reads(monkeypatch, task):
+    cfg = dataclasses.replace(TINY_EXPERIMENT, task=task)
+    report, seen = trained_models(monkeypatch, cfg)
+    assert len(seen) == len(set(seen))
+    assert {c for c in seen if not c.endswith("/whole")} == CONTACT_PARTS[task]
+    assert {c for c in seen if c.endswith("/whole")} == {
+        f"{category}/whole" for category in task_categories(task)}
+
+    # PSW trained on every part, as train does, gives the same report.
+    train_category_models = evaluation.train_category_models
+    monkeypatch.setattr(
+        evaluation, "train_category_models",
+        lambda category, seed, cfg, parts=None: train_category_models(category, seed, cfg),
     )
+    every_part_report, every_part = trained_models(monkeypatch, cfg)
+    assert set(every_part) > set(seen)
+    assert every_part_report == report
+
+
+@pytest.mark.parametrize(
+    "methods", [(METHOD_PARTS, METHOD_WHOLE), (METHOD_WHOLE,)], ids=["both", "IW_only"])
+def test_eval_of_a_demo_without_contacts_fails_before_training(monkeypatch, methods):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr(evaluation, "train_part_model", refuse)
+    cfg = dataclasses.replace(
+        TINY_EXPERIMENT, methods=methods,
+        pipeline=dataclasses.replace(TINY_EXPERIMENT.pipeline, delta_scale=1e-6),
+    )
+    with pytest.raises(ValueError, match="no interaction found in demonstration"):
+        evaluation.run_experiment(cfg)
+
+
+def test_worker_pool_gives_the_one_process_report():
     reports = []
     for jobs in (1, 2):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            report = evaluation.run_experiment(dataclasses.replace(cfg, jobs=jobs))
+            report = evaluation.run_experiment(dataclasses.replace(TINY_EXPERIMENT, jobs=jobs))
         reports.append(json.dumps(report_to_dict(report), sort_keys=True))
     assert reports[0] == reports[1]
 
