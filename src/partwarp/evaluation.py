@@ -33,7 +33,6 @@ from .synth import (
     AnalyticSdf,
     ObjectFeatures,
     ParametricObjectSpec,
-    features,
     generate,
     generate_demo_scene,
     penetration_depth,
@@ -322,12 +321,12 @@ def _run_trial(
     cfg: ExperimentConfig, trial: int, contexts: Mapping[str, DemoContext]
 ) -> list[TrialRecord]:
     spec_a, spec_b, init_a, pose_b = trial_scene(cfg, trial)
-    obj_a, _, _ = generate(spec_a)
-    obj_b, sdf_b, _ = generate(spec_b)
+    obj_a, _, feat_a = generate(spec_a)
+    obj_b, sdf_b, feat_b = generate(spec_b)
     novel_a = obj_a.transformed(init_a)
     novel_b = obj_b.transformed(pose_b)
     sdf_b_world = sdf_b.transformed(pose_b)
-    feat_b_world = features(spec_b).transformed(pose_b)
+    feat_b_world = feat_b.transformed(pose_b)
     seed = _trial_seed(cfg.master_seed, trial)
 
     records = []
@@ -345,7 +344,7 @@ def _run_trial(
         # (success, penetration, predicate); a transfer that raised is judged a miss.
         judged = (False, None, False)
         if t_final is not None:
-            feat_a_world = features(spec_a).transformed(t_final.compose(init_a))
+            feat_a_world = feat_a.transformed(t_final.compose(init_a))
             judged = check_success(
                 cfg.task, novel_a.transformed(t_final), sdf_b_world, feat_a_world,
                 feat_b_world, cfg.penetration_tolerance,

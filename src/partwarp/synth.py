@@ -4,10 +4,10 @@ Four categories of tabletop objects (mugs, peg racks, bowls, teapots) are
 built from closed-form primitives. One builder, _geometry, defines each
 object once. It returns every part as the boundary surfaces and the signed
 distance of one primitive, and the object's named feature points, computed
-from the same frames and lengths. generate samples the surfaces and keeps
-each point's surface parameterization, so corresponding points can be
-re-evaluated on any other member of the family. features returns the
-landmarks that task success checks use.
+from the same frames and lengths. generate samples the surfaces and returns
+the cloud, the signed distance and the features from one _geometry call.
+features returns the landmarks alone, which task goals and success checks
+read.
 
 A task (TASKS) names its categories and a skill (hang, rest or pour), whose
 goal and success predicate read the objects' features only.
@@ -33,7 +33,6 @@ __all__ = [
     "ParametricObjectSpec",
     "CameraView",
     "AnalyticSdf",
-    "CorrespondenceMap",
     "ObjectFeatures",
     "DemoScene",
     "CATEGORY_PARTS",
@@ -237,10 +236,12 @@ class ParametricObjectSpec:
             raise ValueError(f"unknown parameter {extra[0]!r}")
         if not all(np.isfinite(v) for v in params.values()):
             raise ValueError("parameters must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.points_per_part < 10:
             raise ValueError("points_per_part must be at least 10")
-        if self.noise < 0:
-            raise ValueError("noise must be non-negative")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError("noise must be finite and >= 0")
         _VALIDATORS[self.category](params)
         object.__setattr__(self, "params", params)
 
@@ -340,7 +341,6 @@ def spec_from_dict(payload: Mapping) -> ParametricObjectSpec:
 
 @dataclass(frozen=True)
 class _Surface:
-    name: str
     area: float
     embed: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -363,7 +363,7 @@ def _frame(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, np.cross(d, e1)
 
 
-def _cyl_lateral(name, p0, d, e1, e2, radius, length) -> _Surface:
+def _cyl_lateral(p0, d, e1, e2, radius, length) -> _Surface:
     p0 = np.asarray(p0, dtype=float)
 
     def embed(u, v, p0=p0, d=d, e1=e1, e2=e2, radius=radius, length=length):
@@ -374,10 +374,10 @@ def _cyl_lateral(name, p0, d, e1, e2, radius, length) -> _Surface:
             + radius * (np.outer(np.cos(phi), e1) + np.outer(np.sin(phi), e2))
         )
 
-    return _Surface(name, 2.0 * np.pi * radius * length, embed)
+    return _Surface(2.0 * np.pi * radius * length, embed)
 
 
-def _disk(name, center, e1, e2, radius, inner=0.0) -> _Surface:
+def _disk(center, e1, e2, radius, inner=0.0) -> _Surface:
     center = np.asarray(center, dtype=float)
 
     def embed(u, v, center=center, e1=e1, e2=e2, radius=radius, inner=inner):
@@ -385,7 +385,7 @@ def _disk(name, center, e1, e2, radius, inner=0.0) -> _Surface:
         phi = 2.0 * np.pi * v
         return center + np.outer(r * np.cos(phi), e1) + np.outer(r * np.sin(phi), e2)
 
-    return _Surface(name, np.pi * (radius * radius - inner * inner), embed)
+    return _Surface(np.pi * (radius * radius - inner * inner), embed)
 
 
 def _capped(dr: np.ndarray, dz: np.ndarray) -> np.ndarray:
@@ -415,9 +415,9 @@ def _z_cylinder(radius: float, z0: float, length: float) -> _Part:
     bottom = np.array([0.0, 0.0, z0])
     return _Part(
         [
-            _cyl_lateral("lateral", bottom, _Z, _X, _Y, radius, length),
-            _disk("bottom", bottom, _X, _Y, radius),
-            _disk("top", np.array([0.0, 0.0, z0 + length]), _X, _Y, radius),
+            _cyl_lateral(bottom, _Z, _X, _Y, radius, length),
+            _disk(bottom, _X, _Y, radius),
+            _disk(np.array([0.0, 0.0, z0 + length]), _X, _Y, radius),
         ],
         _cyl_sdf_z(radius, z0, z0 + length),
     )
@@ -430,11 +430,11 @@ def _vessel(radius: float, height: float, wall: float) -> _Part:
     cavity = _cyl_sdf_z(inner, wall, height + 0.05)
     return _Part(
         [
-            _cyl_lateral("lateral_outer", np.zeros(3), _Z, _X, _Y, radius, height),
-            _cyl_lateral("lateral_inner", np.array([0, 0, wall]), _Z, _X, _Y, inner, height - wall),
-            _disk("bottom", np.zeros(3), _X, _Y, radius),
-            _disk("floor", np.array([0, 0, wall]), _X, _Y, inner),
-            _disk("rim", np.array([0, 0, height]), _X, _Y, radius, inner=inner),
+            _cyl_lateral(np.zeros(3), _Z, _X, _Y, radius, height),
+            _cyl_lateral(np.array([0, 0, wall]), _Z, _X, _Y, inner, height - wall),
+            _disk(np.zeros(3), _X, _Y, radius),
+            _disk(np.array([0, 0, wall]), _X, _Y, inner),
+            _disk(np.array([0, 0, height]), _X, _Y, radius, inner=inner),
         ],
         lambda pts: np.maximum(outer(pts), -cavity(pts)),
     )
@@ -454,8 +454,8 @@ def _arc(center, e1, e2, normal, ring, tube, half_angle) -> _Part:
             + np.outer(tube * np.sin(phi), normal)
         )
 
-    surfaces = [_Surface("tube", (2.0 * half_angle * ring) * (2.0 * np.pi * tube), tube_embed)]
-    for label, sgn in (("cap_pos", 1.0), ("cap_neg", -1.0)):
+    surfaces = [_Surface((2.0 * half_angle * ring) * (2.0 * np.pi * tube), tube_embed)]
+    for sgn in (1.0, -1.0):
         theta_end = sgn * half_angle
         end = center + ring * (math.cos(theta_end) * e1 + math.sin(theta_end) * e2)
         tangent = sgn * (-math.sin(theta_end) * e1 + math.cos(theta_end) * e2)
@@ -470,7 +470,7 @@ def _arc(center, e1, e2, normal, ring, tube, half_angle) -> _Part:
                 + np.outer(rad * np.sin(phi), b2)
             )
 
-        surfaces.append(_Surface(label, 2.0 * np.pi * tube * tube, cap_embed))
+        surfaces.append(_Surface(2.0 * np.pi * tube * tube, cap_embed))
 
     def sdf(pts):
         q = pts - center
@@ -512,16 +512,12 @@ def _bowl(rho_o: float, rho_i: float, alpha: float) -> _Part:
     return _Part(
         [
             _Surface(
-                "outer",
-                2.0 * np.pi * rho_o * rho_o * (1.0 - cos_a),
-                lambda u, v: shell_embed(u, v, rho_o),
+                2.0 * np.pi * rho_o * rho_o * (1.0 - cos_a), lambda u, v: shell_embed(u, v, rho_o)
             ),
             _Surface(
-                "inner",
-                2.0 * np.pi * rho_i * rho_i * (1.0 - cos_a),
-                lambda u, v: shell_embed(u, v, rho_i),
+                2.0 * np.pi * rho_i * rho_i * (1.0 - cos_a), lambda u, v: shell_embed(u, v, rho_i)
             ),
-            _Surface("rim", np.pi * math.sin(alpha) * (rho_o * rho_o - rho_i * rho_i), rim_embed),
+            _Surface(np.pi * math.sin(alpha) * (rho_o * rho_o - rho_i * rho_i), rim_embed),
         ],
         sdf,
     )
@@ -573,9 +569,9 @@ def _frustum(origin, d, length, r0, r1) -> _Part:
 
     return _Part(
         [
-            _Surface("lateral", np.pi * (r0 + r1) * slant, lateral_embed),
-            _disk("root", origin, e1, e2, r0),
-            _disk("tip", origin + length * d, e1, e2, r1),
+            _Surface(np.pi * (r0 + r1) * slant, lateral_embed),
+            _disk(origin, e1, e2, r0),
+            _disk(origin + length * d, e1, e2, r1),
         ],
         sdf,
     )
@@ -652,9 +648,9 @@ def _geometry(spec: ParametricObjectSpec) -> tuple[dict[str, _Part], ObjectFeatu
             "trunk": _z_cylinder(tr, BASE_HEIGHT, p["trunk_height"]),
             "peg": _Part(
                 [
-                    _cyl_lateral("lateral", p0, d, e1, e2, pr, total),
-                    _disk("root", p0, e1, e2, pr),
-                    _disk("tip", p0 + total * d, e1, e2, pr),
+                    _cyl_lateral(p0, d, e1, e2, pr, total),
+                    _disk(p0, e1, e2, pr),
+                    _disk(p0 + total * d, e1, e2, pr),
                 ],
                 peg_sdf,
             ),
@@ -690,13 +686,11 @@ def _geometry(spec: ParametricObjectSpec) -> tuple[dict[str, _Part], ObjectFeatu
             "handle": _arc(handle_center, -_X, _Z, _Y, p["handle_radius"], 0.005, HANDLE_ARC),
             "lid": _Part(
                 [
-                    _cyl_lateral("plate_lateral", np.array([0, 0, hb]), _Z, _X, _Y, rl, z1 - hb),
-                    _disk("plate_bottom", np.array([0, 0, hb]), _X, _Y, rl),
-                    _disk("plate_top", np.array([0, 0, z1]), _X, _Y, rl, inner=LID_KNOB_RADIUS),
-                    _cyl_lateral(
-                        "knob_lateral", np.array([0, 0, z1]), _Z, _X, _Y, LID_KNOB_RADIUS, z2 - z1
-                    ),
-                    _disk("knob_top", np.array([0, 0, z2]), _X, _Y, LID_KNOB_RADIUS),
+                    _cyl_lateral(np.array([0, 0, hb]), _Z, _X, _Y, rl, z1 - hb),
+                    _disk(np.array([0, 0, hb]), _X, _Y, rl),
+                    _disk(np.array([0, 0, z1]), _X, _Y, rl, inner=LID_KNOB_RADIUS),
+                    _cyl_lateral(np.array([0, 0, z1]), _Z, _X, _Y, LID_KNOB_RADIUS, z2 - z1),
+                    _disk(np.array([0, 0, z2]), _X, _Y, LID_KNOB_RADIUS),
                 ],
                 lambda pts: np.minimum(plate(pts), knob(pts)),
             ),
@@ -717,7 +711,7 @@ def features(spec: ParametricObjectSpec) -> ObjectFeatures:
 
 
 # ---------------------------------------------------------------------------
-# sampling, signed distances and correspondences
+# sampling: cloud, signed distance and features from one geometry build
 # ---------------------------------------------------------------------------
 
 
@@ -746,56 +740,20 @@ def penetration_depth(points: np.ndarray, sdf: AnalyticSdf) -> float:
     return float(max(0.0, -values.min()))
 
 
-@dataclass(frozen=True)
-class CorrespondenceMap:
-    """Stored surface coordinates of every sampled point of one object.
-
-    evaluate() re-embeds those coordinates on another spec of the same
-    category, giving exact ground-truth correspondences across the family.
-    """
-
-    spec: ParametricObjectSpec
-    surface_names: Mapping[str, np.ndarray]
-    surface_uv: Mapping[str, np.ndarray]
-
-    def evaluate(
-        self,
-        spec: ParametricObjectSpec,
-        part: str,
-        indices: np.ndarray | Sequence[int] | None = None,
-    ) -> np.ndarray:
-        if spec.category != self.spec.category:
-            raise ValueError("incompatible spec for correspondence")
-        names = self.surface_names[part]
-        uv = self.surface_uv[part]
-        if indices is not None:
-            idx = np.asarray(indices, dtype=np.int64)
-            names = names[idx]
-            uv = uv[idx]
-        table = {s.name: s.embed for s in _geometry(spec)[0][part].surfaces}
-        out = np.empty((len(names), 3))
-        for name in np.unique(names):
-            mask = names == name
-            out[mask] = table[str(name)](uv[mask, 0], uv[mask, 1])
-        return out
-
-
 def generate(
     spec: ParametricObjectSpec,
-) -> tuple[PartDecomposedObject, AnalyticSdf, CorrespondenceMap]:
-    """Sample the object boundary and return clouds, distances, coordinates.
+) -> tuple[PartDecomposedObject, AnalyticSdf, ObjectFeatures]:
+    """Sample the object boundary; return its cloud, signed distance and features.
 
-    Points are allocated to surfaces proportionally to area (largest
-    remainder), drawn uniformly in each surface's own parameterization, and
-    perturbed by isotropic Gaussian noise when the spec asks for it. All
-    randomness is keyed to the spec seed plus the part and surface indices,
-    so two specs that differ in one parameter share almost all of their
-    surface samples.
+    All three come from one _geometry call. Points are allocated to
+    surfaces proportionally to area (largest remainder), drawn uniformly in
+    each surface's own parameterization, and perturbed by isotropic Gaussian
+    noise when the spec asks for it. All randomness is keyed to the spec
+    seed plus the part and surface indices, so two specs that differ in one
+    parameter share almost all of their surface samples.
     """
-    parts, _ = _geometry(spec)
+    parts, feats = _geometry(spec)
     clouds: dict[str, PointCloud] = {}
-    names: dict[str, np.ndarray] = {}
-    uvs: dict[str, np.ndarray] = {}
     for part_index, part in enumerate(spec.part_names()):
         surfaces = parts[part].surfaces
         areas = np.array([s.area for s in surfaces])
@@ -803,7 +761,7 @@ def generate(
         counts = np.floor(quota).astype(int)
         shortfall = spec.points_per_part - counts.sum()
         counts[np.argsort(-(quota - counts), kind="stable")[:shortfall]] += 1
-        pts_list, name_list, uv_list = [], [], []
+        pts_list = []
         for surf_index, (surf, count) in enumerate(zip(surfaces, counts)):
             if count == 0:
                 continue
@@ -814,21 +772,15 @@ def generate(
             # fully resampled ones.
             rng = np.random.default_rng([spec.seed, part_index, surf_index])
             uv = rng.random((count, 2))
-            u, v = uv[:, 0], uv[:, 1]
-            pts_list.append(surf.embed(u, v))
-            name_list.append(np.full(count, surf.name, dtype=object))
-            uv_list.append(np.stack([u, v], axis=1))
+            pts_list.append(surf.embed(uv[:, 0], uv[:, 1]))
         pts = np.concatenate(pts_list)
         if spec.noise > 0:
             noise_rng = np.random.default_rng([spec.seed, part_index, 104729])
             pts = pts + noise_rng.normal(0.0, spec.noise, pts.shape)
         clouds[part] = PointCloud(pts)
-        names[part] = np.concatenate(name_list)
-        uvs[part] = np.concatenate(uv_list)
     obj = PartDecomposedObject(spec.category, clouds)
     sdf = AnalyticSdf({name: part.sdf for name, part in parts.items()})
-    corr = CorrespondenceMap(spec, names, uvs)
-    return obj, sdf, corr
+    return obj, sdf, feats
 
 
 # ---------------------------------------------------------------------------
@@ -1033,10 +985,7 @@ class DemoScene:
     spec_a: ParametricObjectSpec
     spec_b: ParametricObjectSpec
     init_a: RigidTransform
-    sdf_a: AnalyticSdf
     sdf_b: AnalyticSdf
-    corr_a: CorrespondenceMap
-    corr_b: CorrespondenceMap
 
 
 def generate_demo_scene(task: str) -> DemoScene:
@@ -1045,19 +994,19 @@ def generate_demo_scene(task: str) -> DemoScene:
     pp = TASKS[task].demo_points_per_part
     spec_a = default_spec(cat_a, seed=11, points_per_part=pp)
     spec_b = default_spec(cat_b, seed=12, points_per_part=pp)
+    obj_a, sdf_a, feat_a = generate(spec_a)
+    obj_b, sdf_b, feat_b = generate(spec_b)
 
-    t_goal = goal_transform(task, spec_a, spec_b)
-    obj_a, sdf_a, corr_a = generate(spec_a)
-    obj_b, sdf_b, corr_b = generate(spec_b)
-
+    goal, predicate = _SKILLS[TASKS[task].skill]
+    t_goal = goal(feat_a, feat_b)
     goal_points = t_goal.apply(obj_a.all_points())
     depth = penetration_depth(goal_points, sdf_b)
     depth = max(depth, penetration_depth(obj_b.all_points(), sdf_a.transformed(t_goal)))
     if depth > PENETRATION_TOLERANCE:
         raise ValueError("infeasible pair")
-    if not task_predicate(task, features(spec_a).transformed(t_goal), features(spec_b)):
+    if not predicate(feat_a.transformed(t_goal), feat_b):
         raise ValueError("infeasible pair")
 
     t_ab = t_goal.compose(_DEMO_INIT_A.inverse())
     demo = Demonstration(obj_a.transformed(_DEMO_INIT_A), obj_b, t_ab)
-    return DemoScene(demo, spec_a, spec_b, _DEMO_INIT_A, sdf_a, sdf_b, corr_a, corr_b)
+    return DemoScene(demo, spec_a, spec_b, _DEMO_INIT_A, sdf_b)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,18 @@ class TestSpecs:
         with pytest.raises(ValueError, match="noise"):
             default_spec("mug", noise=-0.001)
 
+    def test_spec_file_with_a_negative_seed_is_rejected(self):
+        payload = {**to_json(default_spec("mug")), "seed": -3}
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            spec_from_dict(payload)
+
+    def test_spec_file_with_a_nan_noise_is_rejected(self):
+        # json.loads accepts NaN, and NaN > 0 is False, so without the check
+        # the cloud would silently come out noise-free.
+        payload = json.loads(json.dumps({**to_json(default_spec("mug")), "noise": float("nan")}))
+        with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+            spec_from_dict(payload)
+
     def test_validators_name_the_parameter(self):
         with pytest.raises(ValueError, match="cup_radius"):
             default_spec("mug", cup_radius=0.005)
@@ -106,13 +120,11 @@ class TestSpecs:
 class TestGenerate:
     def test_deterministic_for_equal_specs(self):
         spec = default_spec("teapot", seed=21)
-        obj_a, sdf_a, corr_a = generate(spec)
-        obj_b, _, corr_b = generate(spec)
+        obj_a, sdf_a, _ = generate(spec)
+        obj_b, _, _ = generate(spec)
         assert obj_a.part_names() == obj_b.part_names()
         for name in obj_a.part_names():
             np.testing.assert_array_equal(obj_a.parts[name].points, obj_b.parts[name].points)
-            np.testing.assert_array_equal(corr_a.surface_uv[name], corr_b.surface_uv[name])
-            np.testing.assert_array_equal(corr_a.surface_names[name], corr_b.surface_names[name])
         probe = np.random.default_rng(0).uniform(-0.2, 0.2, (64, 3))
         np.testing.assert_array_equal(sdf_a(probe), generate(spec)[1](probe))
 
@@ -141,29 +153,18 @@ class TestGenerate:
             values = sdf.part_fns[name](noisy.parts[name].points)
             assert np.abs(values).max() < 6 * 0.001
 
-    @pytest.mark.parametrize("category", ["mug", "rack", "bowl", "teapot"])
-    def test_correspondence_round_trip_is_identity(self, category):
-        spec = default_spec(category, seed=13)
-        obj, _, corr = generate(spec)
-        for name in obj.part_names():
-            back = corr.evaluate(spec, name)
-            np.testing.assert_allclose(back, obj.parts[name].points, atol=1e-12)
-
-    def test_correspondence_across_the_family(self):
-        spec = default_spec("bowl", seed=13)
-        obj, _, _ = generate(spec)
-        bigger = default_spec("bowl", seed=13, bowl_radius=spec.params["bowl_radius"] * 1.01)
-        _, _, corr = generate(spec)
-        moved = corr.evaluate(bigger, "bowl")
-        drift = np.linalg.norm(moved - obj.parts["bowl"].points, axis=1)
-        assert drift.max() < 0.05 * obj.extent()
-        some = corr.evaluate(bigger, "bowl", indices=[0, 5, 9])
-        np.testing.assert_array_equal(some, moved[[0, 5, 9]])
-
-    def test_correspondence_rejects_other_categories(self):
-        _, _, corr = generate(default_spec("mug", seed=1))
-        with pytest.raises(ValueError, match="incompatible spec"):
-            corr.evaluate(default_spec("rack", seed=1), "cup")
+    def test_features_equal_the_standalone_entry_point(self):
+        # generate and features build the geometry separately; both must
+        # give the same landmarks, key for key and bit for bit.
+        rng = np.random.default_rng(5)
+        for category in ("mug", "rack", "bowl", "teapot"):
+            spec = sample_spec(category, rng, widths=0.2)
+            got, want = generate(spec)[2], features(spec)
+            for kind in ("points", "directions"):
+                assert getattr(got, kind).keys() == getattr(want, kind).keys()
+                for key, value in getattr(want, kind).items():
+                    np.testing.assert_array_equal(getattr(got, kind)[key], value)
+            assert got.scalars == want.scalars
 
     def test_nearby_specs_sample_nearby_clouds(self):
         # One percent parameter changes must produce small chamfer motion,
