@@ -8,15 +8,16 @@ command with the same inputs at a fixed BLAS thread count rewrites
 byte-identical outputs. The thread count fixes the order of the BLAS
 reductions, and so the last bits of every fit.
 
-``transfer`` keeps what it derives from the demonstration (the fits of
-the parts in contact, the contact sets and the chosen relations) in
-``<demo stem>.context.json`` beside the demo file, and later transfers
-with the same demo reuse it instead of processing the demo again. The
-file is stored under a sha256 key over the demo file's bytes, the bytes
-and names of the model files it reads, the ``pipeline`` section, the seed
-and the partwarp source; when the key differs, or the file is missing or
-unreadable, the demo is processed again and the file replaced. Its bytes
-are a function of those inputs, so the rule above holds for it too.
+``transfer`` keeps what it derives from the demonstration (the relations
+it selects from the demo's contacts, their contact sets and the fits of
+their parts) in ``<demo stem>.context.json`` beside the demo file, and
+later transfers with the same demo reuse it instead of processing the demo
+again. The file is stored under a sha256 key over the demo file's bytes,
+the bytes and names of the model files it reads, the ``pipeline`` section,
+the seed and the partwarp source; when the key differs, or the file is
+missing, unreadable or inconsistent (a relation without its contact set),
+the demo is processed again and the file replaced. Its bytes are a
+function of those inputs, so the rule above holds for it too.
 
 The config file is flat. ``dataset_dir``, ``model_dir``, ``output_dir`` and
 ``count`` belong to the CLI alone; ``seed`` is the experiment's

@@ -5,9 +5,11 @@ geometry: the placed object must not sink into the other object beyond a
 penetration tolerance, and an analytic per-task predicate (hang, rest,
 pour) must hold. Experiments run both the parts-based method and the
 whole-object baseline on bit-identical trial inputs so that rate
-differences are attributable to the method alone. The parts method trains
-only the models of the parts the demonstration's contacts touch, the only
-ones its pipeline reads; the report is the same as with every part's model.
+differences are attributable to the method alone. Relations are selected
+from the demonstration's contact geometry before anything is trained, and
+the parts method trains only the models of the selected relations' parts,
+the only ones its pipeline reads; the report is the same as with every
+part's model.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ from .transfer import (
     Demonstration,
     PartDecomposedObject,
     PipelineConfig,
-    demo_contacts,
     label_parts,
     merge_object,
     process_demonstration,
+    select_demo_relations,
     transfer_skill,
     whole_object_baseline,
 )
@@ -254,10 +256,10 @@ def train_category_models(
     """Per-part canonical models from a family of generated objects.
 
     parts names the models to train, None every part; run_experiment passes
-    the PSW demo's contact parts. Each instance is labeled as a whole object
-    first (label_parts with the same parts, which gives each named part the
-    labels of a full call), so relational labels exist on every trained
-    part before the parts are split apart for training.
+    the parts of the PSW demo's selected relations. Each instance is labeled
+    as a whole object first (label_parts with the same parts, which gives
+    each named part the labels of a full call), so relational labels exist
+    on every trained part before the parts are split apart for training.
     """
     objects = [label_parts(generate(s)[0], parts) for s in training_specs(category, seed, cfg)]
     return train_models_from_objects(category, objects, cfg, parts)
@@ -356,13 +358,15 @@ def _run_trial(
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Find the demo's contacts, train, then score every method on paired trials.
+    """Select the demo's relations, train, then score every method on paired trials.
 
-    Each method's demo contacts come first, so a demo without any fails
-    before a model is trained. PSW then trains only the models of the
-    parts its contacts touch, the only ones its pipeline reads, and the
-    report is the same as with every part's model; IW trains its one
-    'whole' model per category.
+    Each method's demo contacts and relation selection come first
+    (select_demo_relations, geometry only), so a demo without contacts
+    fails before a model is trained. PSW then trains only the models of
+    the selected relations' parts, the only ones its pipeline reads, and
+    the report is the same as with every part's model; IW trains its one
+    'whole' model per category. process_demonstration then fits and grounds
+    the selected relations alone.
 
     Per-trial randomness is keyed to (master_seed, trial index) so both
     methods always see bit-identical scenes and reports reproduce exactly.
@@ -377,7 +381,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             merge_object(demo.object_a), merge_object(demo.object_b), demo.t_ab
         ),
     }
-    contacts = {method: demo_contacts(demos[method], cfg.pipeline) for method in cfg.methods}
+    selected = {
+        method: select_demo_relations(demos[method], cfg.pipeline) for method in cfg.methods
+    }
     demo_seed = int(np.random.SeedSequence((cfg.master_seed, 3)).generate_state(1)[0])
     contexts: dict[str, DemoContext] = {}
     for method in cfg.methods:
@@ -386,7 +392,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         # the functions it was built with and hide the calls from tracing
         # that patches these module attributes.
         if method == METHOD_PARTS:
-            touched = ({m for m, _ in contacts[method]}, {n for _, n in contacts[method]})
+            relations = selected[method][0].relations
+            touched = ({m for m, _ in relations}, {n for _, n in relations})
             models_a, models_b = (
                 train_category_models(cat, seed, cfg, parts)
                 for (cat, seed), parts in zip(training_seeds(cfg), touched)
@@ -397,7 +404,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             )
         contexts[method] = process_demonstration(
             demos[method], models_a, models_b, cfg.pipeline, seed=demo_seed,
-            contacts=contacts[method],
+            selected=selected[method],
         )
 
     trials: list[TrialRecord] = []

@@ -1,13 +1,15 @@
 """One-shot transfer of a demonstrated object-object arrangement.
 
 The pipeline finds the contact point pairs of a single demonstration from
-its geometry, fits per-part shape models to the parts those contacts touch,
-and grounds the contacts in the models' canonical frames. It re-localizes
+its geometry and selects the relations to replay from those contacts
+alone, before any model exists: each candidate subset is scored by how
+closely one alignment of its contact points replays the demonstrated goal.
+It then fits per-part shape models to the selected relations' parts and
+grounds their contacts in the models' canonical frames. It re-localizes
 them on novel objects through model fits, and places the first object by
 the one rigid motion that best aligns those points with their demonstrated
-offsets: one kabsch solve over every selected relation's contacts.
-Relation selection scores each candidate subset with that same alignment,
-on the demonstration itself.
+offsets: one kabsch solve over every selected relation's contacts, the
+alignment selection scored with.
 A whole-object variant of the same pipeline (single part, height labels
 only) serves as the comparison baseline.
 """
@@ -59,7 +61,7 @@ __all__ = [
     "fit_parts",
     "merge_object",
     "contact_pairs",
-    "demo_contacts",
+    "select_demo_relations",
     "extract_interaction_points",
     "transfer_points",
     "select_relevant_relations",
@@ -194,13 +196,15 @@ _MAX_RELATIONS = 12
 
 @dataclass(frozen=True)
 class DemoContext:
-    """Everything derived from one demonstration, reusable across scenes.
+    """What a transfer reads of one processed demonstration, reusable across scenes.
 
-    models_a and models_b are the part models the demo was processed with,
-    and every transfer of the context fits the novel objects with them.
-    fits_a and fits_b cover only the parts that take part in a contact, the
-    parts that interactions and relations can name; the models may cover
-    only those parts too, as run_experiment trains them.
+    relations is the selected relation set, and interactions holds those
+    relations' grounded contacts alone. models_a and models_b are the part
+    models the demo was processed with, and every transfer of the context
+    fits the novel objects with them; they may cover only the selected
+    relations' parts, as run_experiment trains them. fits_a and fits_b are
+    the demo fits of exactly those parts, the frames the interactions were
+    grounded in.
     """
 
     demo: Demonstration
@@ -365,13 +369,6 @@ def contact_pairs(
     return out
 
 
-def demo_contacts(
-    demo: Demonstration, cfg: PipelineConfig = PipelineConfig()
-) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
-    """contact_pairs at the pipeline's radius, cfg.delta_scale times scene_extent(demo)."""
-    return contact_pairs(demo, cfg.delta_scale * scene_extent(demo))
-
-
 def extract_interaction_points(
     demo: Demonstration,
     contacts: Mapping[tuple[str, str], tuple[np.ndarray, np.ndarray]],
@@ -449,11 +446,15 @@ def _carry(
     return carried
 
 
-def _align(carried: Sequence[_Carried]) -> RigidTransform:
-    """One kabsch of the stacked p_m onto the stacked p_n + d, each pair weighted the same."""
+def _align(carried: Sequence[tuple[np.ndarray, ...]]) -> RigidTransform:
+    """One kabsch of the stacked sources onto the stacked targets, each pair weighted the same.
+
+    Each entry holds a relation's sources first and its targets last: a
+    carried (p_m, p_n, p_n + d), or a demo's (x, t_ab(x)).
+    """
     return kabsch(
-        np.concatenate([pm for pm, _pn, _target in carried]),
-        np.concatenate([target for _pm, _pn, target in carried]),
+        np.concatenate([entry[0] for entry in carried]),
+        np.concatenate([entry[-1] for entry in carried]),
     )
 
 
@@ -500,45 +501,63 @@ def optimize_placement(
 
 def select_relevant_relations(
     demo: Demonstration,
-    models_a: Mapping[str, CanonicalPartModel],
-    models_b: Mapping[str, CanonicalPartModel],
-    *,
-    fits: tuple[Mapping[str, InferenceResult], Mapping[str, InferenceResult]],
-    interactions: Mapping[tuple[str, str], InteractionPointSet],
+    contacts: Mapping[tuple[str, str], tuple[np.ndarray, np.ndarray]],
 ) -> RelationSet:
-    """Pick the interaction-bearing relation subset that best replays the demo.
+    """Pick the subset of the demo's contact relations that best replays the demo.
 
-    fits and interactions are the demo's part fits and contact sets as
-    process_demonstration derives them; selection only scores. Every
-    non-empty subset of the interaction-bearing part pairs is placed on the
-    demonstration itself by optimize_placement's alignment, of contacts
-    carried once, and scored by how far that placement misses the
-    demonstrated goal transform: translation error over scene extent plus
-    rotation geodesic over pi. A subset whose contacts pin the goal scores
-    about 0; point or line contacts leave the rotation free and score by how
-    far the smallest-rotation solution misses. Scores are compared rounded
-    to 9 decimals, so subsets that all replay the goal tie, and ties prefer
-    smaller, then lexicographically earlier subsets.
+    contacts are contact_pairs' index arrays per part pair; selection needs
+    no model or fit. Every non-empty subset of the contact-bearing part
+    pairs is placed by optimize_placement's alignment (_align) of its
+    contact points on object a, x, onto their goal positions t_ab(x), and
+    scored by how far that placement misses the demonstrated goal
+    transform: translation error over scene extent plus rotation geodesic
+    over pi. On the demo these are exactly the points placement would
+    align: carried through the demo's own fits, a contact point comes back
+    as x and its p_n + d as t_ab(x), up to rounding. So a subset whose
+    contact points on object a span a plane scores about 0, whatever it
+    touches; points on one line or a single point leave the rotation free
+    and score by how far the smallest-rotation solution misses. Scores are
+    compared rounded to 9 decimals, so subsets that all replay the goal
+    tie, and ties prefer smaller, then lexicographically earlier subsets.
     """
-    fits_a, fits_b = fits
-    bearing = sorted(interactions)
+    bearing = sorted(contacts)
     if not bearing:
         raise ValueError("no relation candidates")
     if len(bearing) > _MAX_RELATIONS:
         raise ValueError(
-            f"{len(bearing)} interaction-bearing pairs exceeds the cap of {_MAX_RELATIONS}"
+            f"{len(bearing)} contact-bearing pairs exceeds the cap of {_MAX_RELATIONS}"
         )
     extent = scene_extent(demo)
-    carried = _carry(bearing, models_a, models_b, fits_a, fits_b, interactions)
+    goal = {}
+    for m, n in bearing:
+        x = demo.object_a.parts[m].points[contacts[(m, n)][0]]
+        goal[(m, n)] = (x, demo.t_ab.apply(x))
 
     scores: dict[tuple, float] = {}
     for size in range(1, len(bearing) + 1):
         for subset in itertools.combinations(bearing, size):
-            t = _align([carried[rel] for rel in subset])
+            t = _align([goal[rel] for rel in subset])
             trans_err = float(np.linalg.norm(t.translation - demo.t_ab.translation))
             scores[subset] = trans_err / extent + rotation_geodesic(t, demo.t_ab) / np.pi
     best = min(scores, key=lambda subset: (round(scores[subset], 9), len(subset), subset))
     return RelationSet(best, scores[best])
+
+
+_Contacts = dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
+
+
+def select_demo_relations(
+    demo: Demonstration, cfg: PipelineConfig = PipelineConfig()
+) -> tuple[RelationSet, _Contacts]:
+    """A demo's one contact search and one selection, before any model exists.
+
+    Returns the selected RelationSet and the selected relations' contact
+    pairs: contact_pairs at the pipeline's radius, cfg.delta_scale times
+    scene_extent(demo), scored by select_relevant_relations.
+    """
+    contacts = contact_pairs(demo, cfg.delta_scale * scene_extent(demo))
+    relations = select_relevant_relations(demo, contacts)
+    return relations, {rel: contacts[rel] for rel in relations.relations}
 
 
 def process_demonstration(
@@ -547,29 +566,25 @@ def process_demonstration(
     models_b: Mapping[str, CanonicalPartModel],
     cfg: PipelineConfig = PipelineConfig(),
     seed: int = 0,
-    contacts: Mapping[tuple[str, str], tuple[np.ndarray, np.ndarray]] | None = None,
+    selected: tuple[RelationSet, _Contacts] | None = None,
 ) -> DemoContext:
     """Derive a demonstration's reusable context once.
 
     The steps run in this order: find the contact pairs of the goal
-    configuration (demo_contacts, geometry only); label both objects and fit
-    only the parts those contacts touch (fit_parts, as transfer_skill does on
-    a novel pair); ground the contacts in the fits; select the relations.
-    Only the touched parts' models are read, so models_a and models_b may
-    hold those parts alone.
+    configuration and select the relations from them (select_demo_relations,
+    geometry only); label both objects and fit only the selected relations'
+    parts (fit_parts, as transfer_skill does on a novel pair); ground the
+    selected relations' contacts in the fits. Only those parts' models are
+    read, so models_a and models_b may hold those parts alone.
 
-    contacts, if given, must be demo_contacts(demo, cfg): a caller that
-    needed them before it had models passes them on instead of searching
-    again.
+    selected, if given, must be select_demo_relations(demo, cfg): a caller
+    that needed it before it had models, to know which models to train,
+    passes it on instead of searching and selecting again.
     """
-    if contacts is None:
-        contacts = demo_contacts(demo, cfg)
+    relations, contacts = select_demo_relations(demo, cfg) if selected is None else selected
     fits_a = fit_parts(demo.object_a, models_a, {m for m, _ in contacts}, cfg.inference, seed)
     fits_b = fit_parts(demo.object_b, models_b, {n for _, n in contacts}, cfg.inference, seed)
     interactions = extract_interaction_points(demo, contacts, models_a, models_b, fits_a, fits_b)
-    relations = select_relevant_relations(
-        demo, models_a, models_b, fits=(fits_a, fits_b), interactions=interactions
-    )
     return DemoContext(demo, models_a, models_b, fits_a, fits_b, interactions, relations)
 
 
@@ -638,11 +653,18 @@ def context_from_dict(
     models_b: Mapping[str, CanonicalPartModel],
     payload: Mapping,
 ) -> DemoContext:
-    """Inverse of context_to_dict for the demonstration and models it was derived from."""
+    """Inverse of context_to_dict for the demonstration and models it was derived from.
+
+    A payload whose interaction sits under another pair's key, or whose
+    relations name a pair its interactions lack, is a ValueError that names it.
+    """
     derived = {name: from_json(hint, payload[name], path=name) for name, hint in _DERIVED.items()}
     for (m, n), ips in derived["interactions"].items():
         if (m, n) != (ips.part_m, ips.part_n):
             raise ValueError(f"interactions.{m}|{n} holds the pair {ips.part_m}|{ips.part_n}")
+    for m, n in derived["relations"].relations:
+        if (m, n) not in derived["interactions"]:
+            raise ValueError(f"relations name {m}|{n}, which interactions lack")
     return DemoContext(demo, models_a, models_b, **derived)
 
 

@@ -5,9 +5,9 @@ refuses, the top-level key order of every file the CLI writes, malformed
 input files `train` and `transfer` report by path and without a traceback,
 the settings `eval` passes on to training, `train` writing the models `eval`
 trains and naming a part a training object lacks, `eval` training only the
-part models its demo's contacts read and failing before training on a demo
-without contacts, `eval`'s worker pool reproducing the one-process report,
-and the BLAS thread variables recorded beside it."""
+part models its demo's selected relations read and failing before training
+on a demo without contacts, `eval`'s worker pool reproducing the
+one-process report, and the BLAS thread variables recorded beside it."""
 
 from __future__ import annotations
 
@@ -230,6 +230,18 @@ def test_truncated_context_file_is_recomputed(workspace, processed):
     cache = workspace / "dataset" / "demo.context.json"
     stored = cache.read_bytes()
     cache.write_bytes(stored[: len(stored) // 2])
+    assert transfer(workspace, "second.json") == first
+    assert len(processed) == 2
+    assert cache.read_bytes() == stored
+
+
+def test_context_whose_relation_lacks_its_interaction_is_recomputed(workspace, processed):
+    first = transfer(workspace, "first.json")
+    cache = workspace / "dataset" / "demo.context.json"
+    stored = cache.read_bytes()
+    payload = json.loads(stored)
+    del payload["context"]["interactions"]["handle|peg"]
+    cache.write_text(json.dumps(payload))
     assert transfer(workspace, "second.json") == first
     assert len(processed) == 2
     assert cache.read_bytes() == stored
@@ -563,9 +575,10 @@ def test_training_a_part_no_instance_has_names_it():
         evaluation.train_models_from_objects("mug", objects, parts={"cup", "spout"})
 
 
-# The part models each task's demo contacts touch: all that PSW reads.
-CONTACT_PARTS = {
-    "mug_on_rack": {"mug/cup", "mug/handle", "rack/peg"},
+# The part models of each task's selected demo relations: all that PSW reads.
+# The mug's cup also touches the peg, but the handle-peg relation is selected.
+SELECTED_PARTS = {
+    "mug_on_rack": {"mug/handle", "rack/peg"},
     "bowl_on_mug": {"bowl/bowl", "mug/cup"},
     "teapot_pour_align": {"teapot/spout", "mug/cup"},
 }
@@ -587,12 +600,12 @@ def trained_models(monkeypatch, cfg) -> tuple[str, list[str]]:
     return json.dumps(report_to_dict(report), sort_keys=True), seen
 
 
-@pytest.mark.parametrize("task", list(CONTACT_PARTS))
+@pytest.mark.parametrize("task", list(SELECTED_PARTS))
 def test_eval_trains_only_the_part_models_its_demo_reads(monkeypatch, task):
     cfg = dataclasses.replace(TINY_EXPERIMENT, task=task)
     report, seen = trained_models(monkeypatch, cfg)
     assert len(seen) == len(set(seen))
-    assert {c for c in seen if not c.endswith("/whole")} == CONTACT_PARTS[task]
+    assert {c for c in seen if not c.endswith("/whole")} == SELECTED_PARTS[task]
     assert {c for c in seen if c.endswith("/whole")} == {
         f"{category}/whole" for category in task_categories(task)}
 
