@@ -8,16 +8,27 @@ command with the same inputs at a fixed BLAS thread count rewrites
 byte-identical outputs. The thread count fixes the order of the BLAS
 reductions, and so the last bits of every fit.
 
+``train`` reads the dataset's demo, selects its relations from the demo's
+contact geometry (transfer.select_demo_relations, under the config's
+``pipeline`` section) and trains only the models of those relations'
+parts, as ``eval`` does: the only models ``transfer`` reads. So a
+``transfer`` whose demo or ``pipeline.delta_scale`` selects another
+relation needs ``train`` run under the same config.
+
 ``transfer`` keeps what it derives from the demonstration (the relations
 it selects from the demo's contacts, their contact sets and the fits of
 their parts) in ``<demo stem>.context.json`` beside the demo file, and
 later transfers with the same demo reuse it instead of processing the demo
 again. The file is stored under a sha256 key over the demo file's bytes,
-the bytes and names of the model files it reads, the ``pipeline`` section,
-the seed and the partwarp source; when the key differs, or the file is
-missing, unreadable or inconsistent (a relation without its contact set),
-the demo is processed again and the file replaced. Its bytes are a
-function of those inputs, so the rule above holds for it too.
+the bytes and names of the model files of the selected relations' parts,
+the ``pipeline`` section, the seed and the partwarp source. A cached
+context is reused without a contact search: its own relations name the
+model files the key is checked over, so editing any other model file
+keeps it. When the key differs, or the file is missing, unreadable or
+inconsistent (a relation without its contact set, or one whose model
+files are missing or unreadable), the demo is processed again, with one
+contact search, and the file replaced. Its bytes are a function of those
+inputs, so the rule above holds for it too.
 
 The config file is flat. ``dataset_dir``, ``model_dir``, ``output_dir`` and
 ``count`` belong to the CLI alone; ``seed`` is the experiment's
@@ -65,6 +76,7 @@ from .transfer import (
     DemoContext,
     Demonstration,
     PartDecomposedObject,
+    RelationSet,
     context_from_dict,
     context_to_dict,
     label_parts,
@@ -72,6 +84,7 @@ from .transfer import (
     object_from_dict,
     process_demonstration,
     result_to_dict,
+    select_demo_relations,
     transfer_skill,
 )
 
@@ -203,8 +216,19 @@ def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _relation_parts(relations: Sequence[tuple[str, str]]) -> tuple[set[str], set[str]]:
+    """The parts relations name on object a (each m) and on object b (each n)."""
+    return {m for m, _ in relations}, {n for _, n in relations}
+
+
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
-    """Train one model file per part category from the generated dataset."""
+    """Train the part models the dataset demo's selected relations read.
+
+    The demo named by the manifest selects its relations from its contact
+    geometry alone (select_demo_relations under the config's pipeline), so
+    one model file is written per part those relations name, as eval
+    trains them, and no other.
+    """
     exp = cfg.experiment
     dataset = Path(cfg.dataset_dir)
     manifest_path = dataset / "manifest.json"
@@ -218,15 +242,22 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     try:
         manifest = json.loads(manifest_path.read_text())
         train = from_json(Mapping[str, tuple[str, ...]], manifest["train"], path="train")
-        for cat in sorted(train):
+        stage = f"reading dataset: {dataset / manifest['demo']}"
+        demo = load_demo(dataset / manifest["demo"])
+        stage = "selecting relations"
+        relations = select_demo_relations(demo, exp.pipeline)[0].relations
+        selected: dict[str, set[str]] = {}
+        for obj, parts in zip((demo.object_a, demo.object_b), _relation_parts(relations)):
+            selected.setdefault(obj.category, set()).update(parts)
+        for cat, parts in sorted(selected.items()):
             stage = f"reading dataset: {manifest_path}"
             objects = []
             for name in train[cat]:
                 stage = f"reading dataset: {dataset / name}"
                 payload = json.loads((dataset / name).read_text())
-                objects.append(label_parts(object_from_dict(payload["object"])))
+                objects.append(label_parts(object_from_dict(payload["object"]), parts))
             stage = f"training {cat!r}"
-            models = train_models_from_objects(cat, objects, exp)
+            models = train_models_from_objects(cat, objects, exp, parts)
             stage = "writing models"
             (model_dir / cat).mkdir(parents=True, exist_ok=True)
             for part, model in sorted(models.items()):
@@ -253,21 +284,30 @@ def _load_scene_object(path: Path) -> PartDecomposedObject:
 
 
 def _load_models(
-    model_dir: Path, obj: PartDecomposedObject, files: dict[str, bytes]
-) -> dict[str, CanonicalPartModel]:
-    """Load obj's part models, adding each file's bytes to files under its name in model_dir."""
-    models = {}
-    for part in obj.part_names():
-        name = f"{obj.category}/{part}.json"
-        path = model_dir / name
-        if not path.exists():
-            raise FileNotFoundError(f"{path}: missing model file")
-        files[name] = path.read_bytes()
-        try:
-            models[part] = load_model(files[name])
-        except _INPUT_ERRORS as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    return models
+    model_dir: Path,
+    demo: Demonstration,
+    relations: Sequence[tuple[str, str]],
+    files: dict[str, bytes],
+) -> tuple[dict[str, CanonicalPartModel], dict[str, CanonicalPartModel]]:
+    """Load the part models relations read, for object a and object b.
+
+    Each file's bytes are added to files under its name in model_dir.
+    """
+    loaded = []
+    for obj, parts in zip((demo.object_a, demo.object_b), _relation_parts(relations)):
+        models = {}
+        for part in sorted(parts):
+            name = f"{obj.category}/{part}.json"
+            path = model_dir / name
+            if not path.exists():
+                raise FileNotFoundError(f"{path}: missing model file")
+            files[name] = path.read_bytes()
+            try:
+                models[part] = load_model(files[name])
+            except _INPUT_ERRORS as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+        loaded.append(models)
+    return loaded[0], loaded[1]
 
 
 def _context_key(demo_bytes: bytes, model_files: Mapping[str, bytes], exp: ExperimentConfig) -> str:
@@ -291,16 +331,21 @@ def _context_key(demo_bytes: bytes, model_files: Mapping[str, bytes], exp: Exper
 
 
 def _load_context(
-    path: Path,
-    key: str,
-    demo: Demonstration,
-    models_a: Mapping[str, CanonicalPartModel],
-    models_b: Mapping[str, CanonicalPartModel],
+    path: Path, demo_bytes: bytes, demo: Demonstration, model_dir: Path, exp: ExperimentConfig
 ) -> DemoContext | None:
-    """The context cached at path, or None if it is absent, unreadable or under another key."""
+    """The context cached at path, or None if it cannot be reused.
+
+    The cached relations name the model files to load, and the key is
+    checked over those files alone, so no contact search runs. A missing or
+    unreadable file, a key that differs, or relations whose model files are
+    missing or unreadable all give None.
+    """
     try:
         payload = json.loads(path.read_bytes())
-        if payload["key"] != key:
+        relations = from_json(RelationSet, payload["context"]["relations"], path="relations")
+        files: dict[str, bytes] = {}
+        models_a, models_b = _load_models(model_dir, demo, relations.relations, files)
+        if payload["key"] != _context_key(demo_bytes, files, exp):
             return None
         return context_from_dict(demo, models_a, models_b, payload["context"])
     except (*_INPUT_ERRORS, IndexError):
@@ -331,20 +376,22 @@ def cmd_transfer(cfg: RunConfig, args: argparse.Namespace) -> int:
         novel_a = _load_scene_object(Path(args.scene_a))
         stage = f"loading inputs: {args.scene_b}"
         novel_b = _load_scene_object(Path(args.scene_b))
-        stage = "loading models"
         model_dir = Path(cfg.model_dir)
-        model_files: dict[str, bytes] = {}
-        models_a = _load_models(model_dir, demo.object_a, model_files)
-        models_b = _load_models(model_dir, demo.object_b, model_files)
-        stage = "processing demonstration"
         cache = demo_path.with_name(f"{demo_path.stem}.context.json")
-        key = _context_key(demo_bytes, model_files, exp)
-        ctx = _load_context(cache, key, demo, models_a, models_b)
+        ctx = _load_context(cache, demo_bytes, demo, model_dir, exp)
         if ctx is None:
-            ctx = process_demonstration(
-                demo, models_a, models_b, exp.pipeline, seed=exp.master_seed
+            stage = "processing demonstration"
+            selected = select_demo_relations(demo, exp.pipeline)
+            stage = "loading models"
+            model_files: dict[str, bytes] = {}
+            models_a, models_b = _load_models(
+                model_dir, demo, selected[0].relations, model_files
             )
-            _store_context(cache, key, ctx)
+            stage = "processing demonstration"
+            ctx = process_demonstration(
+                demo, models_a, models_b, exp.pipeline, seed=exp.master_seed, selected=selected
+            )
+            _store_context(cache, _context_key(demo_bytes, model_files, exp), ctx)
         stage = "optimizing placement"
         result = transfer_skill(ctx, novel_a, novel_b, exp.pipeline, seed=exp.master_seed)
     except _INPUT_ERRORS as exc:
@@ -397,7 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_gen)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_train = sub.add_parser("train", help="train per-part shape models from the dataset")
+    p_train = sub.add_parser(
+        "train",
+        help="train the part models the dataset demo's selected relations read",
+        description="Train per-part shape models from the dataset's training objects, for "
+                    "the parts of the relations the dataset's demo selects under the "
+                    "config's pipeline section: the only models transfer reads.",
+    )
     _add_common(p_train)
     p_train.set_defaults(func=cmd_train)
 
@@ -405,8 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
         "transfer",
         help="replay a demonstration on a novel scene",
         description="Replay a demonstration on a novel scene. The processed demo is kept "
-                    "in <demo stem>.context.json beside the demo file and reused while the "
-                    "demo, its model files, the pipeline section, the seed and the partwarp "
+                    "in <demo stem>.context.json beside the demo file and reused, without a "
+                    "contact search, while the demo, the model files of its selected "
+                    "relations' parts, the pipeline section, the seed and the partwarp "
                     "source are unchanged.",
     )
     _add_common(p_transfer)

@@ -226,8 +226,8 @@ def train_models_from_objects(
     parts names the models to train; None trains one for every part any
     instance has. Every instance must have each of them, or a ValueError
     names the instance and the part before any model is trained.
-    train_category_models passes its parts on; cli train passes None, since
-    any demo may be transferred with the models it writes.
+    train_category_models passes its parts on, and cli train the parts of
+    the dataset demo's selected relations.
 
     Every part cloud is centered at its centroid before training, standing
     in for the pose-aligned segments an upstream perception stack would

@@ -1,13 +1,14 @@
 """The command-line front end: a tiny gen/train/transfer/eval round trip on
-every task, the demo context `transfer` caches and when it is recomputed,
-config and flag validation, the scenes `gen` draws, model files `transfer`
-refuses, the top-level key order of every file the CLI writes, malformed
-input files `train` and `transfer` report by path and without a traceback,
-the settings `eval` passes on to training, `train` writing the models `eval`
-trains and naming a part a training object lacks, `eval` training only the
-part models its demo's selected relations read and failing before training
-on a demo without contacts, `eval`'s worker pool reproducing the
-one-process report, and the BLAS thread variables recorded beside it."""
+every task, the demo context `transfer` caches, when it is recomputed and
+that reusing it runs no contact search, config and flag validation, the
+scenes `gen` draws, model files `transfer` refuses or lacks, the top-level
+key order of every file the CLI writes, malformed input files `train` and
+`transfer` report by path and without a traceback, the settings `eval`
+passes on to training, `train` writing exactly the models `eval` trains
+and naming a part a training object lacks, `eval` training only the part
+models its demo's selected relations read and failing before training on a
+demo without contacts, `eval`'s worker pool reproducing the one-process
+report, and the BLAS thread variables recorded beside it."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import partwarp
-from partwarp import cli, evaluation
+from partwarp import cli, evaluation, transfer as transfer_module
 from partwarp.evaluation import (
     METHOD_PARTS,
     METHOD_WHOLE,
@@ -37,7 +38,7 @@ from partwarp.evaluation import (
 )
 from partwarp.geom import to_json
 from partwarp.registration import CpdConfig
-from partwarp.shapemodel import CanonicalPartModel, InferenceConfig
+from partwarp.shapemodel import CanonicalPartModel, InferenceConfig, load_model, save_model
 from partwarp.synth import (
     CATEGORY_DEFAULTS,
     default_spec,
@@ -68,6 +69,16 @@ TINY_EXPERIMENT = ExperimentConfig(
     pipeline=PipelineConfig(
         inference=InferenceConfig(restarts=1, yaw_init_count=4, max_evals=60)),
 )
+
+
+# The part models of each task's selected demo relations: all that PSW reads
+# and all that `train` writes. The mug's cup also touches the peg, but the
+# handle-peg relation is selected.
+SELECTED_PARTS = {
+    "mug_on_rack": {"mug/handle", "rack/peg"},
+    "bowl_on_mug": {"bowl/bowl", "mug/cup"},
+    "teapot_pour_align": {"teapot/spout", "mug/cup"},
+}
 
 
 def run(*argv: str) -> int:
@@ -157,28 +168,88 @@ def processed(monkeypatch):
     return calls
 
 
-def transfer(workspace, out: str, *overrides: str) -> bytes:
-    """Run `transfer` on the first held-out pair; returns the result's bytes."""
+@pytest.fixture()
+def searched(monkeypatch):
+    """Counts the calls of transfer.contact_pairs, the demo's contact search."""
+    calls = []
+    original = transfer_module.contact_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transfer_module, "contact_pairs", counting)
+    return calls
+
+
+def run_transfer(workspace, out: str, *overrides: str) -> int:
+    """Run `transfer` on the first held-out pair; returns its exit code."""
     dataset = workspace / "dataset"
     manifest = json.loads((dataset / "manifest.json").read_text())
     name_a, name_b = manifest["heldout"][0]
     sets = [arg for o in overrides for arg in ("--set", o)]
-    assert run(
+    return run(
         "transfer", "--config", write_config(workspace), *sets,
         "--demo", str(dataset / manifest["demo"]),
         "--scene-a", str(dataset / name_a),
         "--scene-b", str(dataset / name_b),
         "--out", str(workspace / out),
-    ) == 0
+    )
+
+
+def transfer(workspace, out: str, *overrides: str) -> bytes:
+    """Run `transfer` on the first held-out pair; returns the result's bytes."""
+    assert run_transfer(workspace, out, *overrides) == 0
     return (workspace / out).read_bytes()
 
 
-def test_second_transfer_reuses_the_processed_demo(workspace, processed):
+def test_second_transfer_reuses_the_processed_demo(workspace, processed, searched):
     first = transfer(workspace, "first.json")
-    assert len(processed) == 1
+    assert (len(processed), len(searched)) == (1, 1)
     assert (workspace / "dataset" / "demo.context.json").exists()
     assert transfer(workspace, "second.json") == first
-    assert len(processed) == 1
+    assert (len(processed), len(searched)) == (1, 1)
+
+
+def test_editing_a_model_file_no_relation_reads_keeps_the_context(
+        workspace, processed, searched):
+    first = transfer(workspace, "first.json")
+    (workspace / "models" / "mug" / "cup.json").write_text("junk")
+    assert transfer(workspace, "second.json") == first
+    assert (len(processed), len(searched)) == (1, 1)
+
+
+def test_resaving_a_read_model_file_with_another_model_reprocesses_the_demo(
+        workspace, processed, searched):
+    transfer(workspace, "first.json")
+    path = workspace / "models" / "mug" / "handle.json"
+    model = load_model(path)
+    save_model(path, dataclasses.replace(model, latent_scales=2.0 * model.latent_scales))
+    second = transfer(workspace, "second.json")
+    assert (len(processed), len(searched)) == (2, 2)
+    assert transfer(workspace, "third.json") == second
+    assert (len(processed), len(searched)) == (2, 2)
+
+
+def test_context_with_relabelled_relations_is_recomputed(workspace, processed):
+    # The relabelled relation's mug/cup.json was never trained: a miss, not an error.
+    first = transfer(workspace, "first.json")
+    cache = workspace / "dataset" / "demo.context.json"
+    stored = cache.read_bytes()
+    payload = json.loads(stored)
+    payload["context"]["relations"]["relations"] = [["cup", "peg"]]
+    cache.write_text(json.dumps(payload))
+    assert transfer(workspace, "second.json") == first
+    assert len(processed) == 2
+    assert cache.read_bytes() == stored
+
+
+def test_transfer_needing_a_model_train_did_not_write_names_it(workspace, capsys):
+    # pipeline.delta_scale=1 selects the cup-base relation; train wrote the
+    # handle and peg models that the default radius selects.
+    assert run_transfer(workspace, "result.json", "pipeline.delta_scale=1") == 1
+    path = workspace / "models" / "mug" / "cup.json"
+    assert f"error: loading models: {path}: missing model file" in capsys.readouterr().err
 
 
 def _edit_model_file(workspace) -> tuple[str, ...]:
@@ -209,7 +280,10 @@ def test_changed_input_reprocesses_the_demo(workspace, processed, change):
 
 def test_integer_spelling_of_a_float_setting_is_the_same_config(workspace, processed):
     # delta_scale=1 reads as 1.0: one context key, so the demo is processed
-    # once, and one report.
+    # once, and one report. It selects another relation than the default
+    # radius, so its models are trained first.
+    assert run("train", "--config", write_config(workspace),
+               "--set", "pipeline.delta_scale=1") == 0
     first = transfer(workspace, "first.json", "pipeline.delta_scale=1")
     assert transfer(workspace, "second.json", "pipeline.delta_scale=1.0") == first
     assert len(processed) == 1
@@ -374,16 +448,16 @@ def test_malformed_input_error_names_its_file(tmp_path, capsys, culprit):
     demo = to_json(generate_demo_scene("mug_on_rack").demo)
     malformed = {"object": {"category": "mug", "parts": []}}
     if culprit == "training_file":
-        files = {"manifest.json": {"train": {"mug": ["mug.json"]}}, "mug.json": {"spec": {}}}
+        files = {"manifest.json": {"train": {"mug": ["mug.json"]}, "demo": "demo.json"},
+                 "demo.json": demo, "mug.json": {"spec": {}}}
         culprit_path = dataset / "mug.json"
         argv = ["train"]
     else:
         files = {"demo.json": demo, "scene_a.json": {"object": demo["object_a"]},
                  "scene_b.json": {"object": demo["object_b"]}}
         if culprit == "model_file":
-            # The first model file transfer reads: object a's first part.
-            mug = demo["object_a"]
-            culprit_path = tmp_path / "models" / mug["category"] / f"{min(mug['parts'])}.json"
+            # The first model file transfer reads: object a's first selected part.
+            culprit_path = tmp_path / "models" / f"{min(SELECTED_PARTS['mug_on_rack'])}.json"
             culprit_path.parent.mkdir(parents=True)
             culprit_path.write_text("[]")
         else:
@@ -540,21 +614,30 @@ def test_eval_trains_with_the_configured_cpd_and_latent_dim(tmp_path, monkeypatc
 
 def test_train_writes_the_models_eval_trains(tmp_path):
     # `train` labels objects read back from `gen`'s files, `eval` labels the
-    # objects it generates; one config must give byte-equal models either way.
-    config = write_config(tmp_path, seed=3, count=0)
-    assert run("gen", "--config", config) == 0
-    assert run("train", "--config", config) == 0
-    exp = cli.load_run_config(config, []).experiment
-    compared = 0
-    for category, seed in evaluation.training_seeds(exp):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            models = evaluation.train_category_models(category, seed, exp)
-        for part, model in models.items():
-            written = (tmp_path / "models" / category / f"{part}.json").read_text()
-            assert written == json.dumps(to_json(model)), f"{category}/{part}"
-            compared += 1
-    assert compared == 5
+    # objects it generates; one config must give byte-equal models either
+    # way, and only those of the demo's selected relations.
+    for task, selected in SELECTED_PARTS.items():
+        root = tmp_path / task
+        root.mkdir()
+        config = write_config(root, task=task, seed=3, count=0)
+        assert run("gen", "--config", config) == 0
+        assert run("train", "--config", config) == 0
+        model_dir = root / "models"
+        assert sorted(p.relative_to(model_dir).as_posix() for p in model_dir.rglob("*.json")) \
+            == sorted([f"{name}.json" for name in selected] + ["training_log.json"])
+        exp = cli.load_run_config(config, []).experiment
+        compared = 0
+        for category, seed in evaluation.training_seeds(exp):
+            parts = {name.partition("/")[2] for name in selected
+                     if name.partition("/")[0] == category}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                models = evaluation.train_category_models(category, seed, exp, parts)
+            for part, model in models.items():
+                written = (model_dir / category / f"{part}.json").read_text()
+                assert written == json.dumps(to_json(model)), f"{task}: {category}/{part}"
+                compared += 1
+        assert compared == len(selected), task
 
 
 def test_train_names_the_part_a_training_object_lacks(workspace, capsys):
@@ -573,15 +656,6 @@ def test_training_a_part_no_instance_has_names_it():
     objects = [generate(default_spec("mug", seed=s, points_per_part=10))[0] for s in range(2)]
     with pytest.raises(ValueError, match="training instance 0 of 'mug' has no part 'spout'"):
         evaluation.train_models_from_objects("mug", objects, parts={"cup", "spout"})
-
-
-# The part models of each task's selected demo relations: all that PSW reads.
-# The mug's cup also touches the peg, but the handle-peg relation is selected.
-SELECTED_PARTS = {
-    "mug_on_rack": {"mug/handle", "rack/peg"},
-    "bowl_on_mug": {"bowl/bowl", "mug/cup"},
-    "teapot_pour_align": {"teapot/spout", "mug/cup"},
-}
 
 
 def trained_models(monkeypatch, cfg) -> tuple[str, list[str]]:
