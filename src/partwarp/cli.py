@@ -15,20 +15,25 @@ parts, as ``eval`` does: the only models ``transfer`` reads. So a
 ``transfer`` whose demo or ``pipeline.delta_scale`` selects another
 relation needs ``train`` run under the same config.
 
-``transfer`` keeps what it derives from the demonstration (the relations
-it selects from the demo's contacts, their contact sets and the fits of
-their parts) in ``<demo stem>.context.json`` beside the demo file, and
-later transfers with the same demo reuse it instead of processing the demo
-again. The file is stored under a sha256 key over the demo file's bytes,
-the bytes and names of the model files of the selected relations' parts,
-the ``pipeline`` section, the seed and the partwarp source. A cached
-context is reused without a contact search: its own relations name the
-model files the key is checked over, so editing any other model file
-keeps it. When the key differs, or the file is missing, unreadable or
-inconsistent (a relation without its contact set, or one whose model
-files are missing or unreadable), the demo is processed again, with one
-contact search, and the file replaced. Its bytes are a function of those
-inputs, so the rule above holds for it too.
+``transfer`` keeps what it derives from the demonstration in
+``<demo stem>.context.json`` beside the demo file: transfer.context_to_dict's
+record of the selected relations, the demo fits of their parts and their
+contacts grounded in those parts' models. Later transfers with the same
+demo reuse it instead of processing the demo again. The file is stored
+under a sha256 key over the demo file's bytes, the bytes and names of the
+model files of the selected relations' parts, the ``pipeline`` section,
+the seed and the partwarp source. A cached context is reused without a
+contact search: its own relations name the model files the key is checked
+over, so editing any other model file keeps it. When the key differs, the
+file is missing, unreadable or fails transfer.DemoContext's checks (a
+relation without its contacts, a pair outside its part's model), or its
+relations' model files are missing or unreadable, the demo is processed
+again, with one contact search, and the file replaced. Its bytes are a
+function of those inputs, so the rule above holds for it too.
+
+``transfer`` fits the novel pair under the config's ``seed``, ``eval``
+trial i under that trial's own seed, so above one inference restart the
+placement of held-out pair i can differ from the one the report gives.
 
 The config file is flat. ``dataset_dir``, ``model_dir``, ``output_dir`` and
 ``count`` belong to the CLI alone; ``seed`` is the experiment's
@@ -216,11 +221,6 @@ def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _relation_parts(relations: Sequence[tuple[str, str]]) -> tuple[set[str], set[str]]:
-    """The parts relations name on object a (each m) and on object b (each n)."""
-    return {m for m, _ in relations}, {n for _, n in relations}
-
-
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Train the part models the dataset demo's selected relations read.
 
@@ -245,9 +245,9 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         stage = f"reading dataset: {dataset / manifest['demo']}"
         demo = load_demo(dataset / manifest["demo"])
         stage = "selecting relations"
-        relations = select_demo_relations(demo, exp.pipeline)[0].relations
+        relations = select_demo_relations(demo, exp.pipeline)[0]
         selected: dict[str, set[str]] = {}
-        for obj, parts in zip((demo.object_a, demo.object_b), _relation_parts(relations)):
+        for obj, parts in zip((demo.object_a, demo.object_b), relations.parts()):
             selected.setdefault(obj.category, set()).update(parts)
         for cat, parts in sorted(selected.items()):
             stage = f"reading dataset: {manifest_path}"
@@ -286,7 +286,7 @@ def _load_scene_object(path: Path) -> PartDecomposedObject:
 def _load_models(
     model_dir: Path,
     demo: Demonstration,
-    relations: Sequence[tuple[str, str]],
+    relations: RelationSet,
     files: dict[str, bytes],
 ) -> tuple[dict[str, CanonicalPartModel], dict[str, CanonicalPartModel]]:
     """Load the part models relations read, for object a and object b.
@@ -294,7 +294,7 @@ def _load_models(
     Each file's bytes are added to files under its name in model_dir.
     """
     loaded = []
-    for obj, parts in zip((demo.object_a, demo.object_b), _relation_parts(relations)):
+    for obj, parts in zip((demo.object_a, demo.object_b), relations.parts()):
         models = {}
         for part in sorted(parts):
             name = f"{obj.category}/{part}.json"
@@ -337,14 +337,14 @@ def _load_context(
 
     The cached relations name the model files to load, and the key is
     checked over those files alone, so no contact search runs. A missing or
-    unreadable file, a key that differs, or relations whose model files are
-    missing or unreadable all give None.
+    unreadable file, a key that differs, relations whose model files are
+    missing or unreadable, or a context DemoContext refuses all give None.
     """
     try:
         payload = json.loads(path.read_bytes())
         relations = from_json(RelationSet, payload["context"]["relations"], path="relations")
         files: dict[str, bytes] = {}
-        models_a, models_b = _load_models(model_dir, demo, relations.relations, files)
+        models_a, models_b = _load_models(model_dir, demo, relations, files)
         if payload["key"] != _context_key(demo_bytes, files, exp):
             return None
         return context_from_dict(demo, models_a, models_b, payload["context"])
@@ -384,12 +384,10 @@ def cmd_transfer(cfg: RunConfig, args: argparse.Namespace) -> int:
             selected = select_demo_relations(demo, exp.pipeline)
             stage = "loading models"
             model_files: dict[str, bytes] = {}
-            models_a, models_b = _load_models(
-                model_dir, demo, selected[0].relations, model_files
-            )
+            models_a, models_b = _load_models(model_dir, demo, selected[0], model_files)
             stage = "processing demonstration"
             ctx = process_demonstration(
-                demo, models_a, models_b, exp.pipeline, seed=exp.master_seed, selected=selected
+                demo, selected, models_a, models_b, exp.pipeline, seed=exp.master_seed
             )
             _store_context(cache, _context_key(demo_bytes, model_files, exp), ctx)
         stage = "optimizing placement"
@@ -461,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "in <demo stem>.context.json beside the demo file and reused, without a "
                     "contact search, while the demo, the model files of its selected "
                     "relations' parts, the pipeline section, the seed and the partwarp "
-                    "source are unchanged.",
+                    "source are unchanged. It fits under the config's seed, not eval's "
+                    "per-trial seed: above one restart its placement can differ from eval's.",
     )
     _add_common(p_transfer)
     p_transfer.add_argument("--demo", required=True, help="demonstration JSON file")

@@ -392,19 +392,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         # the functions it was built with and hide the calls from tracing
         # that patches these module attributes.
         if method == METHOD_PARTS:
-            relations = selected[method][0].relations
-            touched = ({m for m, _ in relations}, {n for _, n in relations})
             models_a, models_b = (
                 train_category_models(cat, seed, cfg, parts)
-                for (cat, seed), parts in zip(training_seeds(cfg), touched)
+                for (cat, seed), parts in zip(training_seeds(cfg), selected[method][0].parts())
             )
         else:
             models_a, models_b = (
                 train_whole_models(cat, seed, cfg) for cat, seed in training_seeds(cfg)
             )
         contexts[method] = process_demonstration(
-            demos[method], models_a, models_b, cfg.pipeline, seed=demo_seed,
-            selected=selected[method],
+            demos[method], selected[method], models_a, models_b, cfg.pipeline, seed=demo_seed
         )
 
     trials: list[TrialRecord] = []

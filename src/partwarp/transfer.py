@@ -4,12 +4,13 @@ The pipeline finds the contact point pairs of a single demonstration from
 its geometry and selects the relations to replay from those contacts
 alone, before any model exists: each candidate subset is scored by how
 closely one alignment of its contact points replays the demonstrated goal.
-It then fits per-part shape models to the selected relations' parts and
-grounds their contacts in the models' canonical frames. It re-localizes
-them on novel objects through model fits, and places the first object by
-the one rigid motion that best aligns those points with their demonstrated
-offsets: one kabsch solve over every selected relation's contacts, the
-alignment selection scored with.
+That selection, select_demo_relations' (RelationSet, contacts), is the one
+every later step reads: RelationSet.parts names the parts to train and fit,
+and process_demonstration grounds the selected contacts in those parts'
+fitted models. A transfer re-localizes them on novel objects through model
+fits, and places the first object by the one rigid motion that best aligns
+those points with their demonstrated offsets: one kabsch solve over every
+selected relation's contacts, the alignment selection scored with.
 A whole-object variant of the same pipeline (single part, height labels
 only) serves as the comparison baseline.
 """
@@ -97,8 +98,7 @@ class PartDecomposedObject:
         return np.concatenate([self.parts[p].points for p in self.part_names()])
 
     def extent(self) -> float:
-        pts = self.all_points()
-        return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+        return PointCloud(self.all_points()).extent()
 
     def transformed(self, t: RigidTransform) -> "PartDecomposedObject":
         return PartDecomposedObject(
@@ -116,6 +116,11 @@ class Demonstration:
     t_ab: RigidTransform
 
 
+# contact_pairs' result: per (part of a, part of b), the index arrays of its
+# contact points into the two parts.
+_Contacts = dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
+
+
 @dataclass(frozen=True)
 class InteractionPointSet:
     """Contact pairs for one part pair, grounded in canonical indices.
@@ -125,11 +130,11 @@ class InteractionPointSet:
     configuration, expressed in part n's canonical frame; a novel fit of
     part n re-expresses it in its own scene, which keeps the replayed
     contact geometry attached to the reference part rather than to the
-    demo's world axes. offsets_m
-    and offsets_n keep each demo point's residual from its grounding
-    point, expressed in the canonical frame, so re-localization is not
-    quantized to the model's discrete points. source_indices keeps the
-    raw demo cloud indices the pairs came from.
+    demo's world axes. offsets_m and offsets_n keep each demo point's
+    residual from its grounding point, expressed in the canonical frame, so
+    re-localization is not quantized to the model's discrete points.
+    pairs holds each pair's (index into part m's model, index into part n's)
+    as whole numbers; DemoContext checks they index points of those models.
     """
 
     part_m: str
@@ -138,20 +143,19 @@ class InteractionPointSet:
     displacements_n: np.ndarray
     offsets_m: np.ndarray
     offsets_n: np.ndarray
-    source_indices: np.ndarray
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=np.int64)
-        k = pairs.shape[0] if pairs.ndim == 2 else 0
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or k < 3:
+        raw = np.asarray(self.pairs)
+        k = raw.shape[0] if raw.ndim == 2 else 0
+        if raw.ndim != 2 or raw.shape[1] != 2 or k < 3:
             raise ValueError("need at least three interaction pairs")
-        arrays = {"pairs": pairs, "source_indices": np.asarray(self.source_indices, np.int64)}
+        if not (np.all(np.isfinite(raw)) and np.all(raw == np.round(raw))):
+            raise ValueError("interaction pairs must be whole numbers")
+        arrays = {"pairs": raw.astype(np.int64)}
         for name in ("displacements_n", "offsets_m", "offsets_n"):
             arrays[name] = np.asarray(getattr(self, name), dtype=np.float64)
             if arrays[name].shape != (k, 3):
                 raise ValueError("inconsistent interaction point arrays")
-        if arrays["source_indices"].shape != (k, 2):
-            raise ValueError("inconsistent interaction point arrays")
         for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -159,8 +163,14 @@ class InteractionPointSet:
 
 @dataclass(frozen=True)
 class RelationSet:
+    """The selected (part of a, part of b) relations and their selection score."""
+
     relations: tuple[tuple[str, str], ...]
     score: float
+
+    def parts(self) -> tuple[set[str], set[str]]:
+        """The parts the relations name on object a (each m) and on object b (each n)."""
+        return {m for m, _ in self.relations}, {n for _, n in self.relations}
 
 
 @dataclass(frozen=True)
@@ -205,6 +215,9 @@ class DemoContext:
     relations' parts, as run_experiment trains them. fits_a and fits_b are
     the demo fits of exactly those parts, the frames the interactions were
     grounded in.
+
+    Built or read, the record checks itself: each interaction sits under its
+    own key and indexes its parts' model points, and each relation has one.
     """
 
     demo: Demonstration
@@ -215,12 +228,24 @@ class DemoContext:
     interactions: Mapping[tuple[str, str], InteractionPointSet]
     relations: RelationSet
 
+    def __post_init__(self):
+        for (m, n), ips in self.interactions.items():
+            if (m, n) != (ips.part_m, ips.part_n):
+                raise ValueError(f"interactions.{m}|{n} holds the pair {ips.part_m}|{ips.part_n}")
+            for part, models, index in zip((m, n), (self.models_a, self.models_b), ips.pairs.T):
+                count = models[part].point_count if part in models else 0
+                if index.min() < 0 or index.max() >= count:
+                    raise ValueError(f"interactions.{m}|{n} indexes part {part!r} "
+                                     f"outside its model's {count} points")
+        for m, n in self.relations.relations:
+            if (m, n) not in self.interactions:
+                raise ValueError(f"relations name {m}|{n}, which interactions lack")
+
 
 def scene_extent(demo: Demonstration) -> float:
     """Bounding-box diagonal of the demo scene in its goal configuration."""
     goal_a = demo.object_a.transformed(demo.t_ab)
-    pts = np.concatenate([goal_a.all_points(), demo.object_b.all_points()])
-    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    return PointCloud(np.concatenate([goal_a.all_points(), demo.object_b.all_points()])).extent()
 
 
 # label_parts' two settings. Training and transfer both label with them, so
@@ -327,9 +352,7 @@ def fit_parts(
     return out
 
 
-def contact_pairs(
-    demo: Demonstration, delta: float, k_max: int = 32
-) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+def contact_pairs(demo: Demonstration, delta: float, k_max: int = 32) -> _Contacts:
     """Raw contact point pairs of the demonstrated goal, per part pair.
 
     For every cross-object part pair (m, n), all point pairs closer than
@@ -346,7 +369,7 @@ def contact_pairs(
     of the whole part pair's block, so the result equals the whole-block
     search unless two distances tie, or one meets delta**2, to that ulp.
     """
-    out: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+    out: _Contacts = {}
     for m in demo.object_a.part_names():
         goal_m = demo.t_ab.apply(demo.object_a.parts[m].points)
         for n in demo.object_b.part_names():
@@ -371,7 +394,7 @@ def contact_pairs(
 
 def extract_interaction_points(
     demo: Demonstration,
-    contacts: Mapping[tuple[str, str], tuple[np.ndarray, np.ndarray]],
+    contacts: _Contacts,
     models_a: Mapping[str, CanonicalPartModel],
     models_b: Mapping[str, CanonicalPartModel],
     fits_a: Mapping[str, InferenceResult],
@@ -400,7 +423,6 @@ def extract_interaction_points(
             displacements_n=displacements @ fits_b[n].pose.rotation,
             offsets_m=off_m,
             offsets_n=off_n,
-            source_indices=np.stack([ii, jj], axis=1),
         )
     return out
 
@@ -499,10 +521,7 @@ def optimize_placement(
     )
 
 
-def select_relevant_relations(
-    demo: Demonstration,
-    contacts: Mapping[tuple[str, str], tuple[np.ndarray, np.ndarray]],
-) -> RelationSet:
+def select_relevant_relations(demo: Demonstration, contacts: _Contacts) -> RelationSet:
     """Pick the subset of the demo's contact relations that best replays the demo.
 
     contacts are contact_pairs' index arrays per part pair; selection needs
@@ -528,6 +547,8 @@ def select_relevant_relations(
             f"{len(bearing)} contact-bearing pairs exceeds the cap of {_MAX_RELATIONS}"
         )
     extent = scene_extent(demo)
+    if extent == 0.0:
+        raise ValueError("demo scene has zero extent: every point coincides")
     goal = {}
     for m, n in bearing:
         x = demo.object_a.parts[m].points[contacts[(m, n)][0]]
@@ -541,9 +562,6 @@ def select_relevant_relations(
             scores[subset] = trans_err / extent + rotation_geodesic(t, demo.t_ab) / np.pi
     best = min(scores, key=lambda subset: (round(scores[subset], 9), len(subset), subset))
     return RelationSet(best, scores[best])
-
-
-_Contacts = dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
 
 
 def select_demo_relations(
@@ -562,28 +580,25 @@ def select_demo_relations(
 
 def process_demonstration(
     demo: Demonstration,
+    selected: tuple[RelationSet, _Contacts],
     models_a: Mapping[str, CanonicalPartModel],
     models_b: Mapping[str, CanonicalPartModel],
     cfg: PipelineConfig = PipelineConfig(),
     seed: int = 0,
-    selected: tuple[RelationSet, _Contacts] | None = None,
 ) -> DemoContext:
-    """Derive a demonstration's reusable context once.
+    """Derive a demonstration's reusable context once, from its selection.
 
-    The steps run in this order: find the contact pairs of the goal
-    configuration and select the relations from them (select_demo_relations,
-    geometry only); label both objects and fit only the selected relations'
-    parts (fit_parts, as transfer_skill does on a novel pair); ground the
-    selected relations' contacts in the fits. Only those parts' models are
-    read, so models_a and models_b may hold those parts alone.
-
-    selected, if given, must be select_demo_relations(demo, cfg): a caller
-    that needed it before it had models, to know which models to train,
-    passes it on instead of searching and selecting again.
+    selected is select_demo_relations(demo, cfg), the one contact search
+    and selection, which callers run before they have models so as to know
+    which to train. This labels both objects and fits only the selected
+    relations' parts (fit_parts, as transfer_skill does on a novel pair),
+    then grounds the selected contacts in those fits. Only those parts'
+    models are read, so models_a and models_b may hold those parts alone.
     """
-    relations, contacts = select_demo_relations(demo, cfg) if selected is None else selected
-    fits_a = fit_parts(demo.object_a, models_a, {m for m, _ in contacts}, cfg.inference, seed)
-    fits_b = fit_parts(demo.object_b, models_b, {n for _, n in contacts}, cfg.inference, seed)
+    relations, contacts = selected
+    parts_a, parts_b = relations.parts()
+    fits_a = fit_parts(demo.object_a, models_a, parts_a, cfg.inference, seed)
+    fits_b = fit_parts(demo.object_b, models_b, parts_b, cfg.inference, seed)
     interactions = extract_interaction_points(demo, contacts, models_a, models_b, fits_a, fits_b)
     return DemoContext(demo, models_a, models_b, fits_a, fits_b, interactions, relations)
 
@@ -596,11 +611,11 @@ def transfer_skill(
     seed: int = 0,
 ) -> TransferResult:
     """Apply a processed demonstration to a novel object pair, with its models."""
-    relations = ctx.relations.relations
-    fits_a = fit_parts(novel_a, ctx.models_a, {m for m, _ in relations}, cfg.inference, seed)
-    fits_b = fit_parts(novel_b, ctx.models_b, {n for _, n in relations}, cfg.inference, seed)
+    parts_a, parts_b = ctx.relations.parts()
+    fits_a = fit_parts(novel_a, ctx.models_a, parts_a, cfg.inference, seed)
+    fits_b = fit_parts(novel_b, ctx.models_b, parts_b, cfg.inference, seed)
     return optimize_placement(
-        relations, ctx.models_a, ctx.models_b, fits_a, fits_b, ctx.interactions
+        ctx.relations.relations, ctx.models_a, ctx.models_b, fits_a, fits_b, ctx.interactions
     )
 
 
@@ -653,18 +668,8 @@ def context_from_dict(
     models_b: Mapping[str, CanonicalPartModel],
     payload: Mapping,
 ) -> DemoContext:
-    """Inverse of context_to_dict for the demonstration and models it was derived from.
-
-    A payload whose interaction sits under another pair's key, or whose
-    relations name a pair its interactions lack, is a ValueError that names it.
-    """
+    """Inverse of context_to_dict for the demonstration and models it was derived from."""
     derived = {name: from_json(hint, payload[name], path=name) for name, hint in _DERIVED.items()}
-    for (m, n), ips in derived["interactions"].items():
-        if (m, n) != (ips.part_m, ips.part_n):
-            raise ValueError(f"interactions.{m}|{n} holds the pair {ips.part_m}|{ips.part_n}")
-    for m, n in derived["relations"].relations:
-        if (m, n) not in derived["interactions"]:
-            raise ValueError(f"relations name {m}|{n}, which interactions lack")
     return DemoContext(demo, models_a, models_b, **derived)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from partwarp.evaluation import train_category_models, train_whole_models
 from partwarp.synth import generate_demo_scene
-from partwarp.transfer import process_demonstration
+from partwarp.transfer import process_demonstration, select_demo_relations
 
 
 @pytest.fixture(scope="session")
@@ -40,7 +40,9 @@ def mug_scene():
 
 @pytest.fixture(scope="session")
 def mug_ctx(mug_scene, mug_models, rack_models):
-    return process_demonstration(mug_scene.demo, mug_models, rack_models, seed=0)
+    demo = mug_scene.demo
+    return process_demonstration(
+        demo, select_demo_relations(demo), mug_models, rack_models, seed=0)
 
 
 @pytest.fixture()

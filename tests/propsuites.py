@@ -194,7 +194,6 @@ def _toy_relation_scene(rng: np.random.Generator, n_relations: int):
             displacements_n=disp @ fits_b[n].pose.rotation,
             offsets_m=rng.normal(size=(k, 3)) * 0.004,
             offsets_n=rng.normal(size=(k, 3)) * 0.004,
-            source_indices=np.zeros((k, 2), dtype=np.int64),
         )
         relations.append((m, n))
     return relations, models_a, models_b, fits_a, fits_b, interactions

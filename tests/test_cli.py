@@ -36,7 +36,7 @@ from partwarp.evaluation import (
     report_to_dict,
     write_report,
 )
-from partwarp.geom import to_json
+from partwarp.geom import PointCloud, RigidTransform, to_json
 from partwarp.registration import CpdConfig
 from partwarp.shapemodel import CanonicalPartModel, InferenceConfig, load_model, save_model
 from partwarp.synth import (
@@ -46,7 +46,12 @@ from partwarp.synth import (
     generate_demo_scene,
     task_categories,
 )
-from partwarp.transfer import PipelineConfig
+from partwarp.transfer import (
+    Demonstration,
+    PartDecomposedObject,
+    PipelineConfig,
+    select_demo_relations,
+)
 
 TINY = {
     "seed": 0,
@@ -79,6 +84,15 @@ SELECTED_PARTS = {
     "bowl_on_mug": {"bowl/bowl", "mug/cup"},
     "teapot_pour_align": {"teapot/spout", "mug/cup"},
 }
+
+
+@pytest.mark.parametrize("task", list(SELECTED_PARTS))
+def test_selected_parts_are_the_demo_selections_parts(task):
+    demo = generate_demo_scene(task).demo
+    for obj, parts in zip((demo.object_a, demo.object_b), select_demo_relations(demo)[0].parts()):
+        prefix = f"{obj.category}/"
+        assert {prefix + part for part in parts} == {
+            name for name in SELECTED_PARTS[task] if name.startswith(prefix)}
 
 
 def run(*argv: str) -> int:
@@ -319,6 +333,46 @@ def test_context_whose_relation_lacks_its_interaction_is_recomputed(workspace, p
     assert transfer(workspace, "second.json") == first
     assert len(processed) == 2
     assert cache.read_bytes() == stored
+
+
+# Each case: how one pair entry of the cached handle|peg contacts is corrupted.
+# -1 would index the model's last point, 1000000 no point, and 1.5 would be
+# cut to 1.
+CORRUPT_PAIRS = {
+    "negative": lambda index: -1,
+    "past_the_model": lambda index: 1000000,
+    "fractional": lambda index: index + 0.5,
+}
+
+
+@pytest.mark.parametrize("corruption", list(CORRUPT_PAIRS))
+def test_context_with_a_pair_outside_its_model_is_recomputed(workspace, processed, corruption):
+    first = transfer(workspace, "first.json")
+    cache = workspace / "dataset" / "demo.context.json"
+    stored = cache.read_bytes()
+    payload = json.loads(stored)
+    pairs = payload["context"]["interactions"]["handle|peg"]["pairs"]
+    pairs[0][1] = CORRUPT_PAIRS[corruption](pairs[0][1])
+    cache.write_text(json.dumps(payload))
+    assert transfer(workspace, "second.json") == first
+    assert len(processed) == 2
+    assert cache.read_bytes() == stored
+
+
+def test_train_on_a_zero_extent_demo_names_the_stage(tmp_path, capsys):
+    # Every demo point coincides, so selection has no scene extent to scale by.
+    dataset = tmp_path / "dataset"
+    dataset.mkdir()
+    point = PointCloud([[0.1, 0.2, 0.3]] * 4)
+    demo = Demonstration(PartDecomposedObject("mug", {"handle": point}),
+                         PartDecomposedObject("rack", {"peg": point}), RigidTransform.identity())
+    (dataset / "demo.json").write_text(json.dumps(to_json(demo)))
+    (dataset / "manifest.json").write_text(
+        json.dumps({"train": {"mug": [], "rack": []}, "demo": "demo.json"}))
+    assert run("train", "--config", write_config(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "error: selecting relations: demo scene has zero extent" in err, err
+    assert not (tmp_path / "models").exists()
 
 
 def refused_model_file(workspace, edit) -> tuple[Path, str]:

@@ -51,6 +51,7 @@ from partwarp.transfer import (
     process_demonstration,
     result_to_dict,
     scene_extent,
+    select_demo_relations,
     select_relevant_relations,
     transfer_points,
     transfer_skill,
@@ -86,17 +87,24 @@ class TestObjects:
             displacements_n=np.zeros((3, 3)),
             offsets_m=np.zeros((3, 3)),
             offsets_n=np.zeros((3, 3)),
-            source_indices=np.zeros((3, 2), dtype=int),
         )
         InteractionPointSet(**good)
+        # A file's pairs read as floats: whole ones are indices, others are refused.
+        floats = InteractionPointSet(**{**good, "pairs": good["pairs"].astype(float)})
+        assert floats.pairs.dtype == np.int64
+        np.testing.assert_array_equal(floats.pairs, good["pairs"])
         with pytest.raises(ValueError, match="at least three"):
             InteractionPointSet(**{**good, "pairs": np.array([[0, 1], [1, 2]]),
                                    "displacements_n": np.zeros((2, 3)),
                                    "offsets_m": np.zeros((2, 3)),
-                                   "offsets_n": np.zeros((2, 3)),
-                                   "source_indices": np.zeros((2, 2), dtype=int)})
+                                   "offsets_n": np.zeros((2, 3))})
         with pytest.raises(ValueError, match="inconsistent"):
             InteractionPointSet(**{**good, "offsets_n": np.zeros((4, 3))})
+        for bad in (1.5, np.nan, np.inf):
+            pairs = good["pairs"].astype(float)
+            pairs[0, 1] = bad
+            with pytest.raises(ValueError, match="whole numbers"):
+                InteractionPointSet(**{**good, "pairs": pairs})
 
     def test_scene_extent_is_goal_configuration_diagonal(self, rng):
         obj_a = PartDecomposedObject("toy", {"p": PointCloud(rng.normal(size=(20, 3)))})
@@ -232,8 +240,9 @@ def cheap_teapot_ctx():
         warnings.simplefilter("ignore")
         teapot = train_category_models("teapot", 17, cheap)
         mug = train_category_models("mug", 17, cheap)
+        demo = generate_demo_scene("teapot_pour_align").demo
         return process_demonstration(
-            generate_demo_scene("teapot_pour_align").demo, teapot, mug, TEAPOT_PIPELINE)
+            demo, select_demo_relations(demo, TEAPOT_PIPELINE), teapot, mug, TEAPOT_PIPELINE)
 
 
 def candidate_set(demo, models_a, models_b, delta_scale=PipelineConfig().delta_scale,
@@ -332,12 +341,13 @@ class TestExtraction:
         k_max = 32  # contact_pairs' default cut
         assert ("handle", "peg") in mug_ctx.interactions
         goal_a = mug_ctx.demo.t_ab.apply
+        contacts = select_demo_relations(mug_ctx.demo)[1]
         for (m, n), ips in mug_ctx.interactions.items():
             k = len(ips.pairs)
             assert 3 <= k <= k_max
-            src = ips.source_indices
-            pm = mug_ctx.demo.object_a.parts[m].points[src[:, 0]]
-            pn = mug_ctx.demo.object_b.parts[n].points[src[:, 1]]
+            ii, jj = contacts[(m, n)]
+            pm = mug_ctx.demo.object_a.parts[m].points[ii]
+            pn = mug_ctx.demo.object_b.parts[n].points[jj]
             rot = mug_ctx.fits_b[n].pose.rotation
             np.testing.assert_allclose(
                 ips.displacements_n, (goal_a(pm) - pn) @ rot, atol=1e-12)
@@ -414,14 +424,13 @@ class TestTransferPoints:
     def test_self_transfer_reproduces_demo_points_exactly(self, mug_ctx, mug_models, rack_models):
         # The canonical-frame residuals are defined so that re-localizing on
         # the same fits returns the original demo points.
+        contacts = select_demo_relations(mug_ctx.demo)[1]
         for (m, n), ips in mug_ctx.interactions.items():
             pm, pn = transfer_points(
                 ips, mug_models[m], mug_ctx.fits_a[m], rack_models[n], mug_ctx.fits_b[n])
-            src = ips.source_indices
-            np.testing.assert_allclose(
-                pm, mug_ctx.demo.object_a.parts[m].points[src[:, 0]], atol=1e-9)
-            np.testing.assert_allclose(
-                pn, mug_ctx.demo.object_b.parts[n].points[src[:, 1]], atol=1e-9)
+            ii, jj = contacts[(m, n)]
+            np.testing.assert_allclose(pm, mug_ctx.demo.object_a.parts[m].points[ii], atol=1e-9)
+            np.testing.assert_allclose(pn, mug_ctx.demo.object_b.parts[n].points[jj], atol=1e-9)
 
     def test_every_demo_relation_subset_places(self, mug_candidates, mug_models, rack_models):
         # The default-radius cup contact is a single point; alone or with the
@@ -473,6 +482,15 @@ class TestSelection:
             for scale in RADIUS_SCALES
         }
         assert chosen == {scale: (("handle", "peg"),) for scale in RADIUS_SCALES}
+
+    @pytest.mark.parametrize("at", [0.0, 0.37])
+    def test_zero_extent_demo_is_refused_before_scoring(self, at):
+        # Every point coincides: the scene extent that scales the translation
+        # error is 0, although the contact search at radius 0 finds pairs.
+        demo = two_part_demo(np.full((4, 3), at), np.full((5, 3), at))
+        assert contact_pairs(demo, 0.0)
+        with pytest.raises(ValueError, match="zero extent"):
+            select_demo_relations(demo)
 
     def test_single_candidate_is_selected(self, mug_candidates, mug_scene):
         contacts, _fits_a, _fits_b, _interactions = mug_candidates
@@ -619,7 +637,8 @@ class TestWholeObjectBaseline:
         merged = Demonstration(merge_object(demo.object_a), merge_object(demo.object_b), demo.t_ab)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ctx = process_demonstration(merged, mug_whole_models, rack_whole_models, seed=0)
+            ctx = process_demonstration(
+                merged, select_demo_relations(merged), mug_whole_models, rack_whole_models, seed=0)
             result = whole_object_baseline(ctx, demo.object_a, demo.object_b, seed=0)
         assert result.relations == (("whole", "whole"),)
         assert rotation_geodesic(result.t_final, mug_ctx.demo.t_ab) < np.radians(1.0)
@@ -675,17 +694,19 @@ class TestSerialization:
         np.testing.assert_array_equal(
             loaded.object_b.parts["q"].points, obj_b.parts["q"].points)
 
-    def test_context_round_trip(self, mug_ctx, mug_models, rack_models):
-        payload = json.loads(json.dumps(context_to_dict(mug_ctx), allow_nan=False))
-        again = context_from_dict(mug_ctx.demo, mug_models, rack_models, payload)
-        assert_same_fields(again, mug_ctx)
+    def test_context_round_trip(self, mug_ctx, cheap_teapot_ctx):
+        # The mug's handle|peg context and the teapot's spout|cup one.
         cfg = PipelineConfig(inference=InferenceConfig(restarts=1, yaw_init_count=2, max_evals=40))
-        demo = mug_ctx.demo
-        results = [
-            result_to_dict(transfer_skill(ctx, demo.object_a, demo.object_b, cfg))
-            for ctx in (mug_ctx, again)
-        ]
-        assert results[0] == results[1]
+        for ctx in (mug_ctx, cheap_teapot_ctx):
+            payload = json.loads(json.dumps(context_to_dict(ctx), allow_nan=False))
+            again = context_from_dict(ctx.demo, ctx.models_a, ctx.models_b, payload)
+            assert_same_fields(again, ctx)
+            demo = ctx.demo
+            results = [
+                result_to_dict(transfer_skill(c, demo.object_a, demo.object_b, cfg))
+                for c in (ctx, again)
+            ]
+            assert results[0] == results[1]
 
     def test_context_interaction_under_another_pair_is_refused(
             self, mug_ctx, mug_models, rack_models):
@@ -703,6 +724,36 @@ class TestSerialization:
         del payload["interactions"]["handle|peg"]
         with pytest.raises(ValueError, match=re.escape("relations name handle|peg")):
             context_from_dict(mug_ctx.demo, mug_models, rack_models, payload)
+
+    @pytest.mark.parametrize("side, value", [
+        (0, -1), (1, -1), (0, 1000000), (1, 1000000)])
+    def test_context_pair_outside_its_model_is_refused(
+            self, mug_ctx, mug_models, rack_models, side, value):
+        # -1 would index the model's last point, and 1000000 none.
+        payload = json.loads(json.dumps(context_to_dict(mug_ctx)))
+        payload["interactions"]["handle|peg"]["pairs"][0][side] = value
+        part = ("handle", "peg")[side]
+        message = re.escape(f"interactions.handle|peg indexes part {part!r} outside its model's")
+        with pytest.raises(ValueError, match=message):
+            context_from_dict(mug_ctx.demo, mug_models, rack_models, payload)
+
+    def test_context_pair_that_is_not_a_whole_number_is_refused(
+            self, mug_ctx, mug_models, rack_models):
+        payload = json.loads(json.dumps(context_to_dict(mug_ctx)))
+        payload["interactions"]["handle|peg"]["pairs"][0][0] += 0.5
+        with pytest.raises(ValueError, match="whole numbers"):
+            context_from_dict(mug_ctx.demo, mug_models, rack_models, payload)
+
+    def test_processed_context_obeys_the_same_checks(self, mug_ctx):
+        # A context built in memory is checked as one read from a file.
+        ips = mug_ctx.interactions[("handle", "peg")]
+        pairs = ips.pairs.copy()
+        pairs[0, 0] = mug_ctx.models_a["handle"].point_count
+        bad = dataclasses.replace(ips, pairs=pairs)
+        with pytest.raises(ValueError, match=re.escape("indexes part 'handle' outside")):
+            dataclasses.replace(mug_ctx, interactions={("handle", "peg"): bad})
+        with pytest.raises(ValueError, match=re.escape("relations name handle|peg")):
+            dataclasses.replace(mug_ctx, interactions={})
 
     def test_result_payload_shape(self, mug_ctx, mug_models, rack_models):
         result = optimize_placement(
