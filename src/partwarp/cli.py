@@ -16,20 +16,22 @@ parts, as ``eval`` does: the only models ``transfer`` reads. So a
 relation needs ``train`` run under the same config.
 
 ``transfer`` keeps what it derives from the demonstration in
-``<demo stem>.context.json`` beside the demo file: transfer.context_to_dict's
-record of the selected relations, the demo fits of their parts and their
-contacts grounded in those parts' models. Later transfers with the same
-demo reuse it instead of processing the demo again. The file is stored
-under a sha256 key over the demo file's bytes, the bytes and names of the
-model files of the selected relations' parts, the ``pipeline`` section,
-the seed and the partwarp source. A cached context is reused without a
-contact search: its own relations name the model files the key is checked
-over, so editing any other model file keeps it. When the key differs, the
-file is missing, unreadable or fails transfer.DemoContext's checks (a
-relation without its contacts, a pair outside its part's model), or its
-relations' model files are missing or unreadable, the demo is processed
-again, with one contact search, and the file replaced. Its bytes are a
-function of those inputs, so the rule above holds for it too.
+``<demo stem>.context.json`` beside the demo file:
+transfer.context_to_dict's record of the selected relations and their
+contacts grounded in those relations' part models, without the demo, its
+fits or the models. Later transfers with the same demo reuse it instead of
+processing the demo again. The file is stored under a sha256 key over the
+demo file's bytes, the bytes and names of the model files of the selected
+relations' parts, the ``pipeline`` section, the seed and the partwarp
+source. A cached context is reused without a contact search: its own
+relations name the model files the key is checked over, so editing any other
+model file keeps it. When the key differs, the file is missing, unreadable
+or fails the checks of transfer.DemoContext and its RelationSet (no
+relation, a relation without its contacts, a pair outside its part's
+model), or its relations' model files
+are missing or unreadable, the demo is processed again, with one contact
+search, and the file replaced. Its bytes are a function of those inputs, so
+the rule above holds for it too.
 
 ``transfer`` fits the novel pair under the config's ``seed``, ``eval``
 trial i under that trial's own seed, so above one inference restart the
@@ -88,7 +90,6 @@ from .transfer import (
     load_demo,
     object_from_dict,
     process_demonstration,
-    result_to_dict,
     select_demo_relations,
     transfer_skill,
 )
@@ -335,10 +336,11 @@ def _load_context(
 ) -> DemoContext | None:
     """The context cached at path, or None if it cannot be reused.
 
-    The cached relations name the model files to load, and the key is
-    checked over those files alone, so no contact search runs. A missing or
-    unreadable file, a key that differs, relations whose model files are
-    missing or unreadable, or a context DemoContext refuses all give None.
+    The cached relations name the model files to load, under the demo's
+    categories, and the key is checked over those files alone, so no
+    contact search runs. A missing or unreadable file, relations that are
+    empty or whose model files are missing or unreadable, a key that
+    differs, or a context DemoContext refuses all give None.
     """
     try:
         payload = json.loads(path.read_bytes())
@@ -347,7 +349,7 @@ def _load_context(
         models_a, models_b = _load_models(model_dir, demo, relations, files)
         if payload["key"] != _context_key(demo_bytes, files, exp):
             return None
-        return context_from_dict(demo, models_a, models_b, payload["context"])
+        return context_from_dict(models_a, models_b, payload["context"])
     except (*_INPUT_ERRORS, IndexError):
         return None
 
@@ -396,8 +398,7 @@ def cmd_transfer(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(f"error: {stage}: {exc}", file=sys.stderr)
         return 1
 
-    payload = result_to_dict(result)
-    payload["relation_set"] = to_json(ctx.relations)
+    payload = {**to_json(result), "relation_set": to_json(ctx.relations)}
     out = Path(args.out) if args.out else Path(cfg.output_dir) / "transfer_result.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     _dump(out, payload, indent=2)
@@ -455,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_transfer = sub.add_parser(
         "transfer",
         help="replay a demonstration on a novel scene",
-        description="Replay a demonstration on a novel scene. The processed demo is kept "
+        description="Replay a demonstration on a novel scene. The demo's selected relations "
+                    "and their contacts, grounded in those relations' part models, are kept "
                     "in <demo stem>.context.json beside the demo file and reused, without a "
                     "contact search, while the demo, the model files of its selected "
                     "relations' parts, the pipeline section, the seed and the partwarp "

@@ -66,6 +66,7 @@ __all__ = [
     "to_json",
     "from_json",
     "transform_from_dict",
+    "whole_numbers",
 ]
 
 _ORTHO_TOL = 1e-9
@@ -82,13 +83,27 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _as_label(values, n: int) -> np.ndarray:
+def whole_numbers(values, name: str) -> np.ndarray:
+    """values as int64; a value that is not a whole number is a ValueError naming name.
+
+    Integer and bool arrays skip the test, so labels and indices built in
+    memory pay for the cast alone; a file's values arrive as floats.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu" and not (
+        np.all(np.isfinite(arr)) and np.all(arr == np.round(arr))
+    ):
+        raise ValueError(f"{name} must be whole numbers")
+    return arr.astype(np.int64)
+
+
+def _as_label(key: str, values, n: int) -> np.ndarray:
     arr = np.asarray(values)
     if arr.shape != (n,):
-        raise ValueError("label array length must match point count")
-    arr = arr.astype(np.int64)
+        raise ValueError(f"label {key!r} length must match point count")
+    arr = whole_numbers(arr, f"label {key!r} values")
     if arr.size and (arr.min() < 0 or arr.max() > 1):
-        raise ValueError("label values must be 0 or 1")
+        raise ValueError(f"label {key!r} values must be 0 or 1")
     arr.flags.writeable = False
     return arr
 
@@ -104,7 +119,7 @@ class PointCloud:
         pts = _as_points(self.points)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        fixed = {str(k): _as_label(v, len(pts)) for k, v in self.labels.items()}
+        fixed = {str(k): _as_label(str(k), v, len(pts)) for k, v in self.labels.items()}
         object.__setattr__(self, "labels", fixed)
 
     def __len__(self) -> int:

@@ -955,15 +955,11 @@ _SKILLS = {
 }
 
 
-def goal_transform(
-    task: str, spec_a: ParametricObjectSpec, spec_b: ParametricObjectSpec
-) -> RigidTransform:
+def goal_transform(task: str, feat_a: ObjectFeatures, feat_b: ObjectFeatures) -> RigidTransform:
     """Pose of object A (local frame) that accomplishes the task on B at identity."""
-    cat_a, cat_b = task_categories(task)
-    if (spec_a.category, spec_b.category) != (cat_a, cat_b):
-        raise ValueError(f"task {task!r} expects categories {cat_a!r}, {cat_b!r}")
+    task_categories(task)
     goal, _ = _SKILLS[TASKS[task].skill]
-    return goal(features(spec_a), features(spec_b))
+    return goal(feat_a, feat_b)
 
 
 def task_predicate(task: str, feat_a: ObjectFeatures, feat_b: ObjectFeatures) -> bool:
@@ -997,14 +993,13 @@ def generate_demo_scene(task: str) -> DemoScene:
     obj_a, sdf_a, feat_a = generate(spec_a)
     obj_b, sdf_b, feat_b = generate(spec_b)
 
-    goal, predicate = _SKILLS[TASKS[task].skill]
-    t_goal = goal(feat_a, feat_b)
+    t_goal = goal_transform(task, feat_a, feat_b)
     goal_points = t_goal.apply(obj_a.all_points())
     depth = penetration_depth(goal_points, sdf_b)
     depth = max(depth, penetration_depth(obj_b.all_points(), sdf_a.transformed(t_goal)))
     if depth > PENETRATION_TOLERANCE:
         raise ValueError("infeasible pair")
-    if not predicate(feat_a.transformed(t_goal), feat_b):
+    if not task_predicate(task, feat_a.transformed(t_goal), feat_b):
         raise ValueError("infeasible pair")
 
     t_ab = t_goal.compose(_DEMO_INIT_A.inverse())

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -35,6 +35,7 @@ from .geom import (
     rotation_geodesic,
     sqdist_rows,
     to_json,
+    whole_numbers,
     z_label_values,
 )
 from .registration import kabsch
@@ -75,7 +76,6 @@ __all__ = [
     "load_demo",
     "context_to_dict",
     "context_from_dict",
-    "result_to_dict",
 ]
 
 
@@ -149,9 +149,7 @@ class InteractionPointSet:
         k = raw.shape[0] if raw.ndim == 2 else 0
         if raw.ndim != 2 or raw.shape[1] != 2 or k < 3:
             raise ValueError("need at least three interaction pairs")
-        if not (np.all(np.isfinite(raw)) and np.all(raw == np.round(raw))):
-            raise ValueError("interaction pairs must be whole numbers")
-        arrays = {"pairs": raw.astype(np.int64)}
+        arrays = {"pairs": whole_numbers(raw, "interaction pairs")}
         for name in ("displacements_n", "offsets_m", "offsets_n"):
             arrays[name] = np.asarray(getattr(self, name), dtype=np.float64)
             if arrays[name].shape != (k, 3):
@@ -168,6 +166,10 @@ class RelationSet:
     relations: tuple[tuple[str, str], ...]
     score: float
 
+    def __post_init__(self):
+        if not self.relations:
+            raise ValueError("a relation set needs at least one relation")
+
     def parts(self) -> tuple[set[str], set[str]]:
         """The parts the relations name on object a (each m) and on object b (each n)."""
         return {m for m, _ in self.relations}, {n for _, n in self.relations}
@@ -175,18 +177,13 @@ class RelationSet:
 
 @dataclass(frozen=True)
 class TransferResult:
-    """A placement, its fields in the result file's order.
-
-    transferred holds each relation's carried (p_m, p_n), which the file
-    leaves out.
-    """
+    """A placement; the CLI's result file is its to_json, then the relation set."""
 
     t_final: RigidTransform
     relations: tuple[tuple[str, str], ...]
     per_relation_transforms: Mapping[tuple[str, str], RigidTransform]
     objective: float
     diagnostics: Mapping[str, float]
-    transferred: Mapping[tuple[str, str], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -212,19 +209,15 @@ class DemoContext:
     relations' grounded contacts alone. models_a and models_b are the part
     models the demo was processed with, and every transfer of the context
     fits the novel objects with them; they may cover only the selected
-    relations' parts, as run_experiment trains them. fits_a and fits_b are
-    the demo fits of exactly those parts, the frames the interactions were
-    grounded in.
+    relations' parts, as run_experiment trains them. The demo and its fits
+    stay out: a transfer reads neither.
 
     Built or read, the record checks itself: each interaction sits under its
     own key and indexes its parts' model points, and each relation has one.
     """
 
-    demo: Demonstration
     models_a: Mapping[str, CanonicalPartModel]
     models_b: Mapping[str, CanonicalPartModel]
-    fits_a: Mapping[str, InferenceResult]
-    fits_b: Mapping[str, InferenceResult]
     interactions: Mapping[tuple[str, str], InteractionPointSet]
     relations: RelationSet
 
@@ -447,7 +440,7 @@ def transfer_points(
     return pm, pn
 
 
-_Carried = tuple[np.ndarray, np.ndarray, np.ndarray]
+_Carried = tuple[np.ndarray, np.ndarray]
 
 
 def _carry(
@@ -458,25 +451,25 @@ def _carry(
     fits_b: Mapping[str, InferenceResult],
     interactions: Mapping[tuple[str, str], InteractionPointSet],
 ) -> dict[tuple[str, str], _Carried]:
-    """Each relation's transferred (p_m, p_n, p_n + d), in sorted relation order."""
+    """Each relation's transferred (p_m, p_n + d), in sorted relation order."""
     carried: dict[tuple[str, str], _Carried] = {}
     for rel in sorted(relations):
         m, n = rel
         ips = interactions[rel]
         pm, pn = transfer_points(ips, models_a[m], fits_a[m], models_b[n], fits_b[n])
-        carried[rel] = (pm, pn, pn + ips.displacements_n @ fits_b[n].pose.rotation.T)
+        carried[rel] = (pm, pn + ips.displacements_n @ fits_b[n].pose.rotation.T)
     return carried
 
 
-def _align(carried: Sequence[tuple[np.ndarray, ...]]) -> RigidTransform:
+def _align(carried: Sequence[_Carried]) -> RigidTransform:
     """One kabsch of the stacked sources onto the stacked targets, each pair weighted the same.
 
-    Each entry holds a relation's sources first and its targets last: a
-    carried (p_m, p_n, p_n + d), or a demo's (x, t_ab(x)).
+    Each entry holds a relation's (sources, targets): a carried
+    (p_m, p_n + d), or a demo's (x, t_ab(x)).
     """
     return kabsch(
-        np.concatenate([entry[0] for entry in carried]),
-        np.concatenate([entry[-1] for entry in carried]),
+        np.concatenate([sources for sources, _ in carried]),
+        np.concatenate([targets for _, targets in carried]),
     )
 
 
@@ -503,7 +496,7 @@ def optimize_placement(
     t_final = _align(list(carried.values()))
     sq_miss = {
         rel: np.sum((t_final.apply(pm) - target) ** 2, axis=1)
-        for rel, (pm, _pn, target) in carried.items()
+        for rel, (pm, target) in carried.items()
     }
 
     def mean_miss(rels) -> float:
@@ -512,12 +505,11 @@ def optimize_placement(
     return TransferResult(
         t_final=t_final,
         per_relation_transforms={
-            rel: kabsch(pm, target) for rel, (pm, _pn, target) in carried.items()
+            rel: kabsch(pm, target) for rel, (pm, target) in carried.items()
         },
         objective=mean_miss(relations),
         relations=tuple(relations),
         diagnostics={m: mean_miss([r for r in relations if r[0] == m]) for m, _n in relations},
-        transferred={rel: (pm, pn) for rel, (pm, pn, _target) in carried.items()},
     )
 
 
@@ -592,15 +584,16 @@ def process_demonstration(
     and selection, which callers run before they have models so as to know
     which to train. This labels both objects and fits only the selected
     relations' parts (fit_parts, as transfer_skill does on a novel pair),
-    then grounds the selected contacts in those fits. Only those parts'
-    models are read, so models_a and models_b may hold those parts alone.
+    then grounds the selected contacts in those fits; the context keeps the
+    grounded contacts, not the fits. Only those parts' models are read, so
+    models_a and models_b may hold those parts alone.
     """
     relations, contacts = selected
     parts_a, parts_b = relations.parts()
     fits_a = fit_parts(demo.object_a, models_a, parts_a, cfg.inference, seed)
     fits_b = fit_parts(demo.object_b, models_b, parts_b, cfg.inference, seed)
     interactions = extract_interaction_points(demo, contacts, models_a, models_b, fits_a, fits_b)
-    return DemoContext(demo, models_a, models_b, fits_a, fits_b, interactions, relations)
+    return DemoContext(models_a, models_b, interactions, relations)
 
 
 def transfer_skill(
@@ -646,15 +639,15 @@ def load_demo(source) -> Demonstration:
 
 
 # What process_demonstration derives, and all that context_to_dict writes:
-# DemoContext's fields after the demo and its models.
+# DemoContext's fields after its models.
 _DERIVED = {
     name: hint for name, hint in typing.get_type_hints(DemoContext).items()
-    if name not in ("demo", "models_a", "models_b")
+    if name not in ("models_a", "models_b")
 }
 
 
 def context_to_dict(ctx: DemoContext) -> dict:
-    """Everything process_demonstration derived, without the demo or its models.
+    """to_json of everything process_demonstration derived, without the models.
 
     Arrays go through tolist, so every float survives a JSON round trip
     exactly and context_from_dict rebuilds an equal context.
@@ -663,18 +656,10 @@ def context_to_dict(ctx: DemoContext) -> dict:
 
 
 def context_from_dict(
-    demo: Demonstration,
     models_a: Mapping[str, CanonicalPartModel],
     models_b: Mapping[str, CanonicalPartModel],
     payload: Mapping,
 ) -> DemoContext:
-    """Inverse of context_to_dict for the demonstration and models it was derived from."""
+    """Inverse of context_to_dict for the models the context was derived with."""
     derived = {name: from_json(hint, payload[name], path=name) for name, hint in _DERIVED.items()}
-    return DemoContext(demo, models_a, models_b, **derived)
-
-
-def result_to_dict(result: TransferResult) -> dict:
-    """The result file's record: every field of result but transferred."""
-    return {
-        f.name: to_json(getattr(result, f.name)) for f in fields(result) if f.name != "transferred"
-    }
+    return DemoContext(models_a, models_b, **derived)

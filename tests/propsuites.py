@@ -29,6 +29,7 @@ from partwarp.transfer import (
     PartDecomposedObject,
     contact_pairs,
     optimize_placement,
+    transfer_points,
     transfer_skill,
 )
 
@@ -219,9 +220,13 @@ def placement_alignment_suite(n_cases: int = 100, seed: int = 4) -> list[str]:
         relations, models_a, models_b, fits_a, fits_b, ips = _toy_relation_scene(
             rng, n_relations=int(rng.integers(1, 3)))
         result = optimize_placement(relations, models_a, models_b, fits_a, fits_b, ips)
-        sources = np.concatenate([result.transferred[rel][0] for rel in relations])
+        carried = {
+            (m, n): transfer_points(ips[(m, n)], models_a[m], fits_a[m], models_b[n], fits_b[n])
+            for m, n in relations
+        }
+        sources = np.concatenate([carried[rel][0] for rel in relations])
         targets = np.concatenate([
-            result.transferred[(m, n)][1] + ips[(m, n)].displacements_n @ fits_b[n].pose.rotation.T
+            carried[(m, n)][1] + ips[(m, n)].displacements_n @ fits_b[n].pose.rotation.T
             for m, n in relations
         ])
         expected = kabsch(sources, targets)
@@ -243,7 +248,7 @@ def placement_alignment_suite(n_cases: int = 100, seed: int = 4) -> list[str]:
         truth = random_transform(rng)
         exact = {}
         for m, n in relations:
-            pm, pn = result.transferred[(m, n)]
+            pm, pn = carried[(m, n)]
             disp = truth.apply(pm) - pn
             exact[(m, n)] = dataclasses.replace(
                 ips[(m, n)], displacements_n=disp @ fits_b[n].pose.rotation)

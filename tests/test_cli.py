@@ -1,14 +1,15 @@
 """The command-line front end: a tiny gen/train/transfer/eval round trip on
-every task, the demo context `transfer` caches, when it is recomputed and
-that reusing it runs no contact search, config and flag validation, the
-scenes `gen` draws, model files `transfer` refuses or lacks, the top-level
-key order of every file the CLI writes, malformed input files `train` and
-`transfer` report by path and without a traceback, the settings `eval`
-passes on to training, `train` writing exactly the models `eval` trains
-and naming a part a training object lacks, `eval` training only the part
-models its demo's selected relations read and failing before training on a
-demo without contacts, `eval`'s worker pool reproducing the one-process
-report, and the BLAS thread variables recorded beside it."""
+every task, the demo context `transfer` caches, what it holds, when it is
+recomputed and that reusing it runs no contact search, config and flag
+validation, the scenes `gen` draws, model files `transfer` refuses or
+lacks, the top-level key order of every file the CLI writes, malformed
+input files `train` and `transfer` report by path and without a traceback,
+the settings `eval` passes on to training, `train` writing exactly the
+models `eval` trains and naming a part a training object lacks, `eval`
+training only the part models its demo's selected relations read and
+failing before training on a demo without contacts, `eval`'s worker pool
+reproducing the one-process report, and the BLAS thread variables recorded
+beside it."""
 
 from __future__ import annotations
 
@@ -359,6 +360,34 @@ def test_context_with_a_pair_outside_its_model_is_recomputed(workspace, processe
     assert cache.read_bytes() == stored
 
 
+def test_context_with_no_relations_is_recomputed(workspace, processed):
+    # No relation names a model file, so the key, taken over none, matches,
+    # and no interaction is left to check; a placement of no relation would
+    # fail, so the empty set is refused.
+    first = transfer(workspace, "first.json")
+    dataset = workspace / "dataset"
+    cache = dataset / "demo.context.json"
+    stored = cache.read_bytes()
+    payload = json.loads(stored)
+    payload["context"]["relations"]["relations"] = []
+    payload["context"]["interactions"] = {}
+    exp = cli.load_run_config(write_config(workspace), []).experiment
+    payload["key"] = cli._context_key((dataset / "demo.json").read_bytes(), {}, exp)
+    cache.write_text(json.dumps(payload))
+    assert transfer(workspace, "second.json") == first
+    assert len(processed) == 2
+    assert cache.read_bytes() == stored
+
+
+def test_context_file_holds_only_the_relations_and_their_contacts(workspace):
+    # The demo, its fits and the models are inputs or local steps of
+    # processing, and no transfer reads them from the file.
+    transfer(workspace, "result.json")
+    payload = json.loads((workspace / "dataset" / "demo.context.json").read_text())
+    assert list(payload) == ["key", "context"]
+    assert list(payload["context"]) == ["interactions", "relations"]
+
+
 def test_train_on_a_zero_extent_demo_names_the_stage(tmp_path, capsys):
     # Every demo point coincides, so selection has no scene extent to scale by.
     dataset = tmp_path / "dataset"
@@ -406,6 +435,28 @@ def test_model_file_with_an_unknown_key_is_refused(workspace):
     # Every file partwarp reads is refused for a key its record does not have.
     path, err = refused_model_file(workspace, lambda payload: payload.update(dropped_parts=[]))
     assert f"error: loading models: {path}: unknown key dropped_parts" in err
+
+
+def test_model_file_with_a_fractional_label_is_refused(workspace):
+    # A label value that is not 0 or 1 is refused, not cut to a whole number.
+    def edit(payload):
+        payload["canonical"]["labels"]["z"][0] = 0.5
+
+    path, err = refused_model_file(workspace, edit)
+    assert f"error: loading models: {path}: label 'z' values must be whole numbers" in err
+
+
+def test_scene_file_with_a_fractional_label_is_refused(workspace, capsys):
+    dataset = workspace / "dataset"
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    path = dataset / manifest["heldout"][0][0]
+    payload = json.loads(path.read_text())
+    handle = payload["object"]["parts"]["handle"]
+    handle["labels"] = {"adj:cup": [1.9] * len(handle["points"])}
+    path.write_text(json.dumps(payload))
+    assert run_transfer(workspace, "result.json") == 1
+    message = f"error: loading inputs: {path}: label 'adj:cup' values must be whole numbers"
+    assert message in capsys.readouterr().err
 
 
 def test_failed_context_write_still_transfers(workspace, monkeypatch):

@@ -69,6 +69,16 @@ class TestPointCloud:
         with pytest.raises(ValueError, match="0 or 1"):
             PointCloud(np.zeros((2, 3)), {"z": [-1, 1]})
 
+    @pytest.mark.parametrize("bad", [0.5, 1.9, np.nan, np.inf])
+    def test_label_value_that_is_not_a_whole_number_is_refused_by_key(self, bad):
+        # A file's labels arrive as floats: a fraction is refused, not cut,
+        # and NaN raises no cast warning.
+        payload = {"points": [[0, 0, 0], [1, 0, 0]], "labels": {"adj:cup": [0, bad]}}
+        with pytest.raises(ValueError, match="label 'adj:cup' values must be whole numbers"):
+            from_json(PointCloud, payload)
+        whole = from_json(PointCloud, {**payload, "labels": {"adj:cup": [0.0, 1.0]}})
+        assert whole.label("adj:cup").dtype == np.int64
+
     def test_label_access_and_keys(self, rng):
         cloud = random_labeled_cloud(rng, 10, keys=("z", "adj:x"))
         assert cloud.label_keys() == ("adj:x", "z")

@@ -49,7 +49,6 @@ from partwarp.transfer import (
     object_from_dict,
     optimize_placement,
     process_demonstration,
-    result_to_dict,
     scene_extent,
     select_demo_relations,
     select_relevant_relations,
@@ -198,8 +197,8 @@ class TestLabeling:
                         np.testing.assert_array_equal(got.label("z"), full.parts[name].label("z"))
 
     def test_fit_parts_computes_no_distances_for_pairs_it_does_not_fit(
-            self, mug_ctx, rack_models, monkeypatch):
-        rack = mug_ctx.demo.object_b
+            self, mug_scene, rack_models, monkeypatch):
+        rack = mug_scene.demo.object_b
         names = {id(cloud.points): name for name, cloud in rack.parts.items()}
         seen = []
         real = transfer_module.sqdist_rows
@@ -337,23 +336,25 @@ class TestExtraction:
         assert ("p", "q") in want
         assert_same_contacts(contact_pairs(demo, 0.006), full_block_contacts(demo, 0.006, 32))
 
-    def test_demo_interactions_are_bounded_and_consistent(self, mug_ctx):
+    def test_demo_interactions_are_bounded_and_consistent(
+            self, mug_ctx, mug_scene, mug_candidates):
         k_max = 32  # contact_pairs' default cut
         assert ("handle", "peg") in mug_ctx.interactions
-        goal_a = mug_ctx.demo.t_ab.apply
-        contacts = select_demo_relations(mug_ctx.demo)[1]
+        demo = mug_scene.demo
+        _contacts, _fits_a, fits_b, _interactions = mug_candidates
+        contacts = select_demo_relations(demo)[1]
         for (m, n), ips in mug_ctx.interactions.items():
             k = len(ips.pairs)
             assert 3 <= k <= k_max
             ii, jj = contacts[(m, n)]
-            pm = mug_ctx.demo.object_a.parts[m].points[ii]
-            pn = mug_ctx.demo.object_b.parts[n].points[jj]
-            rot = mug_ctx.fits_b[n].pose.rotation
+            pm = demo.object_a.parts[m].points[ii]
+            pn = demo.object_b.parts[n].points[jj]
+            rot = fits_b[n].pose.rotation
             np.testing.assert_allclose(
-                ips.displacements_n, (goal_a(pm) - pn) @ rot, atol=1e-12)
+                ips.displacements_n, (demo.t_ab.apply(pm) - pn) @ rot, atol=1e-12)
 
-    def test_larger_delta_finds_a_superset(self, mug_ctx):
-        demo = mug_ctx.demo
+    def test_larger_delta_finds_a_superset(self, mug_scene):
+        demo = mug_scene.demo
         delta = 0.02 * scene_extent(demo)
         small = contact_pairs(demo, delta, k_max=10**6)
         large = contact_pairs(demo, 2 * delta, k_max=10**6)
@@ -363,27 +364,44 @@ class TestExtraction:
             pairs_large = set(zip(large[rel][0].tolist(), large[rel][1].tolist()))
             assert pairs_small <= pairs_large
 
-    def test_separated_objects_have_no_interaction(self, mug_ctx):
+    def test_separated_objects_have_no_interaction(self, mug_scene):
         far = RigidTransform(np.eye(3), np.array([10.0, 0.0, 0.0]))
-        demo = Demonstration(mug_ctx.demo.object_a, mug_ctx.demo.object_b, far)
+        demo = Demonstration(mug_scene.demo.object_a, mug_scene.demo.object_b, far)
         with pytest.raises(ValueError, match="no interaction found in demonstration"):
-            contact_pairs(demo, 0.02 * scene_extent(mug_ctx.demo))
+            contact_pairs(demo, 0.02 * scene_extent(mug_scene.demo))
 
-    def test_demo_fits_only_the_contact_parts(self, mug_ctx, mug_candidates):
+    @staticmethod
+    def fitted_parts(task, ctx, monkeypatch):
+        """The (category, parts) of each fit_parts call of processing task's demo with
+        ctx's models, and the context it gives."""
+        demo = generate_demo_scene(task).demo
+        seen = []
+        fit_parts = transfer_module.fit_parts
+
+        def recording(obj, models, parts, *args):
+            seen.append((obj.category, set(parts)))
+            return fit_parts(obj, models, parts, *args)
+
+        monkeypatch.setattr(transfer_module, "fit_parts", recording)
+        again = process_demonstration(
+            demo, select_demo_relations(demo, TEAPOT_PIPELINE), ctx.models_a, ctx.models_b,
+            TEAPOT_PIPELINE)
+        return seen, again
+
+    def test_demo_fits_only_the_contact_parts(self, mug_ctx, mug_candidates, monkeypatch):
         # The cup touches the peg too, but only the selected relation's parts
         # are fitted.
         contacts, _fits_a, _fits_b, _interactions = mug_candidates
         assert {m for m, _ in contacts} == {"cup", "handle"}
-        assert mug_ctx.relations.relations == (("handle", "peg"),)
-        assert set(mug_ctx.fits_a) == {"handle"}
-        assert set(mug_ctx.fits_b) == {"peg"}
-        assert set(mug_ctx.interactions) == {("handle", "peg")}
+        fitted, ctx = self.fitted_parts("mug_on_rack", mug_ctx, monkeypatch)
+        assert fitted == [("mug", {"handle"}), ("rack", {"peg"})]
+        assert ctx.relations.relations == (("handle", "peg"),)
+        assert set(ctx.interactions) == {("handle", "peg")}
 
-    def test_teapot_demo_fits_only_the_spout_and_cup(self, cheap_teapot_ctx):
-        ctx = cheap_teapot_ctx
+    def test_teapot_demo_fits_only_the_spout_and_cup(self, cheap_teapot_ctx, monkeypatch):
+        fitted, ctx = self.fitted_parts("teapot_pour_align", cheap_teapot_ctx, monkeypatch)
+        assert fitted == [("teapot", {"spout"}), ("mug", {"cup"})]
         assert set(ctx.interactions) == {("spout", "cup")}
-        assert set(ctx.fits_a) == {"spout"}
-        assert set(ctx.fits_b) == {"cup"}
 
 
 class TestLargeClouds:
@@ -402,10 +420,10 @@ class TestLargeClouds:
                 Demonstration, PipelineConfig, contact_pairs, label_parts, scene_extent)
             spec_a = default_spec("mug", seed=11, points_per_part=20000)
             spec_b = default_spec("rack", seed=12, points_per_part=20000)
-            mug, rack = generate(spec_a)[0], generate(spec_b)[0]
+            (mug, _, feat_a), (rack, _, feat_b) = generate(spec_a), generate(spec_b)
             labeled = label_parts(mug)
             assert labeled.parts["cup"].label_keys() == ("adj:handle", "z")
-            demo = Demonstration(mug, rack, goal_transform("mug_on_rack", spec_a, spec_b))
+            demo = Demonstration(mug, rack, goal_transform("mug_on_rack", feat_a, feat_b))
             pairs = contact_pairs(demo, PipelineConfig().delta_scale * scene_extent(demo))
             assert ("handle", "peg") in pairs
             print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >> 10)
@@ -421,16 +439,18 @@ class TestLargeClouds:
 
 
 class TestTransferPoints:
-    def test_self_transfer_reproduces_demo_points_exactly(self, mug_ctx, mug_models, rack_models):
+    def test_self_transfer_reproduces_demo_points_exactly(
+            self, mug_ctx, mug_scene, mug_candidates, mug_models, rack_models):
         # The canonical-frame residuals are defined so that re-localizing on
         # the same fits returns the original demo points.
-        contacts = select_demo_relations(mug_ctx.demo)[1]
+        demo = mug_scene.demo
+        _contacts, fits_a, fits_b, _interactions = mug_candidates
+        contacts = select_demo_relations(demo)[1]
         for (m, n), ips in mug_ctx.interactions.items():
-            pm, pn = transfer_points(
-                ips, mug_models[m], mug_ctx.fits_a[m], rack_models[n], mug_ctx.fits_b[n])
+            pm, pn = transfer_points(ips, mug_models[m], fits_a[m], rack_models[n], fits_b[n])
             ii, jj = contacts[(m, n)]
-            np.testing.assert_allclose(pm, mug_ctx.demo.object_a.parts[m].points[ii], atol=1e-9)
-            np.testing.assert_allclose(pn, mug_ctx.demo.object_b.parts[n].points[jj], atol=1e-9)
+            np.testing.assert_allclose(pm, demo.object_a.parts[m].points[ii], atol=1e-9)
+            np.testing.assert_allclose(pn, demo.object_b.parts[n].points[jj], atol=1e-9)
 
     def test_every_demo_relation_subset_places(self, mug_candidates, mug_models, rack_models):
         # The default-radius cup contact is a single point; alone or with the
@@ -446,18 +466,20 @@ class TestTransferPoints:
                 np.testing.assert_allclose(rot @ rot.T, np.eye(3), atol=1e-9)
                 assert np.linalg.det(rot) == pytest.approx(1.0)
 
-    def test_per_relation_transform_recovers_demo_goal(self, mug_ctx, mug_models, rack_models):
+    def test_per_relation_transform_recovers_demo_goal(
+            self, mug_ctx, mug_scene, mug_candidates, mug_models, rack_models):
         # On the demo itself the aligned interaction points reproduce the
         # demonstrated transform for the selected relation. The secondary
         # cup contact is a graze whose point set is too flat to align on
         # its own, which is exactly why selection exists.
+        _contacts, fits_a, fits_b, _interactions = mug_candidates
         result = optimize_placement(
             list(mug_ctx.relations.relations), mug_models, rack_models,
-            mug_ctx.fits_a, mug_ctx.fits_b, mug_ctx.interactions)
+            fits_a, fits_b, mug_ctx.interactions)
+        t_ab = mug_scene.demo.t_ab
         for rel, t_rel in result.per_relation_transforms.items():
-            assert rotation_geodesic(t_rel, mug_ctx.demo.t_ab) < 1e-6
-            np.testing.assert_allclose(
-                t_rel.translation, mug_ctx.demo.t_ab.translation, atol=1e-7)
+            assert rotation_geodesic(t_rel, t_ab) < 1e-6
+            np.testing.assert_allclose(t_rel.translation, t_ab.translation, atol=1e-7)
 
 
 # The extraction radii, as multiples of the default, at which the clean mug
@@ -516,22 +538,23 @@ class TestSelection:
 
     @pytest.mark.parametrize("demo", ["mug", "mug_delta_0.03", "teapot"])
     def test_selection_matches_a_full_placement_per_subset(
-            self, mug_ctx, cheap_teapot_ctx, monkeypatch, demo):
+            self, mug_ctx, mug_scene, cheap_teapot_ctx, monkeypatch, demo):
         # The reference fits and grounds every candidate relation and scores
         # each subset by a whole optimize_placement through those fits.
         # Selection aligns the demo's contact points with their goal
         # positions, the points the fits carry back up to rounding, so it
         # must pick the same subset, at every subset's score to 1e-12.
         ctx = cheap_teapot_ctx if demo == "teapot" else mug_ctx
+        shown = (generate_demo_scene("teapot_pour_align") if demo == "teapot" else mug_scene).demo
         delta_scale = 0.03 if demo == "mug_delta_0.03" else PipelineConfig().delta_scale
         cfg = TEAPOT_PIPELINE.inference if demo == "teapot" else InferenceConfig()
         contacts, fits_a, fits_b, interactions = candidate_set(
-            ctx.demo, ctx.models_a, ctx.models_b, delta_scale, cfg)
-        bearing, extent = sorted(interactions), scene_extent(ctx.demo)
+            shown, ctx.models_a, ctx.models_b, delta_scale, cfg)
+        bearing, extent = sorted(interactions), scene_extent(shown)
 
         def score(t):
-            trans_err = float(np.linalg.norm(t.translation - ctx.demo.t_ab.translation))
-            return trans_err / extent + rotation_geodesic(t, ctx.demo.t_ab) / np.pi
+            trans_err = float(np.linalg.norm(t.translation - shown.t_ab.translation))
+            return trans_err / extent + rotation_geodesic(t, shown.t_ab) / np.pi
 
         subsets = [
             subset for size in range(1, len(bearing) + 1)
@@ -552,7 +575,7 @@ class TestSelection:
             return aligned[-1]
 
         monkeypatch.setattr(transfer_module, "_align", recording)
-        chosen = select_relevant_relations(ctx.demo, contacts)
+        chosen = select_relevant_relations(shown, contacts)
         assert chosen.relations == best
         assert len(aligned) == len(subsets)
         for subset, t in zip(subsets, aligned):
@@ -560,26 +583,29 @@ class TestSelection:
         assert abs(chosen.score - scores[best]) <= 1e-12
 
     def test_selected_score_not_worse_than_full_set(
-            self, mug_ctx, mug_candidates, mug_models, rack_models):
+            self, mug_ctx, mug_scene, mug_candidates, mug_models, rack_models):
         _contacts, fits_a, fits_b, interactions = mug_candidates
         full = sorted(interactions)
         result = optimize_placement(full, mug_models, rack_models, fits_a, fits_b, interactions)
-        extent = scene_extent(mug_ctx.demo)
+        demo = mug_scene.demo
         full_score = (
-            float(np.linalg.norm(result.t_final.translation - mug_ctx.demo.t_ab.translation))
-            / extent
-            + rotation_geodesic(result.t_final, mug_ctx.demo.t_ab) / np.pi)
+            float(np.linalg.norm(result.t_final.translation - demo.t_ab.translation))
+            / scene_extent(demo)
+            + rotation_geodesic(result.t_final, demo.t_ab) / np.pi)
         assert mug_ctx.relations.score <= full_score + 1e-12
 
 
 class TestPlacement:
-    def test_recreates_demo_transform(self, mug_ctx, mug_models, rack_models):
+    def test_recreates_demo_transform(
+            self, mug_ctx, mug_scene, mug_candidates, mug_models, rack_models):
+        _contacts, fits_a, fits_b, _interactions = mug_candidates
         result = optimize_placement(
             list(mug_ctx.relations.relations), mug_models, rack_models,
-            mug_ctx.fits_a, mug_ctx.fits_b, mug_ctx.interactions)
-        assert rotation_geodesic(result.t_final, mug_ctx.demo.t_ab) < np.radians(1.0)
-        err = np.linalg.norm(result.t_final.translation - mug_ctx.demo.t_ab.translation)
-        assert err < 0.01 * scene_extent(mug_ctx.demo)
+            fits_a, fits_b, mug_ctx.interactions)
+        demo = mug_scene.demo
+        assert rotation_geodesic(result.t_final, demo.t_ab) < np.radians(1.0)
+        err = np.linalg.norm(result.t_final.translation - demo.t_ab.translation)
+        assert err < 0.01 * scene_extent(demo)
         rel = mug_ctx.relations.relations[0]
         assert rotation_geodesic(result.t_final, result.per_relation_transforms[rel]) < 0.01
         assert set(result.diagnostics) == {m for m, _ in result.relations}
@@ -601,39 +627,44 @@ class TestPlacement:
         assert task_predicate("mug_on_rack", feat_a, features(spec_r))
         placed = result.t_final.apply(novel_a.all_points())
         assert penetration_depth(placed, sdf_b) <= 0.001
-        lift = result.t_final.translation[2] - mug_ctx.demo.t_ab.translation[2]
+        lift = result.t_final.translation[2] - mug_scene.demo.t_ab.translation[2]
         assert lift > 0.01
 
         extent = 0.5 * (novel_a.extent() + novel_b.extent())
-        # generate's signed distances are in the frame the novel objects are in.
-        (pm, pn) = result.transferred[("handle", "peg")]
-        assert np.abs(sdf_a.part_fns["handle"](pm)).max() < 0.02 * extent
-        assert np.abs(sdf_b.part_fns["peg"](pn)).max() < 0.02 * extent
+        # generate's signed distances are in the frame the novel objects are in;
+        # the contacts are carried through the fits transfer_skill makes.
+        ((m, n),) = result.relations
+        pm, pn = transfer_points(
+            mug_ctx.interactions[(m, n)],
+            mug_ctx.models_a[m], fit_parts(novel_a, mug_ctx.models_a, [m])[m],
+            mug_ctx.models_b[n], fit_parts(novel_b, mug_ctx.models_b, [n])[n])
+        assert np.abs(sdf_a.part_fns[m](pm)).max() < 0.02 * extent
+        assert np.abs(sdf_b.part_fns[n](pn)).max() < 0.02 * extent
 
-    def test_deterministic_result_bytes(self, mug_ctx):
+    def test_deterministic_result_bytes(self, mug_ctx, mug_scene):
         spec_m = default_spec("mug", seed=41)
         novel_a, _, _ = generate(spec_m)
         runs = []
         for _ in range(2):
-            result = transfer_skill(mug_ctx, novel_a, mug_ctx.demo.object_b, seed=3)
-            runs.append(json.dumps(result_to_dict(result), sort_keys=True))
+            result = transfer_skill(mug_ctx, novel_a, mug_scene.demo.object_b, seed=3)
+            runs.append(json.dumps(to_json(result), sort_keys=True))
         assert runs[0] == runs[1]
 
-    def test_missing_part_is_named(self, mug_ctx):
-        demo = mug_ctx.demo
+    def test_missing_part_is_named(self, mug_ctx, mug_scene):
+        demo = mug_scene.demo
         ((m, _n),) = mug_ctx.relations.relations
         partial = PartDecomposedObject(
             "mug", {p: c for p, c in demo.object_a.parts.items() if p != m})
         with pytest.raises(ValueError, match=f"'mug' object has no part '{m}'"):
             transfer_skill(mug_ctx, partial, demo.object_b)
         with pytest.raises(ValueError, match=f"no model for part '{m}' of category 'mug'"):
-            fit_parts(mug_ctx.demo.object_a, {}, parts=[m])
+            fit_parts(demo.object_a, {}, parts=[m])
 
 
 class TestWholeObjectBaseline:
-    def test_recovers_demo_on_identical_objects(self, mug_ctx, mug_whole_models,
+    def test_recovers_demo_on_identical_objects(self, mug_scene, mug_whole_models,
                                                 rack_whole_models):
-        demo = mug_ctx.demo
+        demo = mug_scene.demo
         merged = Demonstration(merge_object(demo.object_a), merge_object(demo.object_b), demo.t_ab)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -641,8 +672,8 @@ class TestWholeObjectBaseline:
                 merged, select_demo_relations(merged), mug_whole_models, rack_whole_models, seed=0)
             result = whole_object_baseline(ctx, demo.object_a, demo.object_b, seed=0)
         assert result.relations == (("whole", "whole"),)
-        assert rotation_geodesic(result.t_final, mug_ctx.demo.t_ab) < np.radians(1.0)
-        err = np.linalg.norm(result.t_final.translation - mug_ctx.demo.t_ab.translation)
+        assert rotation_geodesic(result.t_final, demo.t_ab) < np.radians(1.0)
+        err = np.linalg.norm(result.t_final.translation - demo.t_ab.translation)
         assert err < 0.005
 
 
@@ -694,16 +725,17 @@ class TestSerialization:
         np.testing.assert_array_equal(
             loaded.object_b.parts["q"].points, obj_b.parts["q"].points)
 
-    def test_context_round_trip(self, mug_ctx, cheap_teapot_ctx):
+    def test_context_round_trip(self, mug_ctx, mug_scene, cheap_teapot_ctx):
         # The mug's handle|peg context and the teapot's spout|cup one.
         cfg = PipelineConfig(inference=InferenceConfig(restarts=1, yaw_init_count=2, max_evals=40))
-        for ctx in (mug_ctx, cheap_teapot_ctx):
+        teapot_demo = generate_demo_scene("teapot_pour_align").demo
+        for ctx, demo in ((mug_ctx, mug_scene.demo), (cheap_teapot_ctx, teapot_demo)):
             payload = json.loads(json.dumps(context_to_dict(ctx), allow_nan=False))
-            again = context_from_dict(ctx.demo, ctx.models_a, ctx.models_b, payload)
+            assert list(payload) == ["interactions", "relations"]
+            again = context_from_dict(ctx.models_a, ctx.models_b, payload)
             assert_same_fields(again, ctx)
-            demo = ctx.demo
             results = [
-                result_to_dict(transfer_skill(c, demo.object_a, demo.object_b, cfg))
+                to_json(transfer_skill(c, demo.object_a, demo.object_b, cfg))
                 for c in (ctx, again)
             ]
             assert results[0] == results[1]
@@ -716,14 +748,14 @@ class TestSerialization:
         interactions["cup|peg"] = interactions.pop(only)
         message = re.escape(f"interactions.cup|peg holds the pair {only}")
         with pytest.raises(ValueError, match=message):
-            context_from_dict(mug_ctx.demo, mug_models, rack_models, payload)
+            context_from_dict(mug_models, rack_models, payload)
 
     def test_context_relation_without_interaction_is_refused(
             self, mug_ctx, mug_models, rack_models):
         payload = json.loads(json.dumps(context_to_dict(mug_ctx)))
         del payload["interactions"]["handle|peg"]
         with pytest.raises(ValueError, match=re.escape("relations name handle|peg")):
-            context_from_dict(mug_ctx.demo, mug_models, rack_models, payload)
+            context_from_dict(mug_models, rack_models, payload)
 
     @pytest.mark.parametrize("side, value", [
         (0, -1), (1, -1), (0, 1000000), (1, 1000000)])
@@ -735,14 +767,14 @@ class TestSerialization:
         part = ("handle", "peg")[side]
         message = re.escape(f"interactions.handle|peg indexes part {part!r} outside its model's")
         with pytest.raises(ValueError, match=message):
-            context_from_dict(mug_ctx.demo, mug_models, rack_models, payload)
+            context_from_dict(mug_models, rack_models, payload)
 
     def test_context_pair_that_is_not_a_whole_number_is_refused(
             self, mug_ctx, mug_models, rack_models):
         payload = json.loads(json.dumps(context_to_dict(mug_ctx)))
         payload["interactions"]["handle|peg"]["pairs"][0][0] += 0.5
         with pytest.raises(ValueError, match="whole numbers"):
-            context_from_dict(mug_ctx.demo, mug_models, rack_models, payload)
+            context_from_dict(mug_models, rack_models, payload)
 
     def test_processed_context_obeys_the_same_checks(self, mug_ctx):
         # A context built in memory is checked as one read from a file.
@@ -755,11 +787,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape("relations name handle|peg")):
             dataclasses.replace(mug_ctx, interactions={})
 
-    def test_result_payload_shape(self, mug_ctx, mug_models, rack_models):
+    def test_result_payload_shape(self, mug_ctx, mug_candidates, mug_models, rack_models):
+        _contacts, fits_a, fits_b, _interactions = mug_candidates
         result = optimize_placement(
             list(mug_ctx.relations.relations), mug_models, rack_models,
-            mug_ctx.fits_a, mug_ctx.fits_b, mug_ctx.interactions)
-        payload = result_to_dict(result)
+            fits_a, fits_b, mug_ctx.interactions)
+        payload = to_json(result)
         assert set(payload) == {
             "t_final", "relations", "per_relation_transforms", "objective", "diagnostics"}
         json.dumps(payload)
