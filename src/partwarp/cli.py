@@ -16,22 +16,25 @@ parts, as ``eval`` does: the only models ``transfer`` reads. So a
 relation needs ``train`` run under the same config.
 
 ``transfer`` keeps what it derives from the demonstration in
-``<demo stem>.context.json`` beside the demo file:
-transfer.context_to_dict's record of the selected relations and their
-contacts grounded in those relations' part models, without the demo, its
-fits or the models. Later transfers with the same demo reuse it instead of
-processing the demo again. The file is stored under a sha256 key over the
-demo file's bytes, the bytes and names of the model files of the selected
-relations' parts, the ``pipeline`` section, the seed and the partwarp
-source. A cached context is reused without a contact search: its own
-relations name the model files the key is checked over, so editing any other
-model file keeps it. When the key differs, the file is missing, unreadable
-or fails the checks of transfer.DemoContext and its RelationSet (no
-relation, a relation without its contacts, a pair outside its part's
-model), or its relations' model files
-are missing or unreadable, the demo is processed again, with one contact
-search, and the file replaced. Its bytes are a function of those inputs, so
-the rule above holds for it too.
+``<demo stem>.context.json`` beside the demo file, and later transfers
+with the same demo reuse it instead of processing the demo again. The file
+is one record: its ``key``, the demo's two object ``categories``, and the
+``interactions`` and ``relations`` of its transfer.DemoContext, the
+selected relations and their contacts grounded in those relations' part
+models; the models stay in their own files. The key is a sha256 over the
+demo file's bytes, the names (category first) and bytes of the selected
+relations' model files, the ``pipeline`` section, the seed and the
+partwarp source. A reuse hashes the demo's bytes without parsing them and
+runs no contact search: the file's categories and relations name the model
+files the key is checked over, so editing any other model file keeps it.
+When the key differs, the file is missing, unreadable or fails the checks
+of transfer.DemoContext and its RelationSet (no relation, a relation
+without its contacts, a pair outside its part's model), or its relations'
+model files are missing or unreadable, the demo is parsed and processed
+again, with one contact search and under ``eval``'s demo seed
+(evaluation.demo_seed), as ``eval``'s parts method processes it, and the
+file replaced. Its bytes are a function of those inputs, so the rule
+above holds for it too.
 
 ``transfer`` fits the novel pair under the config's ``seed``, ``eval``
 trial i under that trial's own seed, so above one inference restart the
@@ -69,6 +72,7 @@ from typing import Mapping, Sequence
 
 from .evaluation import (
     ExperimentConfig,
+    demo_seed,
     run_experiment,
     train_models_from_objects,
     training_seeds,
@@ -81,11 +85,9 @@ from .shapemodel import CanonicalPartModel, load_model, save_model
 from .synth import generate, generate_demo_scene
 from .transfer import (
     DemoContext,
-    Demonstration,
+    InteractionPointSet,
     PartDecomposedObject,
     RelationSet,
-    context_from_dict,
-    context_to_dict,
     label_parts,
     load_demo,
     object_from_dict,
@@ -179,8 +181,6 @@ def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Write training instances, held-out pairs, one demo, and a manifest."""
     exp = cfg.experiment
     dataset = Path(cfg.dataset_dir)
-    dataset.mkdir(parents=True, exist_ok=True)
-
     manifest: dict = {
         "task": exp.task,
         "seed": exp.master_seed,
@@ -189,34 +189,39 @@ def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
         "heldout": [],
         "demo": "demo.json",
     }
-    for cat, seed in training_seeds(exp):
-        names = []
-        for i, spec in enumerate(training_specs(cat, seed, exp)):
-            obj, _, _ = generate(spec)
-            name = f"train_{cat}_{i:02d}.json"
-            _dump(dataset / name, {"spec": to_json(spec), "object": to_json(obj)})
-            names.append(name)
-        manifest["train"][cat] = names
+    try:
+        dataset.mkdir(parents=True, exist_ok=True)
+        for cat, seed in training_seeds(exp):
+            names = []
+            for i, spec in enumerate(training_specs(cat, seed, exp)):
+                obj, _, _ = generate(spec)
+                name = f"train_{cat}_{i:02d}.json"
+                _dump(dataset / name, {"spec": to_json(spec), "object": to_json(obj)})
+                names.append(name)
+            manifest["train"][cat] = names
 
-    for i in range(cfg.count):
-        # Pair i is the scene that trial i of `eval` sees. `transfer` fits it
-        # under `seed`, not under trial i's seed, so its placement need not
-        # equal the one `eval` reports.
-        spec_a, spec_b, pose_a, pose_b = trial_scene(exp, i)
-        pair = []
-        for side, spec, pose in (("a", spec_a, pose_a), ("b", spec_b, pose_b)):
-            obj, _, _ = generate(spec)
-            name = f"heldout_{i:02d}_{side}.json"
-            _dump(dataset / name, {
-                "spec": to_json(spec),
-                "pose": to_json(pose),
-                "object": to_json(obj.transformed(pose)),
-            })
-            pair.append(name)
-        manifest["heldout"].append(pair)
+        for i in range(cfg.count):
+            # Pair i is the scene that trial i of `eval` sees. `transfer` fits
+            # it under `seed`, not under trial i's seed, so its placement need
+            # not equal the one `eval` reports.
+            spec_a, spec_b, pose_a, pose_b = trial_scene(exp, i)
+            pair = []
+            for side, spec, pose in (("a", spec_a, pose_a), ("b", spec_b, pose_b)):
+                obj, _, _ = generate(spec)
+                name = f"heldout_{i:02d}_{side}.json"
+                _dump(dataset / name, {
+                    "spec": to_json(spec),
+                    "pose": to_json(pose),
+                    "object": to_json(obj.transformed(pose)),
+                })
+                pair.append(name)
+            manifest["heldout"].append(pair)
 
-    _dump(dataset / "demo.json", to_json(generate_demo_scene(exp.task).demo))
-    _dump(dataset / "manifest.json", manifest, indent=2)
+        _dump(dataset / "demo.json", to_json(generate_demo_scene(exp.task)))
+        _dump(dataset / "manifest.json", manifest, indent=2)
+    except OSError as exc:
+        print(f"error: writing dataset: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {exp.train_instances * 2} training instances, "
           f"{cfg.count} held-out pairs, 1 demo to {dataset}")
     return 0
@@ -285,20 +290,18 @@ def _load_scene_object(path: Path) -> PartDecomposedObject:
 
 
 def _load_models(
-    model_dir: Path,
-    demo: Demonstration,
-    relations: RelationSet,
-    files: dict[str, bytes],
-) -> tuple[dict[str, CanonicalPartModel], dict[str, CanonicalPartModel]]:
-    """Load the part models relations read, for object a and object b.
+    model_dir: Path, categories: tuple[str, str], relations: RelationSet
+) -> tuple[dict[str, CanonicalPartModel], dict[str, CanonicalPartModel], dict[str, bytes]]:
+    """The part models relations read, for object a and object b of categories.
 
-    Each file's bytes are added to files under its name in model_dir.
+    Also returns each file's bytes under its name in model_dir.
     """
+    files: dict[str, bytes] = {}
     loaded = []
-    for obj, parts in zip((demo.object_a, demo.object_b), relations.parts()):
+    for category, parts in zip(categories, relations.parts()):
         models = {}
         for part in sorted(parts):
-            name = f"{obj.category}/{part}.json"
+            name = f"{category}/{part}.json"
             path = model_dir / name
             if not path.exists():
                 raise FileNotFoundError(f"{path}: missing model file")
@@ -308,7 +311,7 @@ def _load_models(
             except _INPUT_ERRORS as exc:
                 raise ValueError(f"{path}: {exc}") from exc
         loaded.append(models)
-    return loaded[0], loaded[1]
+    return loaded[0], loaded[1], files
 
 
 def _context_key(demo_bytes: bytes, model_files: Mapping[str, bytes], exp: ExperimentConfig) -> str:
@@ -319,7 +322,7 @@ def _context_key(demo_bytes: bytes, model_files: Mapping[str, bytes], exp: Exper
         h.update(f"{label}\0{len(data)}\0".encode())
         h.update(data)
 
-    # The code is an input too, context_to_dict's layout included: a context
+    # The code is an input too, _ContextFile's layout included: a context
     # from an older partwarp must miss.
     for path in sorted(Path(__file__).parent.glob("*.py")):
         add(f"source {path.name}", path.read_bytes())
@@ -331,34 +334,47 @@ def _context_key(demo_bytes: bytes, model_files: Mapping[str, bytes], exp: Exper
     return h.hexdigest()
 
 
+@dataclass(frozen=True)
+class _ContextFile:
+    """The layout of <demo stem>.context.json, read and written by from_json and to_json.
+
+    categories are the demo's object categories, a then b; interactions and
+    relations are its DemoContext's, whose models stay in their own files.
+    """
+
+    key: str
+    categories: tuple[str, str]
+    interactions: Mapping[tuple[str, str], InteractionPointSet]
+    relations: RelationSet
+
+
 def _load_context(
-    path: Path, demo_bytes: bytes, demo: Demonstration, model_dir: Path, exp: ExperimentConfig
+    path: Path, demo_bytes: bytes, model_dir: Path, exp: ExperimentConfig
 ) -> DemoContext | None:
     """The context cached at path, or None if it cannot be reused.
 
-    The cached relations name the model files to load, under the demo's
-    categories, and the key is checked over those files alone, so no
-    contact search runs. A missing or unreadable file, relations that are
-    empty or whose model files are missing or unreadable, a key that
-    differs, or a context DemoContext refuses all give None.
+    The file's categories and relations name the model files to load, and
+    the key is checked over those files and the demo's bytes, so neither a
+    contact search nor a parse of the demo runs. A missing or unreadable
+    file, relations that are empty or whose model files are missing or
+    unreadable, a key that differs, or a context DemoContext refuses all
+    give None.
     """
     try:
-        payload = json.loads(path.read_bytes())
-        relations = from_json(RelationSet, payload["context"]["relations"], path="relations")
-        files: dict[str, bytes] = {}
-        models_a, models_b = _load_models(model_dir, demo, relations, files)
-        if payload["key"] != _context_key(demo_bytes, files, exp):
+        record = from_json(_ContextFile, json.loads(path.read_bytes()))
+        models_a, models_b, files = _load_models(model_dir, record.categories, record.relations)
+        if record.key != _context_key(demo_bytes, files, exp):
             return None
-        return context_from_dict(models_a, models_b, payload["context"])
+        return DemoContext(models_a, models_b, record.interactions, record.relations)
     except (*_INPUT_ERRORS, IndexError):
         return None
 
 
-def _store_context(path: Path, key: str, ctx: DemoContext) -> None:
+def _store_context(path: Path, record: _ContextFile) -> None:
     """Replace path atomically; a failure only costs the next transfer a recomputation."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        _dump(tmp, {"key": key, "context": context_to_dict(ctx)})
+        _dump(tmp, to_json(record))
         os.replace(tmp, path)
     except (OSError, ValueError) as exc:
         with contextlib.suppress(OSError):
@@ -373,43 +389,53 @@ def cmd_transfer(cfg: RunConfig, args: argparse.Namespace) -> int:
     try:
         stage = f"loading inputs: {demo_path}"
         demo_bytes = demo_path.read_bytes()
-        demo = load_demo(demo_bytes)
         stage = f"loading inputs: {args.scene_a}"
         novel_a = _load_scene_object(Path(args.scene_a))
         stage = f"loading inputs: {args.scene_b}"
         novel_b = _load_scene_object(Path(args.scene_b))
         model_dir = Path(cfg.model_dir)
         cache = demo_path.with_name(f"{demo_path.stem}.context.json")
-        ctx = _load_context(cache, demo_bytes, demo, model_dir, exp)
+        ctx = _load_context(cache, demo_bytes, model_dir, exp)
         if ctx is None:
+            stage = f"loading inputs: {demo_path}"
+            demo = load_demo(demo_bytes)
             stage = "processing demonstration"
             selected = select_demo_relations(demo, exp.pipeline)
             stage = "loading models"
-            model_files: dict[str, bytes] = {}
-            models_a, models_b = _load_models(model_dir, demo, selected[0], model_files)
+            categories = (demo.object_a.category, demo.object_b.category)
+            models_a, models_b, files = _load_models(model_dir, categories, selected[0])
             stage = "processing demonstration"
             ctx = process_demonstration(
-                demo, selected, models_a, models_b, exp.pipeline, seed=exp.master_seed
+                demo, selected, models_a, models_b, exp.pipeline, seed=demo_seed(exp)
             )
-            _store_context(cache, _context_key(demo_bytes, model_files, exp), ctx)
+            key = _context_key(demo_bytes, files, exp)
+            _store_context(cache, _ContextFile(key, categories, ctx.interactions, ctx.relations))
         stage = "optimizing placement"
         result = transfer_skill(ctx, novel_a, novel_b, exp.pipeline, seed=exp.master_seed)
+        stage = "writing result"
+        out = Path(args.out) if args.out else Path(cfg.output_dir) / "transfer_result.json"
+        out.parent.mkdir(parents=True, exist_ok=True)
+        _dump(out, {**to_json(result), "relation_set": to_json(ctx.relations)}, indent=2)
     except _INPUT_ERRORS as exc:
         print(f"error: {stage}: {exc}", file=sys.stderr)
         return 1
-
-    payload = {**to_json(result), "relation_set": to_json(ctx.relations)}
-    out = Path(args.out) if args.out else Path(cfg.output_dir) / "transfer_result.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _dump(out, payload, indent=2)
     print(f"wrote {out}")
     return 0
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Run the paired experiment and write report, CSV, and timings."""
-    report = run_experiment(dataclasses.replace(cfg.experiment, jobs=args.jobs))
-    write_report(report, cfg.output_dir)
+    stage = "writing report"
+    try:
+        # Made before any trial runs, so an unwritable path costs no trial.
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+        stage = "running experiment"
+        report = run_experiment(dataclasses.replace(cfg.experiment, jobs=args.jobs))
+        stage = "writing report"
+        write_report(report, cfg.output_dir)
+    except OSError as exc:
+        print(f"error: {stage}: {exc}", file=sys.stderr)
+        return 1
     rates = ", ".join(
         f"{m}={'n/a' if r is None else f'{r:.3f}'}"
         for m, r in report.success_rates.items()
@@ -456,13 +482,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_transfer = sub.add_parser(
         "transfer",
         help="replay a demonstration on a novel scene",
-        description="Replay a demonstration on a novel scene. The demo's selected relations "
-                    "and their contacts, grounded in those relations' part models, are kept "
-                    "in <demo stem>.context.json beside the demo file and reused, without a "
-                    "contact search, while the demo, the model files of its selected "
-                    "relations' parts, the pipeline section, the seed and the partwarp "
-                    "source are unchanged. It fits under the config's seed, not eval's "
-                    "per-trial seed: above one restart its placement can differ from eval's.",
+        description="Replay a demonstration on a novel scene. The demo is processed under "
+                    "eval's demo seed, and <demo stem>.context.json beside the demo file "
+                    "keeps a sha256 key, the demo's two object categories, its selected "
+                    "relations' contacts grounded in those relations' part models, and the "
+                    "relations. Later transfers reuse it, hashing the demo's bytes without "
+                    "parsing them and with no contact search, while the demo, the model files "
+                    "of its selected relations' parts, the pipeline section, the seed and the "
+                    "partwarp source are unchanged. The novel pair is fitted under the config's "
+                    "seed, not eval's per-trial seed: above one restart its placement can "
+                    "differ from eval's.",
     )
     _add_common(p_transfer)
     p_transfer.add_argument("--demo", required=True, help="demonstration JSON file")

@@ -70,6 +70,7 @@ __all__ = [
     "train_whole_models",
     "draw_test_pair",
     "trial_scene",
+    "demo_seed",
     "run_experiment",
     "report_to_dict",
     "report_to_csv",
@@ -301,6 +302,11 @@ def _trial_seed(master_seed: int, trial: int) -> int:
     return int(np.random.SeedSequence((master_seed, 2, trial)).generate_state(1)[0])
 
 
+def demo_seed(cfg: ExperimentConfig) -> int:
+    """The seed the demo is processed under, by eval and by cli transfer alike."""
+    return int(np.random.SeedSequence((cfg.master_seed, 3)).generate_state(1)[0])
+
+
 def _yaw_box_pose(rng: np.random.Generator) -> RigidTransform:
     # Tabletop scenes: uniform yaw, translation inside a 0.5 m box, no tilt.
     yaw = rng.uniform(0.0, 2.0 * np.pi)
@@ -374,7 +380,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     batch.
     """
     # The demo depends on the task alone, so both methods share one draw.
-    demo = generate_demo_scene(cfg.task).demo
+    demo = generate_demo_scene(cfg.task)
     demos = {
         METHOD_PARTS: demo,
         METHOD_WHOLE: Demonstration(
@@ -384,7 +390,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     selected = {
         method: select_demo_relations(demos[method], cfg.pipeline) for method in cfg.methods
     }
-    demo_seed = int(np.random.SeedSequence((cfg.master_seed, 3)).generate_state(1)[0])
     contexts: dict[str, DemoContext] = {}
     for method in cfg.methods:
         # Both here and in _run_trial the function is picked by name at call
@@ -401,7 +406,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 train_whole_models(cat, seed, cfg) for cat, seed in training_seeds(cfg)
             )
         contexts[method] = process_demonstration(
-            demos[method], selected[method], models_a, models_b, cfg.pipeline, seed=demo_seed
+            demos[method], selected[method], models_a, models_b, cfg.pipeline, seed=demo_seed(cfg)
         )
 
     trials: list[TrialRecord] = []

@@ -34,7 +34,6 @@ __all__ = [
     "CameraView",
     "AnalyticSdf",
     "ObjectFeatures",
-    "DemoScene",
     "CATEGORY_PARTS",
     "CATEGORY_DEFAULTS",
     "TASKS",
@@ -973,18 +972,7 @@ def task_predicate(task: str, feat_a: ObjectFeatures, feat_b: ObjectFeatures) ->
 _DEMO_INIT_A = RigidTransform(rotation_about_axis(_Z, 0.3), np.array([0.32, -0.14, 0.0]))
 
 
-@dataclass(frozen=True)
-class DemoScene:
-    """A demonstration plus everything needed to audit or evaluate it."""
-
-    demo: Demonstration
-    spec_a: ParametricObjectSpec
-    spec_b: ParametricObjectSpec
-    init_a: RigidTransform
-    sdf_b: AnalyticSdf
-
-
-def generate_demo_scene(task: str) -> DemoScene:
+def generate_demo_scene(task: str) -> Demonstration:
     """The task's one demonstration: its two default objects at the goal."""
     cat_a, cat_b = task_categories(task)
     pp = TASKS[task].demo_points_per_part
@@ -1003,5 +991,4 @@ def generate_demo_scene(task: str) -> DemoScene:
         raise ValueError("infeasible pair")
 
     t_ab = t_goal.compose(_DEMO_INIT_A.inverse())
-    demo = Demonstration(obj_a.transformed(_DEMO_INIT_A), obj_b, t_ab)
-    return DemoScene(demo, spec_a, spec_b, _DEMO_INIT_A, sdf_b)
+    return Demonstration(obj_a.transformed(_DEMO_INIT_A), obj_b, t_ab)

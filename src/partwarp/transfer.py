@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
@@ -34,7 +33,6 @@ from .geom import (
     near_box,
     rotation_geodesic,
     sqdist_rows,
-    to_json,
     whole_numbers,
     z_label_values,
 )
@@ -74,8 +72,6 @@ __all__ = [
     "scene_extent",
     "object_from_dict",
     "load_demo",
-    "context_to_dict",
-    "context_from_dict",
 ]
 
 
@@ -636,30 +632,3 @@ def load_demo(source) -> Demonstration:
     """Demonstration from a file path, or from the bytes of a demo file already read."""
     raw = source if isinstance(source, bytes) else Path(source).read_bytes()
     return from_json(Demonstration, json.loads(raw))
-
-
-# What process_demonstration derives, and all that context_to_dict writes:
-# DemoContext's fields after its models.
-_DERIVED = {
-    name: hint for name, hint in typing.get_type_hints(DemoContext).items()
-    if name not in ("models_a", "models_b")
-}
-
-
-def context_to_dict(ctx: DemoContext) -> dict:
-    """to_json of everything process_demonstration derived, without the models.
-
-    Arrays go through tolist, so every float survives a JSON round trip
-    exactly and context_from_dict rebuilds an equal context.
-    """
-    return {name: to_json(getattr(ctx, name)) for name in _DERIVED}
-
-
-def context_from_dict(
-    models_a: Mapping[str, CanonicalPartModel],
-    models_b: Mapping[str, CanonicalPartModel],
-    payload: Mapping,
-) -> DemoContext:
-    """Inverse of context_to_dict for the models the context was derived with."""
-    derived = {name: from_json(hint, payload[name], path=name) for name, hint in _DERIVED.items()}
-    return DemoContext(models_a, models_b, **derived)

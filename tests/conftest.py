@@ -34,15 +34,14 @@ def rack_whole_models():
 
 
 @pytest.fixture(scope="session")
-def mug_scene():
+def mug_demo():
     return generate_demo_scene("mug_on_rack")
 
 
 @pytest.fixture(scope="session")
-def mug_ctx(mug_scene, mug_models, rack_models):
-    demo = mug_scene.demo
+def mug_ctx(mug_demo, mug_models, rack_models):
     return process_demonstration(
-        demo, select_demo_relations(demo), mug_models, rack_models, seed=0)
+        mug_demo, select_demo_relations(mug_demo), mug_models, rack_models, seed=0)
 
 
 @pytest.fixture()

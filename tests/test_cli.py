@@ -1,15 +1,16 @@
 """The command-line front end: a tiny gen/train/transfer/eval round trip on
 every task, the demo context `transfer` caches, what it holds, when it is
-recomputed and that reusing it runs no contact search, config and flag
-validation, the scenes `gen` draws, model files `transfer` refuses or
-lacks, the top-level key order of every file the CLI writes, malformed
-input files `train` and `transfer` report by path and without a traceback,
-the settings `eval` passes on to training, `train` writing exactly the
-models `eval` trains and naming a part a training object lacks, `eval`
-training only the part models its demo's selected relations read and
-failing before training on a demo without contacts, `eval`'s worker pool
-reproducing the one-process report, and the BLAS thread variables recorded
-beside it."""
+recomputed, that reusing it runs no contact search and parses no demo, and
+that it equals `eval`'s, an unwritable output path reported in one line,
+config and flag validation, the scenes `gen` draws, model files `transfer`
+refuses or lacks, the top-level key order of every file the CLI writes,
+malformed input files `train` and `transfer` report by path and without a
+traceback, the settings `eval` passes on to training, `train` writing
+exactly the models `eval` trains and naming a part a training object
+lacks, `eval` training only the part models its demo's selected relations
+read and failing before training on a demo without contacts, `eval`'s
+worker pool reproducing the one-process report, and the BLAS thread
+variables recorded beside it."""
 
 from __future__ import annotations
 
@@ -89,7 +90,7 @@ SELECTED_PARTS = {
 
 @pytest.mark.parametrize("task", list(SELECTED_PARTS))
 def test_selected_parts_are_the_demo_selections_parts(task):
-    demo = generate_demo_scene(task).demo
+    demo = generate_demo_scene(task)
     for obj, parts in zip((demo.object_a, demo.object_b), select_demo_relations(demo)[0].parts()):
         prefix = f"{obj.category}/"
         assert {prefix + part for part in parts} == {
@@ -134,7 +135,7 @@ def test_round_trip_exits_zero_and_transfer_is_reproducible(tmp_path, task):
     dataset = tmp_path / "dataset"
     manifest = json.loads((dataset / "manifest.json").read_text())
     demo = json.loads((dataset / manifest["demo"]).read_text())
-    assert demo == json.loads(json.dumps(to_json(generate_demo_scene(task).demo)))
+    assert demo == json.loads(json.dumps(to_json(generate_demo_scene(task))))
     name_a, name_b = manifest["heldout"][0]
     transfer = [
         "transfer", *common,
@@ -252,7 +253,7 @@ def test_context_with_relabelled_relations_is_recomputed(workspace, processed):
     cache = workspace / "dataset" / "demo.context.json"
     stored = cache.read_bytes()
     payload = json.loads(stored)
-    payload["context"]["relations"]["relations"] = [["cup", "peg"]]
+    payload["relations"]["relations"] = [["cup", "peg"]]
     cache.write_text(json.dumps(payload))
     assert transfer(workspace, "second.json") == first
     assert len(processed) == 2
@@ -329,7 +330,7 @@ def test_context_whose_relation_lacks_its_interaction_is_recomputed(workspace, p
     cache = workspace / "dataset" / "demo.context.json"
     stored = cache.read_bytes()
     payload = json.loads(stored)
-    del payload["context"]["interactions"]["handle|peg"]
+    del payload["interactions"]["handle|peg"]
     cache.write_text(json.dumps(payload))
     assert transfer(workspace, "second.json") == first
     assert len(processed) == 2
@@ -352,7 +353,7 @@ def test_context_with_a_pair_outside_its_model_is_recomputed(workspace, processe
     cache = workspace / "dataset" / "demo.context.json"
     stored = cache.read_bytes()
     payload = json.loads(stored)
-    pairs = payload["context"]["interactions"]["handle|peg"]["pairs"]
+    pairs = payload["interactions"]["handle|peg"]["pairs"]
     pairs[0][1] = CORRUPT_PAIRS[corruption](pairs[0][1])
     cache.write_text(json.dumps(payload))
     assert transfer(workspace, "second.json") == first
@@ -369,8 +370,8 @@ def test_context_with_no_relations_is_recomputed(workspace, processed):
     cache = dataset / "demo.context.json"
     stored = cache.read_bytes()
     payload = json.loads(stored)
-    payload["context"]["relations"]["relations"] = []
-    payload["context"]["interactions"] = {}
+    payload["relations"]["relations"] = []
+    payload["interactions"] = {}
     exp = cli.load_run_config(write_config(workspace), []).experiment
     payload["key"] = cli._context_key((dataset / "demo.json").read_bytes(), {}, exp)
     cache.write_text(json.dumps(payload))
@@ -381,11 +382,105 @@ def test_context_with_no_relations_is_recomputed(workspace, processed):
 
 def test_context_file_holds_only_the_relations_and_their_contacts(workspace):
     # The demo, its fits and the models are inputs or local steps of
-    # processing, and no transfer reads them from the file.
+    # processing, and no transfer reads them from the file; the demo's
+    # categories name the model files a reuse loads.
     transfer(workspace, "result.json")
     payload = json.loads((workspace / "dataset" / "demo.context.json").read_text())
-    assert list(payload) == ["key", "context"]
-    assert list(payload["context"]) == ["interactions", "relations"]
+    assert list(payload) == ["key", "categories", "interactions", "relations"]
+    assert payload["categories"] == ["mug", "rack"]
+
+
+def test_reusing_the_context_does_not_parse_the_demo(workspace, monkeypatch):
+    parsed = []
+    load_demo = cli.load_demo
+
+    def counting(source):
+        parsed.append(1)
+        return load_demo(source)
+
+    monkeypatch.setattr(cli, "load_demo", counting)
+    first = transfer(workspace, "first.json")
+    assert len(parsed) == 1
+
+    def refuse(source):
+        raise AssertionError("the demo was parsed")
+
+    monkeypatch.setattr(cli, "load_demo", refuse)
+    assert transfer(workspace, "second.json") == first
+
+
+def test_context_with_another_demos_categories_is_recomputed(workspace, processed):
+    # Categories name the model files the key is checked over; other ones
+    # name files the key was not taken over, here files that do not exist.
+    first = transfer(workspace, "first.json")
+    cache = workspace / "dataset" / "demo.context.json"
+    stored = cache.read_bytes()
+    payload = json.loads(stored)
+    payload["categories"] = ["rack", "mug"]
+    cache.write_text(json.dumps(payload))
+    assert transfer(workspace, "second.json") == first
+    assert len(processed) == 2
+    assert cache.read_bytes() == stored
+
+
+def test_transfer_processes_the_demo_as_eval_does(tmp_path, monkeypatch):
+    # Above one restart a fit draws random starts, so the demo context
+    # depends on its seed: the CLI's must be the one eval's PSW transfers with.
+    restarts = "pipeline.inference.restarts=3"
+    common = ["--config", write_config(tmp_path), "--set", restarts]
+    assert run("gen", *common) == 0
+    assert run("train", *common) == 0
+    dataset = tmp_path / "dataset"
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    name_a, name_b = manifest["heldout"][0]
+    assert run("transfer", *common, "--demo", str(dataset / manifest["demo"]),
+               "--scene-a", str(dataset / name_a), "--scene-b", str(dataset / name_b)) == 0
+    stored = json.loads((dataset / "demo.context.json").read_text())
+
+    contexts = []
+    process_demonstration = evaluation.process_demonstration
+
+    def record(*args, **kwargs):
+        contexts.append(process_demonstration(*args, **kwargs))
+        return contexts[-1]
+
+    monkeypatch.setattr(evaluation, "process_demonstration", record)
+    exp = cli.load_run_config(common[1], [restarts]).experiment
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        evaluation.run_experiment(dataclasses.replace(exp, methods=(METHOD_PARTS,), n_trials=0))
+    (ctx,) = contexts
+    assert stored["interactions"] == json.loads(json.dumps(to_json(ctx.interactions)))
+    assert stored["relations"] == json.loads(json.dumps(to_json(ctx.relations)))
+
+
+# Each case: the config key of the command's output path (transfer's is
+# --out), and the output its error names.
+UNWRITABLE = {
+    "gen": ("dataset_dir", "dataset"),
+    "transfer": (None, "result"),
+    "eval": ("output_dir", "report"),
+}
+
+
+@pytest.mark.parametrize("command", list(UNWRITABLE))
+def test_unwritable_output_path_exits_1_with_one_line(workspace, monkeypatch, command):
+    key, output = UNWRITABLE[command]
+    (workspace / "blocker").write_text("a regular file")
+
+    def refuse(cfg):
+        raise AssertionError("trials ran before the output dir was made")
+
+    # eval must find its output dir unwritable before it runs any trial.
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        if key is None:
+            assert run_transfer(workspace, "blocker/out") == 1
+        else:
+            assert run(command, "--config", write_config(workspace),
+                       "--set", f"{key}={workspace / 'blocker' / 'out'}") == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: writing {output}: "), lines
 
 
 def test_train_on_a_zero_extent_demo_names_the_stage(tmp_path, capsys):
@@ -534,7 +629,7 @@ def test_malformed_input_file_exits_1_without_a_traceback(tmp_path, case):
     dataset.mkdir()
     for name, payload in files.items():
         if payload == "DEMO":
-            payload = to_json(generate_demo_scene("mug_on_rack").demo)
+            payload = to_json(generate_demo_scene("mug_on_rack"))
         (dataset / name).write_text(json.dumps(payload))
     argv = [command, "--config", write_config(tmp_path)]
     if command == "transfer":
@@ -550,7 +645,7 @@ def test_malformed_input_file_exits_1_without_a_traceback(tmp_path, case):
 def test_malformed_input_error_names_its_file(tmp_path, capsys, culprit):
     dataset = tmp_path / "dataset"
     dataset.mkdir()
-    demo = to_json(generate_demo_scene("mug_on_rack").demo)
+    demo = to_json(generate_demo_scene("mug_on_rack"))
     malformed = {"object": {"category": "mug", "parts": []}}
     if culprit == "training_file":
         files = {"manifest.json": {"train": {"mug": ["mug.json"]}, "demo": "demo.json"},

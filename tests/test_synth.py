@@ -14,7 +14,9 @@ from partwarp.geom import (
     symmetric_chamfer,
     to_json,
 )
+from partwarp.registration import kabsch
 from partwarp.synth import (
+    TASKS,
     CameraView,
     ParametricObjectSpec,
     default_spec,
@@ -29,6 +31,14 @@ from partwarp.synth import (
     task_categories,
     task_predicate,
 )
+
+
+def demo_specs(task: str) -> tuple[ParametricObjectSpec, ParametricObjectSpec]:
+    """The specs of the two objects generate_demo_scene builds task's demo from."""
+    points = TASKS[task].demo_points_per_part
+    return tuple(
+        default_spec(category, seed=seed, points_per_part=points)
+        for category, seed in zip(task_categories(task), (11, 12)))
 
 
 class TestSpecs:
@@ -250,19 +260,22 @@ class TestFeaturesAndTasks:
 
     @pytest.mark.parametrize("task", ["mug_on_rack", "bowl_on_mug", "teapot_pour_align"])
     def test_demo_is_feasible(self, task):
-        scene = generate_demo_scene(task)
-        goal_points = scene.demo.t_ab.apply(scene.demo.object_a.all_points())
-        assert penetration_depth(goal_points, scene.sdf_b) <= 0.001
-        goal = scene.demo.t_ab.compose(scene.init_a)
-        feat_a = features(scene.spec_a).transformed(goal)
-        assert task_predicate(task, feat_a, features(scene.spec_b))
+        demo = generate_demo_scene(task)
+        spec_a, spec_b = demo_specs(task)
+        goal_points = demo.t_ab.apply(demo.object_a.all_points())
+        assert penetration_depth(goal_points, generate(spec_b)[1]) <= 0.001
+        # Object a's pose at the demo's goal, from its points.
+        goal = kabsch(generate(spec_a)[0].all_points(), goal_points)
+        assert task_predicate(task, features(spec_a).transformed(goal), features(spec_b))
 
     def test_demo_goal_composition(self):
-        scene = generate_demo_scene("mug_on_rack")
-        goal = goal_transform("mug_on_rack", features(scene.spec_a), features(scene.spec_b))
-        combined = scene.demo.t_ab.compose(scene.init_a)
-        np.testing.assert_allclose(combined.rotation, goal.rotation, atol=1e-12)
-        np.testing.assert_allclose(combined.translation, goal.translation, atol=1e-12)
+        # The demo's object a, moved by t_ab, is its default object at the goal.
+        demo = generate_demo_scene("mug_on_rack")
+        spec_a, spec_b = demo_specs("mug_on_rack")
+        goal = goal_transform("mug_on_rack", features(spec_a), features(spec_b))
+        np.testing.assert_allclose(
+            demo.t_ab.apply(demo.object_a.all_points()),
+            goal.apply(generate(spec_a)[0].all_points()), atol=1e-12)
 
     @pytest.mark.parametrize("psi", [0.4, -1.1, 2.5])
     def test_hang_goal_follows_a_yawed_peg(self, psi):

@@ -26,6 +26,7 @@ from partwarp.evaluation import ExperimentConfig, train_category_models, trial_s
 from partwarp.registration import CpdConfig
 from partwarp.shapemodel import InferenceConfig
 from partwarp.synth import (
+    CATEGORY_DEFAULTS,
     default_spec,
     features,
     generate,
@@ -38,9 +39,8 @@ from partwarp.transfer import (
     InteractionPointSet,
     PartDecomposedObject,
     PipelineConfig,
+    RelationSet,
     contact_pairs,
-    context_from_dict,
-    context_to_dict,
     extract_interaction_points,
     fit_parts,
     label_parts,
@@ -175,7 +175,7 @@ class TestLabeling:
 
     @pytest.mark.parametrize("task", ["mug_on_rack", "bowl_on_mug", "teapot_pour_align"])
     def test_labeling_a_subset_matches_the_full_call(self, task):
-        demo = generate_demo_scene(task).demo
+        demo = generate_demo_scene(task)
         spec_a, spec_b, pose_a, pose_b = trial_scene(ExperimentConfig(task=task), 0)
         trial = (generate(spec_a)[0].transformed(pose_a), generate(spec_b)[0].transformed(pose_b))
         for obj in (demo.object_a, demo.object_b, *trial):
@@ -197,8 +197,8 @@ class TestLabeling:
                         np.testing.assert_array_equal(got.label("z"), full.parts[name].label("z"))
 
     def test_fit_parts_computes_no_distances_for_pairs_it_does_not_fit(
-            self, mug_scene, rack_models, monkeypatch):
-        rack = mug_scene.demo.object_b
+            self, mug_demo, rack_models, monkeypatch):
+        rack = mug_demo.object_b
         names = {id(cloud.points): name for name, cloud in rack.parts.items()}
         seen = []
         real = transfer_module.sqdist_rows
@@ -239,7 +239,7 @@ def cheap_teapot_ctx():
         warnings.simplefilter("ignore")
         teapot = train_category_models("teapot", 17, cheap)
         mug = train_category_models("mug", 17, cheap)
-        demo = generate_demo_scene("teapot_pour_align").demo
+        demo = generate_demo_scene("teapot_pour_align")
         return process_demonstration(
             demo, select_demo_relations(demo, TEAPOT_PIPELINE), teapot, mug, TEAPOT_PIPELINE)
 
@@ -256,9 +256,9 @@ def candidate_set(demo, models_a, models_b, delta_scale=PipelineConfig().delta_s
 
 
 @pytest.fixture(scope="module")
-def mug_candidates(mug_scene, mug_models, rack_models):
+def mug_candidates(mug_demo, mug_models, rack_models):
     """The mug demo's full candidate set at the default radius: the cup and handle on the peg."""
-    return candidate_set(mug_scene.demo, mug_models, rack_models)
+    return candidate_set(mug_demo, mug_models, rack_models)
 
 
 def full_block_contacts(demo, delta, k_max):
@@ -295,7 +295,7 @@ class TestExtraction:
     @pytest.mark.parametrize("merged", [False, True], ids=["parts", "merged"])
     @pytest.mark.parametrize("task", ["mug_on_rack", "bowl_on_mug", "teapot_pour_align"])
     def test_contacts_equal_a_full_block_search(self, task, merged):
-        demo = generate_demo_scene(task).demo
+        demo = generate_demo_scene(task)
         if merged:
             demo = Demonstration(
                 merge_object(demo.object_a), merge_object(demo.object_b), demo.t_ab)
@@ -337,10 +337,10 @@ class TestExtraction:
         assert_same_contacts(contact_pairs(demo, 0.006), full_block_contacts(demo, 0.006, 32))
 
     def test_demo_interactions_are_bounded_and_consistent(
-            self, mug_ctx, mug_scene, mug_candidates):
+            self, mug_ctx, mug_demo, mug_candidates):
         k_max = 32  # contact_pairs' default cut
         assert ("handle", "peg") in mug_ctx.interactions
-        demo = mug_scene.demo
+        demo = mug_demo
         _contacts, _fits_a, fits_b, _interactions = mug_candidates
         contacts = select_demo_relations(demo)[1]
         for (m, n), ips in mug_ctx.interactions.items():
@@ -353,8 +353,8 @@ class TestExtraction:
             np.testing.assert_allclose(
                 ips.displacements_n, (demo.t_ab.apply(pm) - pn) @ rot, atol=1e-12)
 
-    def test_larger_delta_finds_a_superset(self, mug_scene):
-        demo = mug_scene.demo
+    def test_larger_delta_finds_a_superset(self, mug_demo):
+        demo = mug_demo
         delta = 0.02 * scene_extent(demo)
         small = contact_pairs(demo, delta, k_max=10**6)
         large = contact_pairs(demo, 2 * delta, k_max=10**6)
@@ -364,17 +364,17 @@ class TestExtraction:
             pairs_large = set(zip(large[rel][0].tolist(), large[rel][1].tolist()))
             assert pairs_small <= pairs_large
 
-    def test_separated_objects_have_no_interaction(self, mug_scene):
+    def test_separated_objects_have_no_interaction(self, mug_demo):
         far = RigidTransform(np.eye(3), np.array([10.0, 0.0, 0.0]))
-        demo = Demonstration(mug_scene.demo.object_a, mug_scene.demo.object_b, far)
+        demo = Demonstration(mug_demo.object_a, mug_demo.object_b, far)
         with pytest.raises(ValueError, match="no interaction found in demonstration"):
-            contact_pairs(demo, 0.02 * scene_extent(mug_scene.demo))
+            contact_pairs(demo, 0.02 * scene_extent(mug_demo))
 
     @staticmethod
     def fitted_parts(task, ctx, monkeypatch):
         """The (category, parts) of each fit_parts call of processing task's demo with
         ctx's models, and the context it gives."""
-        demo = generate_demo_scene(task).demo
+        demo = generate_demo_scene(task)
         seen = []
         fit_parts = transfer_module.fit_parts
 
@@ -440,10 +440,10 @@ class TestLargeClouds:
 
 class TestTransferPoints:
     def test_self_transfer_reproduces_demo_points_exactly(
-            self, mug_ctx, mug_scene, mug_candidates, mug_models, rack_models):
+            self, mug_ctx, mug_demo, mug_candidates, mug_models, rack_models):
         # The canonical-frame residuals are defined so that re-localizing on
         # the same fits returns the original demo points.
-        demo = mug_scene.demo
+        demo = mug_demo
         _contacts, fits_a, fits_b, _interactions = mug_candidates
         contacts = select_demo_relations(demo)[1]
         for (m, n), ips in mug_ctx.interactions.items():
@@ -467,7 +467,7 @@ class TestTransferPoints:
                 assert np.linalg.det(rot) == pytest.approx(1.0)
 
     def test_per_relation_transform_recovers_demo_goal(
-            self, mug_ctx, mug_scene, mug_candidates, mug_models, rack_models):
+            self, mug_ctx, mug_demo, mug_candidates, mug_models, rack_models):
         # On the demo itself the aligned interaction points reproduce the
         # demonstrated transform for the selected relation. The secondary
         # cup contact is a graze whose point set is too flat to align on
@@ -476,7 +476,7 @@ class TestTransferPoints:
         result = optimize_placement(
             list(mug_ctx.relations.relations), mug_models, rack_models,
             fits_a, fits_b, mug_ctx.interactions)
-        t_ab = mug_scene.demo.t_ab
+        t_ab = mug_demo.t_ab
         for rel, t_rel in result.per_relation_transforms.items():
             assert rotation_geodesic(t_rel, t_ab) < 1e-6
             np.testing.assert_allclose(t_rel.translation, t_ab.translation, atol=1e-7)
@@ -492,12 +492,12 @@ class TestSelection:
         assert mug_ctx.relations.relations == (("handle", "peg"),)
         assert mug_ctx.relations.score < 0.01
 
-    def test_demo_selects_the_hanging_relation_at_every_radius(self, mug_scene):
+    def test_demo_selects_the_hanging_relation_at_every_radius(self, mug_demo):
         # A score that only measures replay of the goal fails this from
         # 1.15x the default radius up: there the cup graze spans a plane and
         # pins the goal as well as the handle does, the two tie after
         # rounding, and the earlier subset, the cup's, wins.
-        demo = mug_scene.demo
+        demo = mug_demo
         delta = PipelineConfig().delta_scale * scene_extent(demo)
         chosen = {
             scale: select_relevant_relations(demo, contact_pairs(demo, scale * delta)).relations
@@ -514,18 +514,18 @@ class TestSelection:
         with pytest.raises(ValueError, match="zero extent"):
             select_demo_relations(demo)
 
-    def test_single_candidate_is_selected(self, mug_candidates, mug_scene):
+    def test_single_candidate_is_selected(self, mug_candidates, mug_demo):
         contacts, _fits_a, _fits_b, _interactions = mug_candidates
         only = {("handle", "peg"): contacts[("handle", "peg")]}
-        chosen = select_relevant_relations(mug_scene.demo, only)
+        chosen = select_relevant_relations(mug_demo, only)
         assert chosen.relations == (("handle", "peg"),)
 
     def test_subsets_that_replay_the_goal_tie_and_the_smaller_wins(
-            self, mug_candidates, mug_scene, mug_models, rack_models):
+            self, mug_candidates, mug_demo, mug_models, rack_models):
         # The hanging contact and the full set both pin the demo goal, so
         # they differ only by rounding; the tie goes to the smaller subset.
         contacts, fits_a, fits_b, interactions = mug_candidates
-        demo = mug_scene.demo
+        demo = mug_demo
         hanging, full = [("handle", "peg")], sorted(interactions)
         assert len(full) > 1
         for subset in (hanging, full):
@@ -538,14 +538,14 @@ class TestSelection:
 
     @pytest.mark.parametrize("demo", ["mug", "mug_delta_0.03", "teapot"])
     def test_selection_matches_a_full_placement_per_subset(
-            self, mug_ctx, mug_scene, cheap_teapot_ctx, monkeypatch, demo):
+            self, mug_ctx, mug_demo, cheap_teapot_ctx, monkeypatch, demo):
         # The reference fits and grounds every candidate relation and scores
         # each subset by a whole optimize_placement through those fits.
         # Selection aligns the demo's contact points with their goal
         # positions, the points the fits carry back up to rounding, so it
         # must pick the same subset, at every subset's score to 1e-12.
         ctx = cheap_teapot_ctx if demo == "teapot" else mug_ctx
-        shown = (generate_demo_scene("teapot_pour_align") if demo == "teapot" else mug_scene).demo
+        shown = generate_demo_scene("teapot_pour_align") if demo == "teapot" else mug_demo
         delta_scale = 0.03 if demo == "mug_delta_0.03" else PipelineConfig().delta_scale
         cfg = TEAPOT_PIPELINE.inference if demo == "teapot" else InferenceConfig()
         contacts, fits_a, fits_b, interactions = candidate_set(
@@ -583,11 +583,11 @@ class TestSelection:
         assert abs(chosen.score - scores[best]) <= 1e-12
 
     def test_selected_score_not_worse_than_full_set(
-            self, mug_ctx, mug_scene, mug_candidates, mug_models, rack_models):
+            self, mug_ctx, mug_demo, mug_candidates, mug_models, rack_models):
         _contacts, fits_a, fits_b, interactions = mug_candidates
         full = sorted(interactions)
         result = optimize_placement(full, mug_models, rack_models, fits_a, fits_b, interactions)
-        demo = mug_scene.demo
+        demo = mug_demo
         full_score = (
             float(np.linalg.norm(result.t_final.translation - demo.t_ab.translation))
             / scene_extent(demo)
@@ -597,12 +597,12 @@ class TestSelection:
 
 class TestPlacement:
     def test_recreates_demo_transform(
-            self, mug_ctx, mug_scene, mug_candidates, mug_models, rack_models):
+            self, mug_ctx, mug_demo, mug_candidates, mug_models, rack_models):
         _contacts, fits_a, fits_b, _interactions = mug_candidates
         result = optimize_placement(
             list(mug_ctx.relations.relations), mug_models, rack_models,
             fits_a, fits_b, mug_ctx.interactions)
-        demo = mug_scene.demo
+        demo = mug_demo
         assert rotation_geodesic(result.t_final, demo.t_ab) < np.radians(1.0)
         err = np.linalg.norm(result.t_final.translation - demo.t_ab.translation)
         assert err < 0.01 * scene_extent(demo)
@@ -611,14 +611,14 @@ class TestPlacement:
         assert set(result.diagnostics) == {m for m, _ in result.relations}
         assert result.objective >= 0.0
 
-    def test_transfer_to_raised_peg_rack(self, mug_ctx, mug_scene):
+    def test_transfer_to_raised_peg_rack(self, mug_ctx, mug_demo):
         # Novel pair: a taller mug with a wider handle, and a rack whose peg
         # sits 4 cm higher. The placement must track the peg, not the demo
         # height, and the transferred contact points must land on the novel
         # surfaces.
         spec_m = default_spec("mug", seed=31, handle_radius=0.036, cup_height=0.095)
         spec_r = default_spec(
-            "rack", seed=32, peg_height=mug_scene.spec_b.params["peg_height"] + 0.04)
+            "rack", seed=32, peg_height=CATEGORY_DEFAULTS["rack"]["peg_height"] + 0.04)
         novel_a, sdf_a, _ = generate(spec_m)
         novel_b, sdf_b, _ = generate(spec_r)
         result = transfer_skill(mug_ctx, novel_a, novel_b, seed=0)
@@ -627,7 +627,7 @@ class TestPlacement:
         assert task_predicate("mug_on_rack", feat_a, features(spec_r))
         placed = result.t_final.apply(novel_a.all_points())
         assert penetration_depth(placed, sdf_b) <= 0.001
-        lift = result.t_final.translation[2] - mug_scene.demo.t_ab.translation[2]
+        lift = result.t_final.translation[2] - mug_demo.t_ab.translation[2]
         assert lift > 0.01
 
         extent = 0.5 * (novel_a.extent() + novel_b.extent())
@@ -641,17 +641,17 @@ class TestPlacement:
         assert np.abs(sdf_a.part_fns[m](pm)).max() < 0.02 * extent
         assert np.abs(sdf_b.part_fns[n](pn)).max() < 0.02 * extent
 
-    def test_deterministic_result_bytes(self, mug_ctx, mug_scene):
+    def test_deterministic_result_bytes(self, mug_ctx, mug_demo):
         spec_m = default_spec("mug", seed=41)
         novel_a, _, _ = generate(spec_m)
         runs = []
         for _ in range(2):
-            result = transfer_skill(mug_ctx, novel_a, mug_scene.demo.object_b, seed=3)
+            result = transfer_skill(mug_ctx, novel_a, mug_demo.object_b, seed=3)
             runs.append(json.dumps(to_json(result), sort_keys=True))
         assert runs[0] == runs[1]
 
-    def test_missing_part_is_named(self, mug_ctx, mug_scene):
-        demo = mug_scene.demo
+    def test_missing_part_is_named(self, mug_ctx, mug_demo):
+        demo = mug_demo
         ((m, _n),) = mug_ctx.relations.relations
         partial = PartDecomposedObject(
             "mug", {p: c for p, c in demo.object_a.parts.items() if p != m})
@@ -662,9 +662,9 @@ class TestPlacement:
 
 
 class TestWholeObjectBaseline:
-    def test_recovers_demo_on_identical_objects(self, mug_scene, mug_whole_models,
+    def test_recovers_demo_on_identical_objects(self, mug_demo, mug_whole_models,
                                                 rack_whole_models):
-        demo = mug_scene.demo
+        demo = mug_demo
         merged = Demonstration(merge_object(demo.object_a), merge_object(demo.object_b), demo.t_ab)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -698,6 +698,22 @@ def assert_same_fields(a, b):
         assert a == b
 
 
+def context_payload(ctx) -> dict:
+    """ctx's interactions and relations as a context file holds them."""
+    fields = {"interactions": to_json(ctx.interactions), "relations": to_json(ctx.relations)}
+    return json.loads(json.dumps(fields, allow_nan=False))
+
+
+def context_from_payload(ctx, payload: Mapping):
+    """ctx with the interactions and relations read back from payload, as from a context file."""
+    return dataclasses.replace(
+        ctx,
+        interactions=from_json(Mapping[tuple[str, str], InteractionPointSet],
+                               payload["interactions"], path="interactions"),
+        relations=from_json(RelationSet, payload["relations"], path="relations"),
+    )
+
+
 class TestSerialization:
     def test_object_round_trip(self):
         obj, _, _ = generate(default_spec("mug", seed=9, points_per_part=40))
@@ -725,14 +741,12 @@ class TestSerialization:
         np.testing.assert_array_equal(
             loaded.object_b.parts["q"].points, obj_b.parts["q"].points)
 
-    def test_context_round_trip(self, mug_ctx, mug_scene, cheap_teapot_ctx):
+    def test_context_round_trip(self, mug_ctx, mug_demo, cheap_teapot_ctx):
         # The mug's handle|peg context and the teapot's spout|cup one.
         cfg = PipelineConfig(inference=InferenceConfig(restarts=1, yaw_init_count=2, max_evals=40))
-        teapot_demo = generate_demo_scene("teapot_pour_align").demo
-        for ctx, demo in ((mug_ctx, mug_scene.demo), (cheap_teapot_ctx, teapot_demo)):
-            payload = json.loads(json.dumps(context_to_dict(ctx), allow_nan=False))
-            assert list(payload) == ["interactions", "relations"]
-            again = context_from_dict(ctx.models_a, ctx.models_b, payload)
+        teapot_demo = generate_demo_scene("teapot_pour_align")
+        for ctx, demo in ((mug_ctx, mug_demo), (cheap_teapot_ctx, teapot_demo)):
+            again = context_from_payload(ctx, context_payload(ctx))
             assert_same_fields(again, ctx)
             results = [
                 to_json(transfer_skill(c, demo.object_a, demo.object_b, cfg))
@@ -740,41 +754,37 @@ class TestSerialization:
             ]
             assert results[0] == results[1]
 
-    def test_context_interaction_under_another_pair_is_refused(
-            self, mug_ctx, mug_models, rack_models):
-        payload = json.loads(json.dumps(context_to_dict(mug_ctx)))
+    def test_context_interaction_under_another_pair_is_refused(self, mug_ctx):
+        payload = context_payload(mug_ctx)
         interactions = payload["interactions"]
         (only,) = list(interactions)
         interactions["cup|peg"] = interactions.pop(only)
         message = re.escape(f"interactions.cup|peg holds the pair {only}")
         with pytest.raises(ValueError, match=message):
-            context_from_dict(mug_models, rack_models, payload)
+            context_from_payload(mug_ctx, payload)
 
-    def test_context_relation_without_interaction_is_refused(
-            self, mug_ctx, mug_models, rack_models):
-        payload = json.loads(json.dumps(context_to_dict(mug_ctx)))
+    def test_context_relation_without_interaction_is_refused(self, mug_ctx):
+        payload = context_payload(mug_ctx)
         del payload["interactions"]["handle|peg"]
         with pytest.raises(ValueError, match=re.escape("relations name handle|peg")):
-            context_from_dict(mug_models, rack_models, payload)
+            context_from_payload(mug_ctx, payload)
 
     @pytest.mark.parametrize("side, value", [
         (0, -1), (1, -1), (0, 1000000), (1, 1000000)])
-    def test_context_pair_outside_its_model_is_refused(
-            self, mug_ctx, mug_models, rack_models, side, value):
+    def test_context_pair_outside_its_model_is_refused(self, mug_ctx, side, value):
         # -1 would index the model's last point, and 1000000 none.
-        payload = json.loads(json.dumps(context_to_dict(mug_ctx)))
+        payload = context_payload(mug_ctx)
         payload["interactions"]["handle|peg"]["pairs"][0][side] = value
         part = ("handle", "peg")[side]
         message = re.escape(f"interactions.handle|peg indexes part {part!r} outside its model's")
         with pytest.raises(ValueError, match=message):
-            context_from_dict(mug_models, rack_models, payload)
+            context_from_payload(mug_ctx, payload)
 
-    def test_context_pair_that_is_not_a_whole_number_is_refused(
-            self, mug_ctx, mug_models, rack_models):
-        payload = json.loads(json.dumps(context_to_dict(mug_ctx)))
+    def test_context_pair_that_is_not_a_whole_number_is_refused(self, mug_ctx):
+        payload = context_payload(mug_ctx)
         payload["interactions"]["handle|peg"]["pairs"][0][0] += 0.5
         with pytest.raises(ValueError, match="whole numbers"):
-            context_from_dict(mug_models, rack_models, payload)
+            context_from_payload(mug_ctx, payload)
 
     def test_processed_context_obeys_the_same_checks(self, mug_ctx):
         # A context built in memory is checked as one read from a file.
